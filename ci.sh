@@ -37,20 +37,11 @@ echo "== allocation gate: flight recorder on and off =="
 VISIONSIM_TRACE=1 VISIONSIM_METRICS=1 cargo test -q --release --test alloc_gate
 VISIONSIM_TRACE=0 VISIONSIM_METRICS=0 cargo test -q --release --test alloc_gate
 
-echo "== allocation gate: batching forced on and off =="
-# The batched drain loop (cohort lists, scratch batch, netem verdict
-# buffer) must hit the same per-hop budget as the scalar reference once
-# its pools are warm.
-VISIONSIM_DRAIN=batched cargo test -q --release --test alloc_gate
-VISIONSIM_DRAIN=scalar cargo test -q --release --test alloc_gate
-
 echo "== closed-loop congestion: conservation + convergence smoke =="
 # The token-bucket shaper must conserve bytes (offered == sent + dropped)
-# identically under both drain paths, and the AIMD loop must converge to
-# fair shares with receiver-visible drops. The scenario tests pin their
-# own drain mode internally; the env var covers the defaults.
-VISIONSIM_DRAIN=scalar cargo test -q --release -p visionsim-net --test shaper_conservation
-VISIONSIM_DRAIN=batched cargo test -q --release -p visionsim-net --test shaper_conservation
+# in release builds too, and the AIMD loop must converge to fair shares
+# with receiver-visible drops.
+cargo test -q --release --test shaper_conservation
 cargo test -q --release -p visionsim-experiments congestion
 
 echo "== failover storms: control-plane resilience =="
@@ -65,12 +56,10 @@ VISIONSIM_SANITIZE=1 cargo test -q --release -p visionsim-vca --lib \
   staggered_server_down_faults_reattach_both_cohorts
 VISIONSIM_SANITIZE=1 cargo test -q --release -p visionsim-vca --lib \
   resilience_reconnects_all_participants_after_server_down
-# Failover property suite in both drain modes: candidate selection never
-# hands out a dead or breaker-open site, and reconnect backoff schedules
-# are byte-identical across thread counts. `DrainMode::from_env` is
-# cached per process, so the axis needs two runs.
-VISIONSIM_DRAIN=scalar cargo test -q --release -p visionsim-vca --test failover_props
-VISIONSIM_DRAIN=batched cargo test -q --release -p visionsim-vca --test failover_props
+# Failover property suite: candidate selection never hands out a dead or
+# breaker-open site, and reconnect backoff schedules are byte-identical
+# across thread counts.
+cargo test -q --release -p visionsim-vca --test failover_props
 
 echo "== sharded fleet: causality + shard/thread invariance =="
 # The conservative-PDES engine's shard partition and worker-pool size are
@@ -118,7 +107,7 @@ committed = json.load(open(sys.argv[2]))
 bad = []
 for name, entry in sorted(committed.items()):
     if name not in fresh:
-        continue  # committed baselines (e.g. *_prebatch) with no live run
+        continue  # recorded by another run (e.g. regenerate/wall)
     per_sec = entry.get("per_sec")
     if per_sec is None:
         continue  # wall-clock trajectory entries are not throughput-gated

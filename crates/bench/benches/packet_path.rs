@@ -5,10 +5,7 @@
 //! so this target benchmarks that loop in isolation — hops/sec down a
 //! forwarding chain, fan-out/sec when one delivered payload is re-sent to
 //! many subscribers (the SFU pattern), and tap records/sec at an
-//! observed node. The committed `BENCH.json` keeps the pre-refactor
-//! (`Vec<u8>`-payload) numbers under `*_prerefactor` names and the
-//! pre-batching (scalar drain loop) numbers under `*_prebatch`, so both
-//! generations of speedup stay visible as diffs.
+//! observed node.
 
 use visionsim_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use visionsim_core::time::SimDuration;

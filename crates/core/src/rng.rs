@@ -99,7 +99,7 @@ impl SimRng {
     }
 
     /// A fingerprint of the generator state: equal iff the two generators
-    /// will produce identical future streams. Used by the scalar-vs-batch
+    /// will produce identical future streams. Used by the datapath
     /// equivalence suite to pin exact RNG stream position.
     pub fn state_fingerprint(&self) -> u64 {
         let mut acc = 0xcbf2_9ce4_8422_2325u64;

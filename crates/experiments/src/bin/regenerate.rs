@@ -16,8 +16,7 @@
 //!
 //! Artifact files are byte-identical at any thread count and with the
 //! sanitizer on or off; wall-clock timings go only to stdout and the
-//! manifest. The run ends with a sequential-vs-parallel speedup line for
-//! the Figure 6 sweep (stdout only, see `core::par`).
+//! manifest.
 //!
 //! With `VISIONSIM_METRICS=1` each artifact also writes a deterministic
 //! `<name>.metrics.json` sidecar; with `VISIONSIM_TRACE=1` it writes a
@@ -27,7 +26,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 use visionsim_experiments::harness::{self, HarnessConfig};
-use visionsim_experiments::figure6;
 
 fn main() -> ExitCode {
     let mut seed = 2024u64;
@@ -83,43 +81,15 @@ fn main() -> ExitCode {
         }
     }
 
-    let par_total = wall.elapsed().as_secs_f64();
+    let total = wall.elapsed().as_secs_f64();
 
-    // A single-artifact run is a smoke, not a full regeneration: skip the
-    // speedup epilogue.
-    if only.is_some() {
-        println!("=== done in {par_total:.1}s ===");
-        return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    // Track the whole-run wall-clock trajectory in BENCH.json. Wall
+    // class: no per_sec, so the ci.sh throughput gate ignores it;
+    // single-artifact, resumed, and failed runs record nothing.
+    if ok && !resume && only.is_none() {
+        harness::record_wall_bench("regenerate/wall", total);
     }
-
-    // Track the whole-run wall-clock trajectory (ROADMAP item 2's
-    // residual) in BENCH.json. Wall class: no per_sec, so the ci.sh
-    // throughput gate ignores it; partial/failed runs record nothing.
-    if ok && !resume {
-        harness::record_wall_bench("regenerate/wall", par_total);
-    }
-
-    // Speedup check: re-run the Figure 6 sweep pinned to one worker and
-    // compare against the parallel wall-clock just measured. Stdout-only;
-    // artifacts on disk are untouched by this epilogue.
-    let start = Instant::now();
-    let fig_par = figure6::run(30, seed);
-    let par_secs = start.elapsed().as_secs_f64();
-    visionsim_core::par::set_threads(Some(1));
-    let start = Instant::now();
-    let fig_seq = figure6::run(30, seed);
-    let seq_secs = start.elapsed().as_secs_f64();
-    visionsim_core::par::set_threads(None);
-    assert_eq!(
-        format!("{fig_par}"),
-        format!("{fig_seq}"),
-        "parallel output must be bit-identical to sequential"
-    );
-    println!(
-        "=== done in {par_total:.1}s · figure6 sequential {seq_secs:.2}s vs parallel {par_secs:.2}s \
-         ({:.1}x speedup, outputs bit-identical) ===",
-        seq_secs / par_secs.max(1e-9)
-    );
+    println!("=== done in {total:.1}s ===");
 
     if ok {
         ExitCode::SUCCESS

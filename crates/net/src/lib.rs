@@ -34,7 +34,7 @@ pub mod xshard;
 pub use fault::{apply_to_netem, DrawPlan, FaultEvent, FaultKind, FaultPlan, GeConfig, GeKernel, GilbertElliott};
 pub use link::{LinkConfig, LinkId};
 pub use netem::{Netem, NetemBatch, NetemVerdict, RateProfile, TokenBucket};
-pub use network::{Delivered, DrainMode, Network, NodeId};
+pub use network::{Delivered, Network, NodeId};
 pub use packet::{Packet, PortPair, IP_UDP_OVERHEAD_BYTES};
 pub use probe::{AnycastProbe, RttProber};
 pub use shaper::{LinkShaper, QueueLimit, ShaperConfig, ShaperVerdict};

@@ -195,9 +195,9 @@ impl LinkState {
     /// Compute when a packet of `size` accepted at `now` finishes
     /// serializing (and, when a shaper is attached, clears the shaper's
     /// finite FIFO queue), updating the busy horizon. Returns `None` when
-    /// a drop-tail queue is full. Draws no randomness: both drain loops
-    /// call this per member in the same order, so shaped links stay
-    /// bit-identical scalar-vs-batched.
+    /// a drop-tail queue is full. Draws no randomness, so the network may
+    /// serialize a whole run of admissions before sampling their netem
+    /// verdicts and still match one-at-a-time admission.
     #[inline]
     pub fn serialize(&mut self, now: SimTime, size: ByteSize) -> Option<SimTime> {
         let serialized = match self.config.rate {

@@ -25,6 +25,14 @@
 //! Forwarding a warmed-up packet one hop performs no heap allocation (the
 //! `alloc_gate` integration test pins this with a counting allocator, and
 //! [`PER_HOP_ALLOC_BUDGET`] is the gated budget).
+//!
+//! # One drain loop
+//!
+//! Same-instant admissions accumulate in one open run, which closes into
+//! a `LinkExit` (one packet) or a `CohortExit` (two or more); both sizes
+//! share every admission and exit step. The root `batch_equiv` test
+//! checks the result against a scalar reference model that keeps one
+//! queue entry per packet copy per hop.
 
 use crate::link::{LinkConfig, LinkId, LinkState};
 use crate::netem::{NetemBatch, NetemVerdict};
@@ -65,7 +73,7 @@ struct NetMetrics {
     packets_dropped: metrics::Counter,
     in_flight_bytes: metrics::Gauge,
     queue_depth: metrics::Gauge,
-    /// Non-empty tick-cohort drains performed by the batched loop.
+    /// Non-empty tick drains performed by `run_until`.
     batch_drains: metrics::Counter,
     /// Log2 histogram of admission-run sizes (members per closed run) —
     /// the batch width the netem kernel and bulk retirement actually see.
@@ -88,30 +96,6 @@ fn net_metrics() -> &'static NetMetrics {
         batch_drains: metrics::counter("net/batch_drains", Class::Sim),
         batch_size: metrics::histogram("net/batch_size", Class::Sim),
     })
-}
-
-/// Which inner loop [`Network::run_until`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DrainMode {
-    /// One heap pop per event — the reference implementation the batched
-    /// path is property-tested against.
-    Scalar,
-    /// Tick-cohort draining with run-accumulated cohort events and the
-    /// batched netem kernel. Observationally identical to `Scalar`:
-    /// same delivery order, same verdicts, same RNG stream position.
-    Batched,
-}
-
-impl DrainMode {
-    /// Process-wide default: batched, unless `VISIONSIM_DRAIN=scalar`
-    /// forces the reference loop (for bisecting or the equivalence test).
-    pub fn from_env() -> DrainMode {
-        static MODE: OnceLock<DrainMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("VISIONSIM_DRAIN").as_deref() {
-            Ok("scalar") => DrainMode::Scalar,
-            _ => DrainMode::Batched,
-        })
-    }
 }
 
 /// Identifier of a node.
@@ -149,9 +133,9 @@ struct Flight {
     /// Index into [`Network::routes`].
     route: u32,
     /// Position in the route currently being traversed. Authoritative
-    /// for the scalar loop only: batched cohorts carry the cursor in
-    /// their [`Member`] records, and `schedule_exit` re-syncs this field
-    /// whenever a scalar `LinkExit` is created for the slot.
+    /// for `LinkExit` events only: cohorts carry the cursor in their
+    /// [`Member`] records, and `close_run` re-syncs this field whenever
+    /// it mints a `LinkExit` for the slot.
     hop: u32,
     /// Cached `packet.wire_size()`: the payload is immutable, so hop
     /// bookkeeping reads the size from the slab instead of chasing the
@@ -209,7 +193,7 @@ enum NetEvent {
         flight: u32,
     },
     /// The run of flights listed in cohort slab slot `cohort` all finish
-    /// traversing the same link at the same instant (batched mode).
+    /// traversing their links at the same instant.
     CohortExit {
         cohort: u32,
     },
@@ -248,13 +232,13 @@ struct Member {
     size: ByteSize,
 }
 
-/// The admission run currently accumulating (batched mode). At most one
-/// run is open at any time, and it closes — becoming a queue event —
-/// before anything with a different exit time is scheduled. That
-/// single-open-run discipline is what keeps cohort members contiguous in
-/// scalar schedule order: the cohort's event sequence number is assigned
-/// at close, after every member's admission and before any later
-/// schedule, so same-instant FIFO tie-breaking replays the scalar order
+/// The admission run currently accumulating. At most one run is open at
+/// any time, and it closes — becoming a queue event — before anything
+/// with a different exit time is scheduled. That single-open-run
+/// discipline is what keeps cohort members contiguous in per-packet
+/// schedule order: the cohort's event sequence number is assigned at
+/// close, after every member's admission and before any later schedule,
+/// so same-instant FIFO tie-breaking replays a per-packet queue's order
 /// exactly. Keying on time alone (not `(link, time)`) lets same-instant
 /// admissions onto different links — the fan-out shape — share one event.
 #[derive(Clone, Copy, Debug)]
@@ -262,9 +246,9 @@ struct OpenRun {
     at: SimTime,
 }
 
-/// One pending admission in the batched general path: the member and its
-/// serialization completion (`None` = dropped by the link's drop-tail
-/// queue, which consumes no netem draws).
+/// One pending admission on the general (impaired or rate-limited) path:
+/// the member and its serialization completion (`None` = dropped by the
+/// link's drop-tail queue, which consumes no netem draws).
 #[derive(Clone, Copy, Debug)]
 struct AdmitEntry {
     m: Member,
@@ -297,9 +281,7 @@ pub struct Network {
     rng: SimRng,
     next_seq: u64,
     dropped: u64,
-    /// Which inner loop `run_until` uses.
-    drain_mode: DrainMode,
-    /// Reusable tick-drain buffer (batched mode).
+    /// Reusable tick-drain buffer.
     scratch: ScratchBatch<NetEvent>,
     /// Reusable netem batch-kernel output.
     netem_out: NetemBatch,
@@ -339,7 +321,6 @@ impl Network {
             rng: SimRng::seed_from_u64(seed),
             next_seq: 0,
             dropped: 0,
-            drain_mode: DrainMode::from_env(),
             scratch: ScratchBatch::new(),
             netem_out: NetemBatch::new(),
             cohorts: Vec::new(),
@@ -357,22 +338,10 @@ impl Network {
         self.queue.now()
     }
 
-    /// The inner loop `run_until` uses.
-    pub fn drain_mode(&self) -> DrainMode {
-        self.drain_mode
-    }
-
-    /// Override the inner loop (the process default comes from
-    /// `VISIONSIM_DRAIN`). Any accumulating admission run is closed first
-    /// so no scheduled work is stranded by the switch.
-    pub fn set_drain_mode(&mut self, mode: DrainMode) {
-        self.close_run();
-        self.drain_mode = mode;
-    }
-
     /// FNV-1a fold of the impairment RNG's position in its stream — the
-    /// scalar-vs-batched equivalence test pins this, proving the batched
-    /// path consumed draws in exactly the scalar order and count.
+    /// equivalence test pins this against its scalar reference model,
+    /// proving the datapath consumed draws in exactly the per-packet order
+    /// and count.
     pub fn rng_fingerprint(&self) -> u64 {
         self.rng.state_fingerprint()
     }
@@ -663,8 +632,8 @@ impl Network {
     /// order — same sequence numbers, same exit times, same RNG draw
     /// order, same stats totals. What batching buys is amortization: the
     /// route lookup, first-link inspection, tap probe, and (on the
-    /// batched passthrough fast arm) the open-run resolution and stats
-    /// flush all happen once per call instead of once per frame. This is
+    /// passthrough fast arm) the open-run resolution and stats flush all
+    /// happen once per call instead of once per frame. This is
     /// the SFU egress shape: a burst of encoded frames written to one
     /// subscriber's socket in a single step.
     ///
@@ -680,13 +649,11 @@ impl Network {
         let first = route[0];
         let link = &self.links[first.0];
         // The fast arm needs every per-frame observation and branch to be
-        // provably dead: a transparent, unshaped first link (no RNG
-        // draw, no drop — admission cannot fail), batched drain mode
-        // (members stream into the open run), an untapped source, and
-        // tracing off. Anything else replays the per-frame path, which
-        // keeps the equivalence contract trivially true.
-        let fast = self.drain_mode == DrainMode::Batched
-            && link.is_passthrough()
+        // provably dead: a transparent, unshaped first link (no RNG draw,
+        // no drop — admission cannot fail), an untapped source, and
+        // tracing off. Impaired, tapped, and traced first hops take the
+        // per-frame path instead.
+        let fast = link.is_passthrough()
             && self.nodes[src.0].taps.is_empty()
             && !trace::enabled();
         if !fast {
@@ -703,13 +670,7 @@ impl Network {
         // Resolve the run once: every frame in the batch exits at the
         // same time, exactly as a per-frame loop would re-match the same
         // open run on each send.
-        match self.open_run {
-            Some(run) if run.at == exit => {}
-            _ => {
-                self.close_run();
-                self.open_run = Some(OpenRun { at: exit });
-            }
-        }
+        self.join_run(exit);
         let src_addr = self.nodes[src.0].addr;
         let dst_addr = self.nodes[dst.0].addr;
         let mut count = 0u64;
@@ -755,19 +716,7 @@ impl Network {
         }));
         self.open_members = open;
         self.next_seq = seq;
-        let link = &mut self.links[first.0];
-        link.stats.offered += count;
-        link.stats.offered_bytes += bytes;
-        link.stats.sent += count;
-        link.stats.bytes += bytes;
-        link.stats.in_flight += count;
-        link.stats.in_flight_bytes += bytes;
-        if metrics::enabled() {
-            let metrics = net_metrics();
-            metrics.link_packets_sent.add(count);
-            metrics.link_bytes_sent.add(bytes);
-            metrics.in_flight_bytes.add(bytes as i64);
-        }
+        self.count_passthrough(first, count, bytes);
         Some(count as usize)
     }
 
@@ -870,36 +819,21 @@ impl Network {
     /// false (releasing the slot) if the link dropped the packet.
     ///
     /// Callers guarantee the slab cursor equals `m.hop` on entry (send
-    /// admits at hop 0; the scalar exit path advances the slab cursor it
-    /// builds the member from), so the duplication clone below inherits a
-    /// correct cursor.
+    /// admits at hop 0; `process_exit` advances the slab cursor it builds
+    /// the member from), so the duplication clone inherits a correct
+    /// cursor.
     #[inline]
     fn admit_slot(&mut self, m: Member, lid: LinkId) -> bool {
         // Unshaped, unimpaired links (the dominant core-link case) skip
         // the serializer and netem dispatch entirely: no RNG draw, fixed
-        // exit time. Draw-order equivalence is trivial — a transparent
-        // netem consumes nothing from the stream. Kept small (and the
+        // exit time. A transparent netem consumes nothing from the
+        // stream, so the draw order is unchanged. Kept small (and the
         // general path out of line) so this arm inlines into `send` and
-        // the scalar exit handler.
-        let now = self.now();
-        let link = &mut self.links[lid.0];
+        // the exit handler.
+        let link = &self.links[lid.0];
         if link.is_passthrough() {
-            let size = m.size;
-            let exit = now + link.config.delay + link.config.netem.extra_delay;
-            link.stats.offered += 1;
-            link.stats.offered_bytes += size.as_bytes();
-            link.stats.sent += 1;
-            link.stats.bytes += size.as_bytes();
-            link.stats.in_flight += 1;
-            link.stats.in_flight_bytes += size.as_bytes();
-            // One capture-state load gates the whole block: the registry
-            // lookup and per-counter checks are off the disabled path.
-            if metrics::enabled() {
-                let metrics = net_metrics();
-                metrics.link_packets_sent.inc();
-                metrics.link_bytes_sent.add(size.as_bytes());
-                metrics.in_flight_bytes.add(size.as_bytes() as i64);
-            }
+            let exit = self.now() + link.config.delay + link.config.netem.extra_delay;
+            self.count_passthrough(lid, 1, m.size.as_bytes());
             self.schedule_exit(exit, m);
             return true;
         }
@@ -908,138 +842,132 @@ impl Network {
 
     /// The impaired/rate-limited arm of [`Self::admit_slot`].
     fn admit_slot_slow(&mut self, m: Member, lid: LinkId) -> bool {
-        let slot = m.slot;
-        let size = m.size;
         let now = self.now();
-        let (exit_time, dup_exit, corrupt) = {
-            let link = &mut self.links[lid.0];
-            link.stats.offered += 1;
-            link.stats.offered_bytes += size.as_bytes();
-            let Some(serialized) = link.serialize(now, size) else {
-                self.dropped += 1;
-                net_metrics().packets_dropped.inc();
-                let flight = self.free_flight(slot);
-                if trace::enabled() {
-                    trace::record(
-                        TraceKind::QueueDrop,
-                        now.as_nanos(),
-                        0,
-                        flight.packet.seq,
-                        lid.0 as u64,
-                        size.as_bytes(),
-                    );
-                }
-                return false;
-            };
-            match link.config.netem.apply(now, size, &mut self.rng) {
-                NetemVerdict::Drop => {
-                    link.stats.netem_drops += 1;
-                    link.stats.netem_dropped_bytes += size.as_bytes();
-                    self.dropped += 1;
-                    net_metrics().packets_dropped.inc();
-                    let flight = self.free_flight(slot);
-                    if trace::enabled() {
-                        trace::record(
-                            TraceKind::PacketDrop,
-                            now.as_nanos(),
-                            0,
-                            flight.packet.seq,
-                            lid.0 as u64,
-                            0,
-                        );
-                    }
-                    return false;
-                }
-                NetemVerdict::Deliver { delay, corrupt } => {
-                    link.stats.sent += 1;
-                    link.stats.bytes += size.as_bytes();
-                    link.stats.in_flight += 1;
-                    link.stats.in_flight_bytes += size.as_bytes();
-                    let m = net_metrics();
-                    m.link_packets_sent.inc();
-                    m.link_bytes_sent.add(size.as_bytes());
-                    m.in_flight_bytes.add(size.as_bytes() as i64);
-                    (serialized + link.config.delay + delay, None, corrupt)
-                }
-                NetemVerdict::Duplicate {
-                    delay,
-                    dup_delay,
-                    corrupt,
-                } => {
-                    link.stats.sent += 1;
-                    link.stats.duplicated += 1;
-                    link.stats.bytes += size.as_bytes();
-                    link.stats.dup_bytes += size.as_bytes();
-                    // Both copies are on the wire until their exits fire.
-                    link.stats.in_flight += 2;
-                    link.stats.in_flight_bytes += 2 * size.as_bytes();
-                    let metrics = net_metrics();
-                    metrics.link_packets_sent.inc();
-                    metrics.link_bytes_sent.add(size.as_bytes());
-                    metrics.link_dup_bytes.add(size.as_bytes());
-                    metrics.in_flight_bytes.add(2 * size.as_bytes() as i64);
-                    let base = serialized + link.config.delay;
-                    (base + delay, Some(base + dup_delay), corrupt)
-                }
-            }
+        let link = &mut self.links[lid.0];
+        link.stats.offered += 1;
+        link.stats.offered_bytes += m.size.as_bytes();
+        let Some(serialized) = link.serialize(now, m.size) else {
+            self.drop_member(TraceKind::QueueDrop, now, lid, m, m.size.as_bytes());
+            return false;
         };
+        let verdict = link.config.netem.apply(now, m.size, &mut self.rng);
+        self.apply_verdict(now, lid, m, serialized, verdict)
+    }
+
+    /// Admission bookkeeping for `count` packets (`bytes` in total)
+    /// accepted onto passthrough link `lid`, whose exits are already
+    /// scheduled or streaming into the open run.
+    #[inline]
+    fn count_passthrough(&mut self, lid: LinkId, count: u64, bytes: u64) {
+        let link = &mut self.links[lid.0];
+        link.stats.offered += count;
+        link.stats.offered_bytes += bytes;
+        link.stats.sent += count;
+        link.stats.bytes += bytes;
+        link.stats.in_flight += count;
+        link.stats.in_flight_bytes += bytes;
+        // One capture-state load gates the whole block: the registry
+        // lookup and per-counter checks are off the disabled path.
+        if metrics::enabled() {
+            let metrics = net_metrics();
+            metrics.link_packets_sent.add(count);
+            metrics.link_bytes_sent.add(bytes);
+            metrics.in_flight_bytes.add(bytes as i64);
+        }
+    }
+
+    /// Count a dropped member network-wide, release its slot, and trace
+    /// the drop as `kind` with `detail` in the event's last field. Queue
+    /// drops (`serialize` has already counted them on the link) trace
+    /// their size; netem drops trace zero.
+    fn drop_member(&mut self, kind: TraceKind, now: SimTime, lid: LinkId, m: Member, detail: u64) {
+        self.dropped += 1;
+        net_metrics().packets_dropped.inc();
+        let flight = self.free_flight(m.slot);
+        if trace::enabled() {
+            trace::record(kind, now.as_nanos(), 0, flight.packet.seq, lid.0 as u64, detail);
+        }
+    }
+
+    /// Apply a netem verdict to a member that `lid` serialized at
+    /// `serialized`: count it, then drop it or schedule its exit —
+    /// preceded by its duplicate's, so same-instant FIFO tie-breaking is
+    /// stable. Returns false if the verdict dropped the packet.
+    fn apply_verdict(
+        &mut self,
+        now: SimTime,
+        lid: LinkId,
+        m: Member,
+        serialized: SimTime,
+        verdict: NetemVerdict,
+    ) -> bool {
+        let bytes = m.size.as_bytes();
+        let (delay, dup_delay, corrupt) = match verdict {
+            NetemVerdict::Drop => {
+                let stats = &mut self.links[lid.0].stats;
+                stats.netem_drops += 1;
+                stats.netem_dropped_bytes += bytes;
+                self.drop_member(TraceKind::PacketDrop, now, lid, m, 0);
+                return false;
+            }
+            NetemVerdict::Deliver { delay, corrupt } => (delay, None, corrupt),
+            NetemVerdict::Duplicate {
+                delay,
+                dup_delay,
+                corrupt,
+            } => (delay, Some(dup_delay), corrupt),
+        };
+        // Both copies of a duplicate are on the wire until their exits fire.
+        let copies = 1 + dup_delay.is_some() as u64;
+        let link = &mut self.links[lid.0];
+        link.stats.sent += 1;
+        link.stats.bytes += bytes;
+        link.stats.duplicated += copies - 1;
+        link.stats.dup_bytes += (copies - 1) * bytes;
+        link.stats.in_flight += copies;
+        link.stats.in_flight_bytes += copies * bytes;
+        let base = serialized + link.config.delay;
+        if metrics::enabled() {
+            let metrics = net_metrics();
+            metrics.link_packets_sent.inc();
+            metrics.link_bytes_sent.add(bytes);
+            metrics.link_dup_bytes.add((copies - 1) * bytes);
+            metrics.in_flight_bytes.add((copies * bytes) as i64);
+        }
         if corrupt {
-            self.flights[slot as usize]
+            self.flights[m.slot as usize]
                 .as_mut()
                 .expect("corrupting an empty flight slot")
                 .packet
                 .corrupted = true;
         }
-        if let Some(dup_at) = dup_exit {
+        if let Some(dup_delay) = dup_delay {
             // The duplicate copy forwards independently from this hop on;
             // the clone shares the payload `Arc` — no bytes are copied.
-            // Scheduled before the primary so same-instant FIFO
-            // tie-breaking is stable across refactors.
-            let dup = self
-                .flights
-                .get(slot as usize)
-                .and_then(|f| f.clone())
+            let dup = self.flights[m.slot as usize]
+                .clone()
                 .expect("duplicating an empty flight slot");
             let dup = self.alloc_flight(dup);
-            self.schedule_exit(dup_at, Member { slot: dup, ..m });
+            self.schedule_exit(base + dup_delay, Member { slot: dup, ..m });
         }
-        self.schedule_exit(exit_time, m);
+        self.schedule_exit(base + delay, m);
         true
     }
 
-    /// Schedule a link-exit for the member at `at`. In scalar mode this
-    /// is a direct queue insert; in batched mode the exit joins (or
-    /// opens) the accumulating admission run for `at`.
+    /// Schedule the member's link exit at `at` by joining the admission
+    /// run for that instant.
     #[inline]
     fn schedule_exit(&mut self, at: SimTime, m: Member) {
-        match self.drain_mode {
-            DrainMode::Scalar => self.schedule_scalar_exit(at, m),
-            DrainMode::Batched => self.enqueue_exit(at, m),
-        }
+        self.join_run(at);
+        self.open_members.push(m);
     }
 
-    /// Create a scalar `LinkExit` for the member. The scalar exit handler
-    /// reads the route cursor from the flight slab, and a cohort-carried
-    /// cursor may have advanced past the slab's copy (batched
-    /// continuations never write the slab) — so the slab is re-synced
-    /// here, the single point where `LinkExit` events are minted.
-    fn schedule_scalar_exit(&mut self, at: SimTime, m: Member) {
-        self.flights[m.slot as usize]
-            .as_mut()
-            .expect("scheduling an exit for an empty flight slot")
-            .hop = m.hop;
-        self.queue.schedule(at, NetEvent::LinkExit { flight: m.slot });
-        if metrics::enabled() {
-            net_metrics().queue_depth.add(1);
-        }
-    }
-
-    /// Batched-mode admission: join the open run when the exit time
-    /// matches, otherwise close it and open a fresh one. The deferred
-    /// close is what turns back-to-back same-instant admissions into one
-    /// cohort event.
+    /// Make the open admission run the one exiting at `at`: keep it when
+    /// the exit time matches, otherwise close it and open a fresh one.
+    /// The deferred close is what turns back-to-back same-instant
+    /// admissions into one cohort event.
     #[inline]
-    fn enqueue_exit(&mut self, at: SimTime, m: Member) {
+    fn join_run(&mut self, at: SimTime) {
         match self.open_run {
             Some(run) if run.at == at => {}
             _ => {
@@ -1047,14 +975,13 @@ impl Network {
                 self.open_run = Some(OpenRun { at });
             }
         }
-        self.open_members.push(m);
     }
 
     /// Close the accumulating admission run, scheduling it as a single
     /// `LinkExit` (one member) or a `CohortExit` referencing a pooled slot
     /// list. Scheduling happens here — not at admission — so the event's
     /// sequence number lands after every member and before anything
-    /// scheduled later, preserving scalar tie-break order.
+    /// scheduled later, preserving per-packet tie-break order.
     fn close_run(&mut self) {
         let Some(run) = self.open_run.take() else {
             return;
@@ -1069,11 +996,15 @@ impl Network {
             metrics.batch_size.observe(members as u64);
         }
         if members == 1 {
+            // A lone member becomes a `LinkExit`, which reads the slab
+            // cursor — sync it from the member's copy.
             let m = self.open_members[0];
             self.open_members.clear();
-            // Single-member runs degrade to a scalar `LinkExit`, which
-            // reads the slab cursor — sync it from the member's copy.
-            self.schedule_scalar_exit_at_close(run.at, m);
+            self.flights[m.slot as usize]
+                .as_mut()
+                .expect("scheduling an exit for an empty flight slot")
+                .hop = m.hop;
+            self.queue.schedule(run.at, NetEvent::LinkExit { flight: m.slot });
             return;
         }
         let c = match self.free_cohorts.pop() {
@@ -1093,23 +1024,40 @@ impl Network {
         self.queue.schedule(run.at, NetEvent::CohortExit { cohort: c });
     }
 
-    /// `close_run`'s single-member case: identical to
-    /// [`Self::schedule_scalar_exit`] but without double-counting queue
-    /// depth (the member was already counted when its run was observed).
-    fn schedule_scalar_exit_at_close(&mut self, at: SimTime, m: Member) {
-        self.flights[m.slot as usize]
-            .as_mut()
-            .expect("scheduling an exit for an empty flight slot")
-            .hop = m.hop;
-        self.queue.schedule(at, NetEvent::LinkExit { flight: m.slot });
-    }
-
     /// Advance the simulation to `until`, processing all traffic events.
+    ///
+    /// Each pass drains the whole due tick into the scratch buffer, then
+    /// processes it in sequence order. Any event a handler schedules
+    /// carries a later sequence number and a timestamp at or after the
+    /// tick, so it lands in a later drain exactly where a one-pop-per-event
+    /// loop would have placed it.
     pub fn run_until(&mut self, until: SimTime) {
-        match self.drain_mode {
-            DrainMode::Scalar => self.run_scalar(until),
-            DrainMode::Batched => self.run_batched(until),
+        let mut scratch = std::mem::take(&mut self.scratch);
+        loop {
+            // An accumulating run may be due inside the next tick — it
+            // must be schedulable before we look at the heap.
+            self.close_run();
+            let n = self.queue.drain_due_into(until, &mut scratch);
+            if n == 0 {
+                break;
+            }
+            if metrics::enabled() {
+                net_metrics().batch_drains.inc();
+            }
+            for i in 0..n {
+                let at = scratch.at(i);
+                match *scratch.payload(i) {
+                    NetEvent::LinkExit { flight } => {
+                        if metrics::enabled() {
+                            net_metrics().queue_depth.add(-1);
+                        }
+                        self.process_exit(at, flight);
+                    }
+                    NetEvent::CohortExit { cohort } => self.process_cohort(at, cohort),
+                }
+            }
         }
+        self.scratch = scratch;
         // Advance the clock even if idle — a bare clock move, not the
         // handler machinery of `EventQueue::run_until`.
         if self.queue.now() < until {
@@ -1148,65 +1096,14 @@ impl Network {
         }
     }
 
-    /// The reference loop: one heap pop per event.
-    fn run_scalar(&mut self, until: SimTime) {
-        while let Some(ev) = self.queue.pop_if_due(until) {
-            match ev.payload {
-                NetEvent::LinkExit { flight } => {
-                    if metrics::enabled() {
-                        net_metrics().queue_depth.add(-1);
-                    }
-                    self.process_exit(ev.at, flight);
-                }
-                // Only scheduled in batched mode, but a mid-run mode
-                // switch must still drain what is already queued.
-                NetEvent::CohortExit { cohort } => self.process_cohort(ev.at, cohort),
-            }
-        }
-    }
-
-    /// The batched loop: drain the whole due tick into the scratch buffer,
-    /// then process it in sequence order. Any event a handler schedules
-    /// carries a later sequence number and a timestamp at or after the
-    /// tick, so it lands in a later drain exactly where the scalar pop
-    /// order would have placed it.
-    fn run_batched(&mut self, until: SimTime) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        loop {
-            // An accumulating run may be due inside the next tick — it
-            // must be schedulable before we look at the heap.
-            self.close_run();
-            let n = self.queue.drain_due_into(until, &mut scratch);
-            if n == 0 {
-                break;
-            }
-            if metrics::enabled() {
-                net_metrics().batch_drains.inc();
-            }
-            for i in 0..n {
-                let at = scratch.at(i);
-                match *scratch.payload(i) {
-                    NetEvent::LinkExit { flight } => {
-                        if metrics::enabled() {
-                            net_metrics().queue_depth.add(-1);
-                        }
-                        self.process_exit(at, flight);
-                    }
-                    NetEvent::CohortExit { cohort } => self.process_cohort(at, cohort),
-                }
-            }
-        }
-        self.scratch = scratch;
-    }
-
-    /// Pop one flight out at the tail of the link its cursor points at:
-    /// exit bookkeeping, then either admission onto the next hop or
-    /// delivery into the destination inbox. Shared by both loops.
+    /// Pop one flight (a single-member run) out at the tail of the link
+    /// its cursor points at: exit bookkeeping, then either admission onto
+    /// the next hop or delivery into the destination inbox.
     fn process_exit(&mut self, at: SimTime, slot: u32) {
         // Read the cursor — and advance it when there are hops left —
         // without evicting the flight: a forwarded packet stays in its
         // slot hop after hop.
-        let (lid, size, next, member) = {
+        let (lid, next, member) = {
             let flight = self.flights[slot as usize]
                 .as_mut()
                 .expect("event referenced an empty flight slot");
@@ -1223,21 +1120,10 @@ impl Network {
                 hop: flight.hop,
                 size: flight.size,
             };
-            (lid, flight.size, next, member)
+            (lid, next, member)
         };
-        let node = {
-            let link = &mut self.links[lid.0];
-            link.stats.exited += 1;
-            link.stats.exited_bytes += size.as_bytes();
-            link.stats.in_flight -= 1;
-            link.stats.in_flight_bytes -= size.as_bytes();
-            link.to
-        };
-        if metrics::enabled() {
-            let m = net_metrics();
-            m.link_bytes_exited.add(size.as_bytes());
-            m.in_flight_bytes.add(-(size.as_bytes() as i64));
-        }
+        self.flush_exit_stats(lid.0, 1, member.size.as_bytes());
+        let node = self.links[lid.0].to;
         if let Some(next_lid) = next {
             let flight = self.flights[slot as usize]
                 .as_ref()
@@ -1252,40 +1138,48 @@ impl Network {
             );
             self.admit_slot(member, next_lid);
         } else {
-            let flight = self.free_flight(slot);
-            Self::record_tap(
-                &self.nodes,
-                &mut self.taps,
-                node,
-                at,
-                &flight.packet,
-                TapDirection::Ingress,
-            );
-            if trace::enabled() {
-                trace::record(
-                    TraceKind::PacketDeliver,
-                    at.as_nanos(),
-                    0,
-                    flight.packet.seq,
-                    node as u64,
-                    0,
-                );
-            }
-            self.nodes[node].inbox.push_back(Delivered {
-                packet: flight.packet,
-                at,
-            });
+            self.deliver(at, node, slot);
         }
+    }
+
+    /// Move the flight in `slot` into `node`'s inbox at `at`, releasing
+    /// the slot: ingress tap capture and trace, then the inbox push.
+    #[inline]
+    fn deliver(&mut self, at: SimTime, node: usize, slot: u32) {
+        let flight = self.free_flight(slot);
+        Self::record_tap(
+            &self.nodes,
+            &mut self.taps,
+            node,
+            at,
+            &flight.packet,
+            TapDirection::Ingress,
+        );
+        if trace::enabled() {
+            trace::record(
+                TraceKind::PacketDeliver,
+                at.as_nanos(),
+                0,
+                flight.packet.seq,
+                node as u64,
+                0,
+            );
+        }
+        self.nodes[node].inbox.push_back(Delivered {
+            packet: flight.packet,
+            at,
+        });
     }
 
     /// Pop a whole cohort of same-instant exits: per-member cursor
     /// advance, tap/delivery bookkeeping, and next-hop admission. Member
-    /// iteration order is admission order, which is the scalar processing
-    /// order. Exit stats are amortized over consecutive same-link members
-    /// (one update per run — the whole cohort on a forwarding chain), and
-    /// continuations onto a passthrough next link stream straight into
-    /// the accumulating admission run with one stats update per target;
-    /// only impaired or rate-limited targets buffer for the batch kernel.
+    /// iteration order is admission order, which is the per-packet
+    /// processing order. Exit stats are amortized over consecutive
+    /// same-link members (one update per run — the whole cohort on a
+    /// forwarding chain), and continuations onto a passthrough next link
+    /// stream straight into the accumulating admission run with one stats
+    /// update per target; only impaired or rate-limited targets buffer
+    /// for the batch kernel.
     fn process_cohort(&mut self, at: SimTime, cohort: u32) {
         // Take the member list out of the slab slot (keeping capacity);
         // the slot itself is only recycled at the end, after the list is
@@ -1295,11 +1189,6 @@ impl Network {
             net_metrics().queue_depth.add(-(members.len() as i64));
         }
         let tracing = trace::enabled();
-        // Fast streaming is a batched-mode move: in scalar mode (a
-        // leftover cohort after a mid-run switch) every continuation
-        // buffers through `admit_batch`, whose scalar arm mints proper
-        // `LinkExit` events instead of feeding a run nothing would close.
-        let batched = self.drain_mode == DrainMode::Batched;
         // Segment-wise processing: cohort members overwhelmingly arrive
         // in runs sharing one `(route, hop)` cursor (a burst moving down
         // one chain, or an SFU batch per subscriber link), so the loop
@@ -1314,7 +1203,7 @@ impl Network {
         // same link; admission-side runs accumulate across consecutive
         // segments with the same continuation target (delivering
         // segments never split a run — admission order among continuing
-        // members is exactly what the scalar loop sees).
+        // members is exactly the per-packet order).
         let mut cur_lid = usize::MAX;
         let mut ex_count = 0u64;
         let mut ex_bytes = 0u64;
@@ -1367,45 +1256,34 @@ impl Network {
                     }
                 }
                 if adm_lid != Some(next_lid) {
-                    if adm_fast {
-                        self.flush_fast_admit(adm_lid, adm_count, adm_bytes);
-                        adm_count = 0;
-                        adm_bytes = 0;
-                    } else {
-                        self.flush_admissions(at, adm_lid);
-                    }
+                    self.flush_admissions(at, adm_lid, adm_fast, adm_count, adm_bytes);
+                    adm_count = 0;
+                    adm_bytes = 0;
                     adm_lid = Some(next_lid);
                     let link = &self.links[next_lid.0];
-                    adm_fast = batched && link.is_passthrough();
+                    adm_fast = link.is_passthrough();
                     if adm_fast {
-                        let adm_exit = at + link.config.delay + link.config.netem.extra_delay;
                         // Resolve the open run once per target: nothing
                         // between two fast segments of the same target
                         // touches the run (deliveries, taps, and stat
                         // flushes don't schedule), so segments can
                         // append directly below.
-                        match self.open_run {
-                            Some(run) if run.at == adm_exit => {}
-                            _ => {
-                                self.close_run();
-                                self.open_run = Some(OpenRun { at: adm_exit });
-                            }
-                        }
+                        self.join_run(at + link.config.delay + link.config.netem.extra_delay);
                     }
                 }
-                if adm_fast {
-                    self.open_members.extend(seg.iter().map(|&m| Member {
-                        hop: m.hop + 1,
-                        ..m
-                    }));
-                    adm_count += seg_count;
-                    adm_bytes += seg_bytes;
+                // Fast segments stream into the open run; the rest buffer
+                // for `admit_batch`.
+                let admits = if adm_fast {
+                    &mut self.open_members
                 } else {
-                    self.pending_admits.extend(seg.iter().map(|&m| Member {
-                        hop: m.hop + 1,
-                        ..m
-                    }));
-                }
+                    &mut self.pending_admits
+                };
+                admits.extend(seg.iter().map(|&m| Member {
+                    hop: m.hop + 1,
+                    ..m
+                }));
+                adm_count += seg_count;
+                adm_bytes += seg_bytes;
             } else if !has_taps && !tracing {
                 // Bulk slot retirement: the whole segment's slots join
                 // the free list in one extend, and the inbox borrow is
@@ -1423,31 +1301,7 @@ impl Network {
                 }
             } else {
                 for &m in seg {
-                    let flight = self.free_flight(m.slot);
-                    if has_taps {
-                        Self::record_tap(
-                            &self.nodes,
-                            &mut self.taps,
-                            node,
-                            at,
-                            &flight.packet,
-                            TapDirection::Ingress,
-                        );
-                    }
-                    if tracing {
-                        trace::record(
-                            TraceKind::PacketDeliver,
-                            at.as_nanos(),
-                            0,
-                            flight.packet.seq,
-                            node as u64,
-                            0,
-                        );
-                    }
-                    self.nodes[node].inbox.push_back(Delivered {
-                        packet: flight.packet,
-                        at,
-                    });
+                    self.deliver(at, node, m.slot);
                 }
             }
             i = j;
@@ -1455,18 +1309,16 @@ impl Network {
         if ex_count > 0 {
             self.flush_exit_stats(cur_lid, ex_count, ex_bytes);
         }
-        if adm_fast {
-            self.flush_fast_admit(adm_lid, adm_count, adm_bytes);
-        } else {
-            self.flush_admissions(at, adm_lid);
-        }
+        self.flush_admissions(at, adm_lid, adm_fast, adm_count, adm_bytes);
         // Return the member list (capacity intact) and recycle the slot.
         members.clear();
         self.cohorts[cohort as usize].members = members;
         self.free_cohorts.push(cohort);
     }
 
-    /// Exit bookkeeping for a run of same-link cohort members.
+    /// Exit bookkeeping for `count` copies (`bytes` in total) leaving
+    /// link `lid`: a lone `LinkExit` or a run of same-link cohort members.
+    #[inline]
     fn flush_exit_stats(&mut self, lid: usize, count: u64, bytes: u64) {
         let link = &mut self.links[lid];
         link.stats.exited += count;
@@ -1480,214 +1332,65 @@ impl Network {
         }
     }
 
-    /// Admission bookkeeping for a streamed run of passthrough
-    /// continuations (their exits are already in the open run).
-    fn flush_fast_admit(&mut self, lid: Option<LinkId>, count: u64, bytes: u64) {
+    /// Finish a cohort's run of continuations onto `lid`, if any: streamed
+    /// passthrough continuations (`fast`, already in the open run) only
+    /// need their admission bookkeeping; buffered ones are admitted now.
+    fn flush_admissions(
+        &mut self,
+        at: SimTime,
+        lid: Option<LinkId>,
+        fast: bool,
+        count: u64,
+        bytes: u64,
+    ) {
         let Some(lid) = lid else {
             return;
         };
-        if count == 0 {
-            return;
-        }
-        let link = &mut self.links[lid.0];
-        link.stats.offered += count;
-        link.stats.offered_bytes += bytes;
-        link.stats.sent += count;
-        link.stats.bytes += bytes;
-        link.stats.in_flight += count;
-        link.stats.in_flight_bytes += bytes;
-        if metrics::enabled() {
-            let m = net_metrics();
-            m.link_packets_sent.add(count);
-            m.link_bytes_sent.add(bytes);
-            m.in_flight_bytes.add(bytes as i64);
+        if fast {
+            self.count_passthrough(lid, count, bytes);
+        } else {
+            let mut pending = std::mem::take(&mut self.pending_admits);
+            self.admit_batch(at, lid, &pending);
+            pending.clear();
+            self.pending_admits = pending;
         }
     }
 
-    /// Admit the buffered run of continuations onto `lid`, if any.
-    fn flush_admissions(&mut self, at: SimTime, lid: Option<LinkId>) {
-        let Some(lid) = lid else {
-            return;
-        };
-        if self.pending_admits.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending_admits);
-        self.admit_batch(at, lid, &pending);
-        self.pending_admits = pending;
-        self.pending_admits.clear();
-    }
-
-    /// Admit a run of flights onto `lid`, packet-for-packet equivalent to
-    /// calling `admit_slot` on each in order. The passthrough fast path
-    /// (no rate bottleneck, transparent netem — the overwhelming case on
-    /// forwarding cores) schedules the whole run against one precomputed
-    /// exit time with one stats/metrics update; everything else funnels
-    /// through the netem batch kernel, whose draw order is the scalar
-    /// order by construction.
+    /// Admit a run of continuations onto impaired or rate-limited `lid`,
+    /// packet-for-packet equivalent to calling `admit_slot` on each in
+    /// order. Every member is serialized first (serialization draws no
+    /// randomness, and queue-dropped packets consume no netem draws),
+    /// then the netem batch kernel runs over the survivors, then verdicts
+    /// apply in admission order.
     fn admit_batch(&mut self, at: SimTime, lid: LinkId, members: &[Member]) {
         debug_assert_eq!(at, self.now());
-        let now = at;
-        if self.links[lid.0].is_passthrough() {
-            let link = &self.links[lid.0];
-            let exit = now + link.config.delay + link.config.netem.extra_delay;
-            let bytes: u64 = members.iter().map(|m| m.size.as_bytes()).sum();
-            let count = members.len() as u64;
-            let link = &mut self.links[lid.0];
-            link.stats.offered += count;
-            link.stats.offered_bytes += bytes;
-            link.stats.sent += count;
-            link.stats.bytes += bytes;
-            link.stats.in_flight += count;
-            link.stats.in_flight_bytes += bytes;
-            if metrics::enabled() {
-                let metrics = net_metrics();
-                metrics.link_packets_sent.add(count);
-                metrics.link_bytes_sent.add(bytes);
-                metrics.in_flight_bytes.add(bytes as i64);
-            }
-            if self.drain_mode == DrainMode::Batched {
-                // The whole run shares one exit instant: join or open the
-                // accumulating run once and bulk-append, instead of
-                // re-matching the target per packet.
-                match self.open_run {
-                    Some(run) if run.at == exit => {}
-                    _ => {
-                        self.close_run();
-                        self.open_run = Some(OpenRun { at: exit });
-                    }
-                }
-                self.open_members.extend_from_slice(members);
-            } else {
-                for &m in members {
-                    self.schedule_exit(exit, m);
-                }
-            }
-            return;
-        }
-        // General path: serialize every packet first (serialization draws
-        // no randomness and queue-dropped packets skip netem on the scalar
-        // path too), then run the batch kernel over the survivors, then
-        // apply verdicts in admission order.
         let mut entries = std::mem::take(&mut self.admit_entries);
         let mut surv_sizes = std::mem::take(&mut self.admit_sizes);
         entries.clear();
         surv_sizes.clear();
+        let link = &mut self.links[lid.0];
         for &m in members {
-            let link = &mut self.links[lid.0];
             link.stats.offered += 1;
             link.stats.offered_bytes += m.size.as_bytes();
-            let serialized = link.serialize(now, m.size);
+            let serialized = link.serialize(at, m.size);
             if serialized.is_some() {
                 surv_sizes.push(m.size);
             }
             entries.push(AdmitEntry { m, serialized });
         }
         let mut out = std::mem::take(&mut self.netem_out);
-        self.links[lid.0]
-            .config
-            .netem
-            .apply_batch(now, &surv_sizes, &mut self.rng, &mut out);
-        let mut verdict_idx = 0;
+        link.config.netem.apply_batch(at, &surv_sizes, &mut self.rng, &mut out);
+        let mut verdicts = out.verdicts().iter();
         for &AdmitEntry { m, serialized } in &entries {
-            let slot = m.slot;
-            let size = m.size;
-            let Some(serialized) = serialized else {
-                // Drop-tail queue drop; `serialize` already counted it.
-                self.dropped += 1;
-                net_metrics().packets_dropped.inc();
-                let flight = self.free_flight(slot);
-                if trace::enabled() {
-                    trace::record(
-                        TraceKind::QueueDrop,
-                        now.as_nanos(),
-                        0,
-                        flight.packet.seq,
-                        lid.0 as u64,
-                        size.as_bytes(),
-                    );
+            match serialized {
+                Some(serialized) => {
+                    let verdict = *verdicts.next().expect("one verdict per serialized member");
+                    self.apply_verdict(at, lid, m, serialized, verdict);
                 }
-                continue;
-            };
-            let verdict = out.verdicts()[verdict_idx];
-            verdict_idx += 1;
-            match verdict {
-                NetemVerdict::Drop => {
-                    let stats = &mut self.links[lid.0].stats;
-                    stats.netem_drops += 1;
-                    stats.netem_dropped_bytes += size.as_bytes();
-                    self.dropped += 1;
-                    net_metrics().packets_dropped.inc();
-                    let flight = self.free_flight(slot);
-                    if trace::enabled() {
-                        trace::record(
-                            TraceKind::PacketDrop,
-                            now.as_nanos(),
-                            0,
-                            flight.packet.seq,
-                            lid.0 as u64,
-                            0,
-                        );
-                    }
-                }
-                NetemVerdict::Deliver { delay, corrupt } => {
-                    let link = &mut self.links[lid.0];
-                    link.stats.sent += 1;
-                    link.stats.bytes += size.as_bytes();
-                    link.stats.in_flight += 1;
-                    link.stats.in_flight_bytes += size.as_bytes();
-                    let metrics = net_metrics();
-                    metrics.link_packets_sent.inc();
-                    metrics.link_bytes_sent.add(size.as_bytes());
-                    metrics.in_flight_bytes.add(size.as_bytes() as i64);
-                    let exit = serialized + link.config.delay + delay;
-                    if corrupt {
-                        self.flights[slot as usize]
-                            .as_mut()
-                            .expect("corrupting an empty flight slot")
-                            .packet
-                            .corrupted = true;
-                    }
-                    self.schedule_exit(exit, m);
-                }
-                NetemVerdict::Duplicate {
-                    delay,
-                    dup_delay,
-                    corrupt,
-                } => {
-                    let link = &mut self.links[lid.0];
-                    link.stats.sent += 1;
-                    link.stats.duplicated += 1;
-                    link.stats.bytes += size.as_bytes();
-                    link.stats.dup_bytes += size.as_bytes();
-                    link.stats.in_flight += 2;
-                    link.stats.in_flight_bytes += 2 * size.as_bytes();
-                    let metrics = net_metrics();
-                    metrics.link_packets_sent.inc();
-                    metrics.link_bytes_sent.add(size.as_bytes());
-                    metrics.link_dup_bytes.add(size.as_bytes());
-                    metrics.in_flight_bytes.add(2 * size.as_bytes() as i64);
-                    let base = serialized + link.config.delay;
-                    if corrupt {
-                        self.flights[slot as usize]
-                            .as_mut()
-                            .expect("corrupting an empty flight slot")
-                            .packet
-                            .corrupted = true;
-                    }
-                    let dup = self
-                        .flights
-                        .get(slot as usize)
-                        .and_then(|f| f.clone())
-                        .expect("duplicating an empty flight slot");
-                    let dup = self.alloc_flight(dup);
-                    // Duplicate first, primary second — scalar order.
-                    self.schedule_exit(base + dup_delay, Member { slot: dup, ..m });
-                    self.schedule_exit(base + delay, m);
-                }
+                None => self.drop_member(TraceKind::QueueDrop, at, lid, m, m.size.as_bytes()),
             }
         }
-        debug_assert_eq!(verdict_idx, out.len());
+        debug_assert!(verdicts.next().is_none());
         self.netem_out = out;
         self.admit_entries = entries;
         self.admit_sizes = surv_sizes;

@@ -12,12 +12,13 @@
 //! # Determinism
 //!
 //! Admission draws no randomness: the verdict is a pure function of the
-//! admission sequence `(now, size)` and the configured rate. Both drain
-//! loops ([`crate::network::DrainMode::Scalar`] and `Batched`) admit
-//! members in the same order through [`crate::link::LinkState::serialize`],
-//! so a shaped link is bit-identical across modes and thread counts —
-//! `tests/batch_equiv.rs` pins this with shapers enabled. The float
-//! token arithmetic is the same fixed operation sequence either way.
+//! admission sequence `(now, size)` and the configured rate. The network
+//! admits packets through [`crate::link::LinkState::serialize`] in
+//! per-packet order whether they arrive alone or in a cohort, so a shaped
+//! link is bit-identical to one-at-a-time admission and across thread
+//! counts — the root `batch_equiv` test pins this with shapers enabled
+//! against a scalar reference model. The float token arithmetic is the
+//! same fixed operation sequence either way.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;

@@ -1708,7 +1708,7 @@ impl SessionSim {
                             if cfg.congestion_control {
                                 let interval_s =
                                     (feedback_every * tick.as_nanos()) as f64 / 1e9;
-                                let reports: Vec<(usize, Vec<u8>, Vec<u8>)> = receivers[r]
+                                let mut reports: Vec<(usize, Vec<u8>, Vec<u8>)> = receivers[r]
                                     .iter_mut()
                                     .map(|(&s, peer)| {
                                         let complete = peer.frames_completed_interval;
@@ -1743,6 +1743,10 @@ impl SessionSim {
                                         (s, rr.to_bytes().to_vec(), xr.to_bytes().to_vec())
                                     })
                                     .collect();
+                                // `receivers[r]` is a `HashMap`: send in
+                                // sender order so same-instant packets get
+                                // the same seqs and taps in every run.
+                                reports.sort_unstable_by_key(|&(s, ..)| s);
                                 for (s, rr, xr) in reports {
                                     let ports =
                                         PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);
@@ -1799,7 +1803,7 @@ impl SessionSim {
                             // Emit in-band RTCP receiver reports toward
                             // each sender; adaptation happens when (and
                             // if) the report arrives.
-                            let reports: Vec<(usize, Vec<u8>, Option<Vec<u8>>)> = receivers[r]
+                            let mut reports: Vec<(usize, Vec<u8>, Option<Vec<u8>>)> = receivers[r]
                                 .iter_mut()
                                 .map(|(&s, peer)| {
                                     let loss = if peer.received + peer.lost == 0 {
@@ -1843,6 +1847,8 @@ impl SessionSim {
                                     (s, rr.to_bytes().to_vec(), xr)
                                 })
                                 .collect();
+                            // Sender order, as for the spatial reports.
+                            reports.sort_unstable_by_key(|&(s, ..)| s);
                             for (s, payload, xr) in reports {
                                 let ports =
                                     PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);

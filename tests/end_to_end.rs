@@ -118,6 +118,24 @@ fn sessions_are_deterministic_in_the_seed() {
     assert_ne!(a.1, c.1, "different seeds produced identical streams");
 }
 
+/// Same-instant RTCP receiver reports leave in sender order, so a 2D call
+/// run twice in one process captures identical taps: each receiver's peer
+/// map is a `HashMap`, whose per-instance hasher would otherwise reorder
+/// the reports — and with them packet seqs and tap records — run to run.
+#[test]
+fn rtcp_report_order_is_identical_across_runs_in_one_process() {
+    let run = || {
+        let mut cfg = SessionConfig::facetime_avp(4, &cities::us_vantages(), 2024);
+        cfg.provider = Provider::Zoom;
+        for p in &mut cfg.participants {
+            p.device = DeviceKind::MacBook;
+        }
+        cfg.duration = SimDuration::from_secs(3);
+        format!("{:?}", SessionRunner::new(cfg).run().taps)
+    };
+    assert!(run() == run(), "tap records differ between identical runs");
+}
+
 /// Conservation at the AP: bytes the tap sees uplink equal what the
 /// semantic sender emitted plus framing + encapsulation overheads.
 #[test]

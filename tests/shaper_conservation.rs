@@ -12,29 +12,29 @@
 //! byte was accepted onto the wire or dropped by impairments), together
 //! with the sanitizer's `LinkStats::conserved` identity — so bytes
 //! admitted == bytes delivered + bytes dropped + bytes still in flight or
-//! queued, at the end as at every step. Replayed across 16 chaos seeds in
-//! both drain modes so the batched datapath cannot leak or double-count a
-//! byte the scalar reference accounts for.
+//! queued, at the end as at every step. Replayed across 16 chaos seeds;
+//! `batch_equiv` separately pins the shaped totals themselves against its
+//! scalar reference model.
 
-use visionsim_core::par::derive_seed;
-use visionsim_core::rng::SimRng;
-use visionsim_core::time::{SimDuration, SimTime};
-use visionsim_core::units::{ByteSize, DataRate};
-use visionsim_geo::coords::GeoPoint;
-use visionsim_net::link::LinkConfig;
-use visionsim_net::network::{DrainMode, Network, NodeId};
-use visionsim_net::packet::PortPair;
-use visionsim_net::shaper::{QueueLimit, ShaperConfig};
-use visionsim_net::LinkId;
+use visionsim::core::par::derive_seed;
+use visionsim::core::rng::SimRng;
+use visionsim::core::time::{SimDuration, SimTime};
+use visionsim::core::units::{ByteSize, DataRate};
+use visionsim::geo::coords::GeoPoint;
+use visionsim::net::link::LinkConfig;
+use visionsim::net::network::{Network, NodeId};
+use visionsim::net::packet::PortPair;
+use visionsim::net::shaper::{QueueLimit, ShaperConfig};
+use visionsim::net::LinkId;
 
 const SEEDS: u64 = 16;
 
-fn check_links(net: &mut Network, now: SimTime, links: &[LinkId], seed: u64, mode: DrainMode) {
+fn check_links(net: &mut Network, now: SimTime, links: &[LinkId], seed: u64) {
     for &lid in links {
         let s = net.link_stats(lid);
         assert!(
             s.conserved(),
-            "seed {seed} {mode:?}: link {lid:?} violates conservation: {s:?}"
+            "seed {seed}: link {lid:?} violates conservation: {s:?}"
         );
         let (admitted, dropped, queued, limit) = {
             let sh = net.shaper_mut(lid).expect("link is shaped");
@@ -46,30 +46,28 @@ fn check_links(net: &mut Network, now: SimTime, links: &[LinkId], seed: u64, mod
         assert_eq!(
             admitted + s.queue_dropped_bytes,
             s.offered_bytes,
-            "seed {seed} {mode:?}: link {lid:?} offered-side ledger broke \
+            "seed {seed}: link {lid:?} offered-side ledger broke \
              (admitted={admitted} dropped={dropped} stats={s:?})"
         );
         // Every admitted byte went onto the wire or died in netem.
         assert_eq!(
             admitted,
             s.bytes + s.netem_dropped_bytes,
-            "seed {seed} {mode:?}: link {lid:?} admitted-side ledger broke \
+            "seed {seed}: link {lid:?} admitted-side ledger broke \
              (admitted={admitted} stats={s:?})"
         );
         assert!(
             queued <= limit,
-            "seed {seed} {mode:?}: link {lid:?} queue ({queued} B) exceeds its bound ({limit} B)"
+            "seed {seed}: link {lid:?} queue ({queued} B) exceeds its bound ({limit} B)"
         );
     }
 }
 
 /// Drive one randomized overload scenario, checking conservation at every
-/// step and at the end. Returns the shaped uplink's (admitted, dropped)
-/// byte totals for cross-mode comparison.
-fn run_scenario(seed: u64, mode: DrainMode) -> (u64, u64) {
+/// step and at the end.
+fn run_scenario(seed: u64) {
     let mut shape = SimRng::seed_from_u64(derive_seed(0xC0A5E, "shaper_conservation", seed));
     let mut net = Network::new(seed);
-    net.set_drain_mode(mode);
 
     let src = net.add_node("src", "t", GeoPoint::new(37.77, -122.42));
     let ap = net.add_node("ap", "t", GeoPoint::new(37.77, -122.41));
@@ -121,54 +119,29 @@ fn run_scenario(seed: u64, mode: DrainMode) -> (u64, u64) {
         for &d in &dsts {
             net.drain_delivered(d).count();
         }
-        check_links(&mut net, now, &shaped_links, seed, mode);
+        check_links(&mut net, now, &shaped_links, seed);
     }
     // Let everything queued and in flight land, then re-check: with the
     // network idle, in-flight and queued bytes are zero and the ledger
     // reduces to admitted == delivered + dropped exactly.
     let end = SimTime::from_secs(60);
     net.run_until(end);
-    check_links(&mut net, end, &shaped_links, seed, mode);
+    check_links(&mut net, end, &shaped_links, seed);
     let s = net.link_stats(shaped);
-    assert_eq!(s.in_flight_bytes, 0, "seed {seed} {mode:?}: bytes stranded in flight");
-    let (queued, admitted, dropped) = {
-        let sh = net.shaper_mut(shaped).expect("uplink is shaped");
-        (sh.queued_bytes(end), sh.admitted_bytes, sh.dropped_bytes)
-    };
-    assert_eq!(queued, 0, "seed {seed} {mode:?}: bytes stranded in the shaper queue");
+    assert_eq!(s.in_flight_bytes, 0, "seed {seed}: bytes stranded in flight");
+    let queued = net.shaper_mut(shaped).expect("uplink is shaped").queued_bytes(end);
+    assert_eq!(queued, 0, "seed {seed}: bytes stranded in the shaper queue");
     // The scenario is calibrated to overload: the property is vacuous if
     // nothing ever dropped.
     assert!(
         s.queue_drops > 0,
-        "seed {seed} {mode:?}: shaped uplink never overflowed — scenario too gentle"
+        "seed {seed}: shaped uplink never overflowed — scenario too gentle"
     );
-    (admitted, dropped)
 }
 
 #[test]
-fn token_bucket_conserves_bytes_across_chaos_seeds_scalar() {
+fn token_bucket_conserves_bytes_across_chaos_seeds() {
     for seed in 0..SEEDS {
-        run_scenario(seed, DrainMode::Scalar);
-    }
-}
-
-#[test]
-fn token_bucket_conserves_bytes_across_chaos_seeds_batched() {
-    for seed in 0..SEEDS {
-        run_scenario(seed, DrainMode::Batched);
-    }
-}
-
-/// The two modes agree on the totals themselves, not just on the identity
-/// holding per mode.
-#[test]
-fn both_modes_agree_on_admitted_and_dropped_totals() {
-    for seed in 0..SEEDS {
-        let scalar = run_scenario(seed, DrainMode::Scalar);
-        let batched = run_scenario(seed, DrainMode::Batched);
-        assert_eq!(
-            scalar, batched,
-            "seed {seed}: drain modes disagree on shaper byte totals"
-        );
+        run_scenario(seed);
     }
 }
