@@ -51,15 +51,15 @@ echo "== failover storms: control-plane resilience =="
 # of the storms artifact.
 VISIONSIM_SANITIZE=1 cargo test -q --release -p visionsim-experiments storms
 # The staggered-ServerDown regression (single-slot overwrite bug) and
-# the resilience session path, under the sanitizer.
+# the initiator-anchored single failover, under the sanitizer.
 VISIONSIM_SANITIZE=1 cargo test -q --release -p visionsim-vca --lib \
   staggered_server_down_faults_reattach_both_cohorts
 VISIONSIM_SANITIZE=1 cargo test -q --release -p visionsim-vca --lib \
-  resilience_reconnects_all_participants_after_server_down
+  server_down_moves_the_call_to_the_initiators_next_nearest_site
 # Failover property suite: candidate selection never hands out a dead or
 # breaker-open site, and reconnect backoff schedules are byte-identical
 # across thread counts.
-cargo test -q --release -p visionsim-vca --test failover_props
+cargo test -q --release --test failover_props
 
 echo "== sharded fleet: causality + shard/thread invariance =="
 # The conservative-PDES engine's shard partition and worker-pool size are
@@ -186,6 +186,9 @@ $V ctl "$CTL" snapshot | grep -q '"sanitizer_violations":0' \
 # though grep matches — the `|| true` keeps only grep's verdict.
 ($V ctl "$CTL" jion mixed 2 1 5 2>/dev/null || true) | grep -q '^err ' \
   || { echo "serve: bad command did not yield err" >&2; kill $SERVE_PID; exit 1; }
+# A roster past the session port plan must be refused, not built.
+($V ctl "$CTL" join facetime 100000 1 5 2>/dev/null || true) | grep -q '^err ' \
+  || { echo "serve: oversized join did not yield err" >&2; kill $SERVE_PID; exit 1; }
 # Prometheus: the scrape must parse as text exposition format and carry
 # the Sim-class datapath series.
 SCRAPE=$($V scrape "$METRICS")

@@ -13,7 +13,8 @@
 //! * A `manifest.json` beside the artifacts records the seed, thread
 //!   count, and an FNV-1a 64 checksum per artifact. `--resume` re-runs
 //!   only artifacts whose file is missing or fails checksum verification
-//!   against a same-seed manifest.
+//!   against a same-seed manifest. `--only <name>` keeps the same-seed
+//!   records of every artifact it skips.
 //! * Artifact files contain **no wall-clock timings** — timing goes to
 //!   stdout and the manifest — so files are byte-identical across thread
 //!   counts and across runs with the same seed.
@@ -437,8 +438,8 @@ pub struct ArtifactOutcome {
 
 /// Run every registered artifact under supervision. Returns the outcomes
 /// in run order; the run is a success iff none failed. The manifest is
-/// rewritten after every artifact, so a crash at any point leaves disk
-/// state a later `--resume` can trust.
+/// rewritten after every artifact, in registry order, so a crash at any
+/// point leaves disk state a later `--resume` can trust.
 pub fn run_all(cfg: &HarnessConfig) -> Vec<ArtifactOutcome> {
     let specs = registry();
     let manifest_path = cfg.dir.join("manifest.json");
@@ -449,19 +450,31 @@ pub fn run_all(cfg: &HarnessConfig) -> Vec<ArtifactOutcome> {
         // ignore it wholesale.
         .filter(|m| m.seed == cfg.seed)
         .unwrap_or_default();
+    let skipped = |name: &str| cfg.only.as_deref().is_some_and(|only| only != name);
+    // `--only` leaves every other artifact's file untouched, so their
+    // same-seed records carry forward.
     let mut manifest = Manifest {
         seed: cfg.seed,
         threads: visionsim_core::par::threads(),
-        entries: Vec::new(),
+        entries: specs
+            .iter()
+            .filter(|s| skipped(s.name))
+            .filter_map(|s| prior.entry(s.name).cloned())
+            .collect(),
+    };
+    let record = |manifest: &mut Manifest, entry: ManifestEntry| {
+        manifest.entries.push(entry);
+        manifest
+            .entries
+            .sort_by_key(|e| specs.iter().position(|s| s.name == e.name));
+        let _ = write_atomic(&manifest_path, manifest.to_json().as_bytes());
     };
     let inject = std::env::var("VISIONSIM_FAIL_ARTIFACT").ok();
     let mut outcomes = Vec::new();
 
     for spec in &specs {
-        if let Some(only) = &cfg.only {
-            if only != spec.name {
-                continue;
-            }
+        if skipped(spec.name) {
+            continue;
         }
         let path = cfg.dir.join(format!("{}.txt", spec.name));
         // Resume: trust the file only if the prior manifest (same seed)
@@ -469,8 +482,7 @@ pub fn run_all(cfg: &HarnessConfig) -> Vec<ArtifactOutcome> {
         if cfg.resume {
             if let (Some(entry), Ok(bytes)) = (prior.entry(spec.name), fs::read(&path)) {
                 if fnv1a64(&bytes) == entry.checksum {
-                    manifest.entries.push(entry.clone());
-                    let _ = write_atomic(&manifest_path, manifest.to_json().as_bytes());
+                    record(&mut manifest, entry.clone());
                     if cfg.echo {
                         println!(
                             "[{}: resumed, checksum {:016x} verified]\n",
@@ -529,13 +541,15 @@ pub fn run_all(cfg: &HarnessConfig) -> Vec<ArtifactOutcome> {
                         eprintln!("[{}: trace write failed: {e}]", spec.name);
                     }
                 }
-                manifest.entries.push(ManifestEntry {
-                    name: spec.name.to_string(),
-                    checksum,
-                    bytes: text.len() as u64,
-                    secs,
-                });
-                let _ = write_atomic(&manifest_path, manifest.to_json().as_bytes());
+                record(
+                    &mut manifest,
+                    ManifestEntry {
+                        name: spec.name.to_string(),
+                        checksum,
+                        bytes: text.len() as u64,
+                        secs,
+                    },
+                );
                 if cfg.echo {
                     print!("{text}");
                     println!("[{}: {secs:.2}s → {}]\n", spec.name, path.display());
@@ -660,6 +674,46 @@ mod tests {
         write_atomic(&path, b"first").expect("write");
         write_atomic(&path, b"second").expect("overwrite");
         assert_eq!(fs::read(&path).expect("read back"), b"second");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `--only` rewrites one artifact and keeps the same-seed records of
+    /// the rest (in registry order), so a later `--resume` still trusts
+    /// their files.
+    #[test]
+    fn only_keeps_the_manifest_entries_of_skipped_artifacts() {
+        let dir = std::env::temp_dir().join(format!("visionsim-only-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let entry = |name: &str, checksum| ManifestEntry {
+            name: name.into(),
+            checksum,
+            bytes: 1,
+            secs: 0.5,
+        };
+        let prior = Manifest {
+            seed: 2024,
+            threads: 1,
+            entries: vec![entry("fleet", 3), entry("storms", 2), entry("table1", 1)],
+        };
+        write_atomic(&dir.join("manifest.json"), prior.to_json().as_bytes()).expect("write");
+        let cfg = HarnessConfig {
+            seed: 2024,
+            resume: false,
+            dir: dir.clone(),
+            echo: false,
+            only: Some("storms".into()),
+        };
+        let outcomes = run_all(&cfg);
+        assert_eq!(outcomes.len(), 1);
+        assert!(matches!(outcomes[0].status, ArtifactStatus::Written));
+        let text = fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+        let after = Manifest::from_json(&text).expect("own json");
+        let names: Vec<&str> = after.entries.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["table1", "storms", "fleet"], "{text}");
+        assert_eq!(after.entry("table1"), prior.entry("table1"));
+        assert_eq!(after.entry("fleet"), prior.entry("fleet"));
+        let storms = fs::read(dir.join("storms.txt")).expect("storms written");
+        assert_eq!(after.entry("storms").unwrap().checksum, fnv1a64(&storms));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,9 @@
 //! outages. These scenarios drive a population of participants through
 //! the control plane alone — [`SiteDirectory`] admission + health +
 //! breakers, one [`Reconnector`] per stranded participant — with no
-//! packet network underneath (the session engine exercises that path):
+//! packet network underneath. Each attempt is the same
+//! [`SiteDirectory::attempt_reconnect`] step the session engine takes,
+//! so drills and sessions report identically:
 //!
 //! * **regional-outage** — two sites die at once; everyone stranded
 //!   re-homes onto the survivors and back-pressure stays bounded.
@@ -29,11 +31,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use visionsim_core::sanitizer;
 use visionsim_core::time::{SimDuration, SimTime};
-use visionsim_core::trace::{self, TraceKind};
 use visionsim_geo::cities::{self, City};
 use visionsim_geo::coords::GeoPoint;
 use visionsim_geo::sites::{Provider, SiteCapacity, SiteRegistry};
-use visionsim_vca::server::{AdmissionVerdict, ReconnectPhase, Reconnector, ResilienceConfig, SiteDirectory, WaitMode};
+use visionsim_vca::server::{
+    AdmissionVerdict, ReconnectPhase, Reconnector, ResilienceConfig, SiteDirectory, WaitMode,
+};
 
 /// Control-plane tick.
 const TICK: SimDuration = SimDuration::from_millis(100);
@@ -59,12 +62,6 @@ struct Member {
     rec: Option<Reconnector>,
     /// The member exhausted a rejoin budget at some point.
     abandoned: bool,
-    /// Attempts across all episodes.
-    attempts: u32,
-    /// Attempts of the current episode (for the histogram on completion).
-    episode_attempts: u32,
-    /// Rejoin latencies of completed episodes, milliseconds.
-    rejoins_ms: Vec<u64>,
 }
 
 /// One storm scenario's results.
@@ -152,9 +149,6 @@ fn run_scenario(
                 site: None,
                 rec: None,
                 abandoned: false,
-                attempts: 0,
-                episode_attempts: 0,
-                rejoins_ms: Vec::new(),
             }
         })
         .collect();
@@ -171,8 +165,6 @@ fn run_scenario(
 
     events.sort_by_key(|e| e.at);
     let mut next_event = 0usize;
-    // Ground truth the *members* know: the labels of sites they watched
-    // die under them this episode. The probe view lags on purpose.
     let mut next_probe = SimTime::ZERO;
     let mut next_load_sample = SimTime::ZERO;
     let mut attempts_total = 0u64;
@@ -200,7 +192,6 @@ fn run_scenario(
                     }
                     dir.detach(ev.label, m.session);
                     m.site = None;
-                    m.episode_attempts = 0;
                     m.rec = Some(Reconnector::new(
                         i as u64,
                         now,
@@ -225,64 +216,23 @@ fn run_scenario(
         // the breakers, so attempts can land on a zombie site (feeding
         // its breaker), exactly like real clients behind a stale
         // directory.
-        for (i, m) in members.iter_mut().enumerate() {
+        for m in members.iter_mut() {
             let Some(rec) = m.rec.as_mut() else { continue };
             if !rec.due(now) {
                 continue;
             }
-            let attempt_no = rec.take_attempt();
-            m.attempts += 1;
-            m.episode_attempts += 1;
             attempts_total += 1;
-            let candidate = dir.candidate(&m.loc, &[], now);
-            let verdict_code = match candidate {
-                None => {
-                    rec.on_rejected(now);
-                    2
+            let admitted = dir.attempt_reconnect(rec, &m.loc, &[], m.session, now);
+            match rec.phase() {
+                ReconnectPhase::Waiting { .. } => continue,
+                ReconnectPhase::Reattached { at } => {
+                    m.site = admitted.map(|s| s.label);
+                    rejoins_ms.push(at.since(rec.down_at()).as_nanos() / 1_000_000);
+                    attempt_hist[StormOutcome::hist_bucket(rec.attempts())] += 1;
                 }
-                Some(site) => {
-                    match dir.try_admit(site.label, m.session, i as u64, now) {
-                        AdmissionVerdict::Admitted => {
-                            rec.on_admitted(now);
-                            m.site = Some(site.label);
-                            let ms = rec
-                                .rejoin_latency()
-                                .map(|d| d.as_nanos() / 1_000_000)
-                                .unwrap_or(0);
-                            rejoins_ms.push(ms);
-                            m.rejoins_ms.push(ms);
-                            attempt_hist
-                                [StormOutcome::hist_bucket(m.episode_attempts)] += 1;
-                            0
-                        }
-                        AdmissionVerdict::Rejected(_) => {
-                            rec.on_rejected(now);
-                            1
-                        }
-                    }
-                }
-            };
-            if trace::enabled() {
-                trace::record(
-                    TraceKind::ReconnectAttempt,
-                    now.as_nanos(),
-                    trace::intern(candidate.map(|s| s.label).unwrap_or("")),
-                    i as u64,
-                    attempt_no as u64,
-                    verdict_code,
-                );
+                ReconnectPhase::Abandoned { .. } => m.abandoned = true,
             }
-            if verdict_code == 0 {
-                m.rec = None;
-            }
-            if m
-                .rec
-                .as_ref()
-                .is_some_and(|r| matches!(r.phase(), ReconnectPhase::Abandoned { .. }))
-            {
-                m.abandoned = true;
-                m.rec = None;
-            }
+            m.rec = None;
         }
 
         // Degraded-seconds by wait tier, and the conservation identity.

@@ -15,8 +15,7 @@ use visionsim_device::device::DeviceKind;
 use visionsim_geo::cities;
 use visionsim_geo::sites::Provider;
 use visionsim_net::fault::{FaultPlan, GeConfig};
-use visionsim_vca::server::ResilienceConfig;
-use visionsim_vca::session::{SessionConfig, SessionSim};
+use visionsim_vca::session::{SessionConfig, SessionSim, MAX_PARTICIPANTS};
 
 /// What a finished (or left) session reports back over the wire.
 #[derive(Debug)]
@@ -98,23 +97,26 @@ impl ServiceWorld {
     /// spatial-persona configuration (all Vision Pro, the eight US
     /// vantage cities); `mixed` is a two-party Vision Pro ↔ MacBook call
     /// that exercises the 2D/RTP path. Both run with the congestion loop
-    /// closed, as the live systems do.
+    /// closed, as the live systems do. Rosters are bounded by the
+    /// session port plan ([`MAX_PARTICIPANTS`]), and the session must end
+    /// inside the world's virtual clock range.
     pub fn join(&mut self, preset: &str, n: usize, seed: u64, secs: u64) -> Result<u64, String> {
         if self.draining {
             return Err("service is quiescing; joins are refused".to_string());
         }
+        let duration_ns = secs
+            .max(1)
+            .checked_mul(1_000_000_000)
+            .filter(|ns| self.virtual_now_ns.checked_add(*ns).is_some())
+            .ok_or_else(|| format!("session length {secs} s overflows the virtual clock"))?;
         let mut cfg = match preset {
             "facetime" => {
-                if n < 2 {
-                    return Err(format!("facetime needs >= 2 participants, got {n}"));
+                if !(2..=MAX_PARTICIPANTS).contains(&n) {
+                    return Err(format!(
+                        "facetime needs 2..={MAX_PARTICIPANTS} participants, got {n}"
+                    ));
                 }
-                let mut cfg = SessionConfig::facetime_avp(n, &cities::us_vantages(), seed);
-                // Live sessions get the full control plane: admission,
-                // breakers, reconnect machines — and with it the
-                // participant-conservation sanitizer check every
-                // feedback interval.
-                cfg.resilience = Some(ResilienceConfig::default());
-                cfg
+                SessionConfig::facetime_avp(n, &cities::us_vantages(), seed)
             }
             "mixed" => {
                 if n != 2 {
@@ -139,7 +141,7 @@ impl ServiceWorld {
                 ))
             }
         };
-        cfg.duration = SimDuration::from_secs(secs.max(1));
+        cfg.duration = SimDuration::from_nanos(duration_ns);
         cfg.congestion_control = true;
         let id = self.next_id;
         self.next_id += 1;
@@ -338,5 +340,18 @@ mod tests {
         assert!(world.join("nope", 2, 1, 10).unwrap_err().contains("unknown preset"));
         assert!(world.join("facetime", 1, 1, 10).is_err());
         assert!(world.join("mixed", 3, 1, 10).is_err());
+        // Rosters past the port plan would overlap the per-sender source
+        // port blocks (and n = 100000 would build ~10^10 receiver peers).
+        for n in [MAX_PARTICIPANTS + 1, 100_000] {
+            let err = world.join("facetime", n, 1, 10).unwrap_err();
+            assert!(err.contains("participants"), "{err}");
+        }
+        // A session length whose nanoseconds overflow u64 is refused, not
+        // a panic.
+        for secs in [u64::MAX, u64::MAX / 1_000_000_000 + 1] {
+            let err = world.join("facetime", 3, 1, secs).unwrap_err();
+            assert!(err.contains("overflows"), "{err}");
+        }
+        assert_eq!(world.live_sessions(), 0);
     }
 }

@@ -125,9 +125,10 @@ impl ServerAssignment {
 }
 
 /// Pick the failover target after a server-down event: the next-nearest
-/// provider site to `anchor` (the session initiator) whose label is not in
-/// `dead`. Returns `None` when every site of the provider is down —
-/// the session then has nowhere to reconnect and stays dark.
+/// provider site to `anchor` (where the session's assignment policy
+/// anchors placement) whose label is not in `dead`. Returns `None` when
+/// every site of the provider is down — the session then has nowhere to
+/// reconnect and stays dark.
 pub fn failover_site(
     registry: &SiteRegistry,
     provider: Provider,
@@ -456,14 +457,15 @@ impl Reconnector {
     }
 
     /// Consume the due attempt; returns the 1-based attempt number.
-    pub fn take_attempt(&mut self) -> u32 {
+    /// Attempts are fired only through [`SiteDirectory::attempt_reconnect`].
+    pub(crate) fn take_attempt(&mut self) -> u32 {
         self.attempts += 1;
         self.attempts
     }
 
     /// The attempt was refused (or found no candidate): schedule the next
     /// one per backoff, or abandon when the budget is spent.
-    pub fn on_rejected(&mut self, now: SimTime) {
+    pub(crate) fn on_rejected(&mut self, now: SimTime) {
         self.rejected += 1;
         if now.since(self.down_at) >= self.budget {
             self.phase = ReconnectPhase::Abandoned { at: now };
@@ -476,7 +478,7 @@ impl Reconnector {
     }
 
     /// The attempt was admitted: the participant is back.
-    pub fn on_admitted(&mut self, now: SimTime) {
+    pub(crate) fn on_admitted(&mut self, now: SimTime) {
         self.phase = ReconnectPhase::Reattached { at: now };
     }
 
@@ -589,9 +591,12 @@ struct SiteStatus {
 /// [`CircuitBreaker`], capacity-gated admission, and candidate selection
 /// that never hands out a site observed Down or breaker-open.
 ///
-/// Trace events ([`TraceKind::AdmissionReject`], breaker transitions) and
-/// the [`resilience_metrics`] counters are emitted here, so the session
-/// engine and the storm scenarios report identically.
+/// Trace events ([`TraceKind::AdmissionReject`], breaker transitions,
+/// [`TraceKind::ReconnectAttempt`]) and the [`resilience_metrics`]
+/// counters are emitted here, and both the session engine and the storm
+/// scenarios drive reconnects through
+/// [`attempt_reconnect`](Self::attempt_reconnect), so they report
+/// identically.
 #[derive(Clone, Debug)]
 pub struct SiteDirectory {
     provider: Provider,
@@ -830,6 +835,61 @@ impl SiteDirectory {
             );
         }
         AdmissionVerdict::Rejected(reason)
+    }
+
+    /// Fire `rec`'s due attempt: pick the [`candidate`](Self::candidate)
+    /// nearest `anchor` (skipping `dead`), ask it to admit the participant
+    /// into `session`, and advance the machine — reattached, or
+    /// rescheduled per backoff, or abandoned once the rejoin budget is
+    /// spent. Records the [`TraceKind::ReconnectAttempt`] event (verdict
+    /// 0 admitted, 1 refused, 2 no candidate) and the reconnect metrics.
+    /// Returns the site that admitted the participant.
+    pub fn attempt_reconnect(
+        &mut self,
+        rec: &mut Reconnector,
+        anchor: &GeoPoint,
+        dead: &[&str],
+        session: u64,
+        now: SimTime,
+    ) -> Option<ServerSite> {
+        let attempt = rec.take_attempt();
+        resilience_metrics().reconnect_attempts.inc();
+        let candidate = self.candidate(anchor, dead, now);
+        let verdict =
+            candidate.map(|site| self.try_admit(site.label, session, rec.participant(), now));
+        let verdict_code = match verdict {
+            Some(AdmissionVerdict::Admitted) => {
+                rec.on_admitted(now);
+                0
+            }
+            Some(AdmissionVerdict::Rejected(_)) => {
+                rec.on_rejected(now);
+                1
+            }
+            None => {
+                rec.on_rejected(now);
+                2
+            }
+        };
+        if trace::enabled() {
+            trace::record(
+                TraceKind::ReconnectAttempt,
+                now.as_nanos(),
+                trace::intern(candidate.map(|s| s.label).unwrap_or("")),
+                rec.participant(),
+                attempt as u64,
+                verdict_code,
+            );
+        }
+        if let Some(lat) = rec.rejoin_latency() {
+            resilience_metrics()
+                .rejoin_ms
+                .observe(lat.as_nanos() / 1_000_000);
+        }
+        if matches!(rec.phase(), ReconnectPhase::Abandoned { .. }) {
+            resilience_metrics().reconnects_abandoned.inc();
+        }
+        candidate.filter(|_| verdict_code == 0)
     }
 
     /// Detach `participant`'s membership of `session` from `label` (e.g.

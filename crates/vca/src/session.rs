@@ -24,8 +24,8 @@ use crate::encoder::{VideoEncoder, VideoEncoderConfig};
 use crate::profile::{AppProfile, PersonaType, Topology};
 use crate::scene::{GazeDynamics, SeatingLayout};
 use crate::server::{
-    failover_site, resilience_metrics, AdmissionVerdict, AssignmentPolicy, ReconnectPhase,
-    Reconnector, ResilienceConfig, ServerAssignment, SiteDirectory,
+    AssignmentPolicy, ReconnectPhase, Reconnector, ResilienceConfig, ServerAssignment,
+    SiteDirectory,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -39,7 +39,7 @@ use visionsim_device::device::{Device, DeviceKind};
 use visionsim_geo::cities::City;
 use visionsim_geo::geodb::{GeoDb, NetAddr};
 use visionsim_geo::propagation::LatencyModel;
-use visionsim_geo::sites::{Provider, SiteRegistry};
+use visionsim_geo::sites::{Provider, ServerSite, SiteRegistry};
 use visionsim_net::fault::{apply_to_netem, FaultEvent, FaultKind, FaultPlan};
 use visionsim_net::link::{LinkConfig, LinkId};
 use visionsim_net::netem::Netem;
@@ -120,7 +120,8 @@ pub struct SessionConfig {
     /// Chaos schedules, per participant: (participant index, plan). Netem
     /// events mutate that participant's access link as virtual time
     /// advances; `ServerDown` events take out the SFU site the participant
-    /// is attached to (the session then fails over).
+    /// is attached to (everyone stranded there reconnects through the
+    /// session's [`SiteDirectory`]).
     pub fault_plans: Vec<(usize, FaultPlan)>,
     /// Close the congestion loop: receivers send RTCP XR reports
     /// (jitter + arrival rate) alongside their RRs, every sender runs a
@@ -129,12 +130,6 @@ pub struct SessionConfig {
     /// its spatial→2D decision. Shaped uplinks get a finite-queue token
     /// bucket (real drops) instead of the open-loop netem rate limit.
     pub congestion_control: bool,
-    /// Control-plane resilience: site capacity + admission control, a
-    /// probe-driven health view with per-site circuit breakers, and a
-    /// per-participant reconnect state machine (capped exponential
-    /// backoff with seeded jitter, rejoin budget). `None` keeps the
-    /// legacy single next-nearest reattach, byte-identical to before.
-    pub resilience: Option<ResilienceConfig>,
 }
 
 impl SessionConfig {
@@ -170,7 +165,6 @@ impl SessionConfig {
             visibility: VisibilityFlags::vision_pro(),
             fault_plans: Vec::new(),
             congestion_control: false,
-            resilience: None,
         }
     }
 
@@ -198,7 +192,6 @@ impl SessionConfig {
             visibility: VisibilityFlags::vision_pro(),
             fault_plans: Vec::new(),
             congestion_control: false,
-            resilience: None,
         }
     }
 }
@@ -245,10 +238,10 @@ pub struct SessionOutcome {
     pub pli_sent: Vec<u64>,
     /// Keyframes forced by incoming PLIs per participant (as sender).
     pub keyframes_forced: Vec<u64>,
-    /// Reconnect episodes (resilience sessions only; empty otherwise).
-    /// A participant appears once per outage that hit their site.
+    /// Reconnect episodes (SFU sessions; empty when no site died). A
+    /// participant appears once per outage that hit their site.
     pub reconnects: Vec<ReconnectSummary>,
-    /// Admissions refused fleet-wide (resilience sessions only).
+    /// Admissions the session's site directory refused (0 for P2P).
     pub admission_rejects: u64,
 }
 
@@ -426,9 +419,13 @@ const QUIC_PORT: u16 = 443;
 const RTP_PORT: u16 = 5_004;
 /// RTCP rides on the RTP port + 1, per convention.
 const RTCP_PORT: u16 = 5_005;
+/// The port plan's roster limit. Senders are told apart by source port:
+/// one block of this many ports each for media, audio and RTCP, so a
+/// larger session would overlap the blocks and misattribute streams.
+pub const MAX_PARTICIPANTS: usize = 200;
 const MEDIA_PORT_BASE: u16 = 5_000;
-const AUDIO_PORT_BASE: u16 = 5_200;
-const RTCP_PORT_BASE: u16 = 5_400;
+const AUDIO_PORT_BASE: u16 = MEDIA_PORT_BASE + MAX_PARTICIPANTS as u16;
+const RTCP_PORT_BASE: u16 = AUDIO_PORT_BASE + MAX_PARTICIPANTS as u16;
 const SESSION_KEY: cipher::Key = [0x5E; 32];
 
 /// Which stream a source port identifies.
@@ -511,7 +508,6 @@ pub struct SessionSim {
     aps: Vec<NodeId>,
     tap_ids: Vec<TapId>,
     access_links: Vec<(LinkId, LinkId)>,
-    registry: SiteRegistry,
     locations: Vec<visionsim_geo::coords::GeoPoint>,
     site_nodes: HashMap<&'static str, NodeId>,
     backbone_pairs: HashSet<(NodeId, NodeId)>,
@@ -539,7 +535,6 @@ pub struct SessionSim {
     quality_log: Vec<Vec<(SimTime, f64)>>,
     dead_sites: Vec<&'static str>,
     dead_nodes: HashSet<NodeId>,
-    pending_failovers: Vec<(SimTime, Vec<usize>)>,
     failovers: Vec<(SimTime, String)>,
     directory: Option<SiteDirectory>,
     reconnectors: Vec<Reconnector>,
@@ -561,8 +556,9 @@ impl SessionSim {
     /// first tick.
     pub fn new(config: SessionConfig) -> SessionSim {
         assert!(
-            config.participants.len() >= 2,
-            "a session needs at least two participants"
+            (2..=MAX_PARTICIPANTS).contains(&config.participants.len()),
+            "a session needs 2..={MAX_PARTICIPANTS} participants, got {}",
+            config.participants.len()
         );
         let cfg = &config;
         let n = cfg.participants.len();
@@ -797,23 +793,18 @@ impl SessionSim {
             (0..n).map(|_| DegradationLadder::new()).collect();
         let mode_log: Vec<Vec<(SimTime, PersonaMode)>> = vec![Vec::new(); n];
         let quality_log: Vec<Vec<(SimTime, f64)>> = vec![Vec::new(); n];
-        // SFU failover: sites currently dead, nodes to stop forwarding
-        // from, and the scheduled reattachments (due time, affected
-        // participants). Overlapping ServerDown faults each queue their
-        // own cohort — an earlier pending reattach is never overwritten.
+        // SFU failover: sites currently dead and nodes to stop forwarding
+        // from. Every SFU session carries a control-plane directory over
+        // its provider's fleet, seeded with the initial attachments so
+        // admission sees real load, plus one reconnect state machine per
+        // stranded participant.
         let dead_sites: Vec<&'static str> = Vec::new();
         let dead_nodes: HashSet<NodeId> = HashSet::new();
-        let pending_failovers: Vec<(SimTime, Vec<usize>)> = Vec::new();
         let failovers: Vec<(SimTime, String)> = Vec::new();
-        // Resilience path: the control-plane directory plus one reconnect
-        // state machine per disconnected participant. The directory is
-        // seeded with the initial attachments so admission sees real load.
-        let directory: Option<SiteDirectory> = cfg.resilience.map(|rc| {
-            let mut dir = SiteDirectory::new(&registry, cfg.provider, rc);
-            if let Some(a) = &assignment {
-                for (p, site) in a.attachments.iter().enumerate() {
-                    dir.try_admit(site.label, 0, p as u64, SimTime::ZERO);
-                }
+        let directory: Option<SiteDirectory> = assignment.as_ref().map(|a| {
+            let mut dir = SiteDirectory::new(&registry, cfg.provider, ResilienceConfig::default());
+            for (p, site) in a.attachments.iter().enumerate() {
+                dir.try_admit(site.label, 0, p as u64, SimTime::ZERO);
             }
             dir
         });
@@ -876,7 +867,6 @@ impl SessionSim {
             aps,
             tap_ids,
             access_links,
-            registry,
             locations,
             site_nodes,
             backbone_pairs,
@@ -904,7 +894,6 @@ impl SessionSim {
             quality_log,
             dead_sites,
             dead_nodes,
-            pending_failovers,
             failovers,
             directory,
             reconnectors,
@@ -977,7 +966,6 @@ impl SessionSim {
             clients,
             aps,
             access_links,
-            registry,
             locations,
             site_nodes,
             backbone_pairs,
@@ -1004,7 +992,6 @@ impl SessionSim {
             quality_log,
             dead_sites,
             dead_nodes,
-            pending_failovers,
             failovers,
             directory,
             reconnectors,
@@ -1060,66 +1047,40 @@ impl SessionSim {
                         FaultKind::ServerDown { detect, reconnect } => {
                             // Take out the SFU site this participant is
                             // attached to; everyone attached there goes
-                            // dark until the reconnect completes.
-                            if topology != Topology::Sfu {
+                            // dark until a reconnect machine gets them
+                            // admitted elsewhere. P2P sessions have no
+                            // site to lose (and no directory).
+                            let Some(dir) = directory.as_mut() else {
                                 continue;
-                            }
+                            };
                             let victim = servers[*idx];
-                            if dead_nodes.contains(&victim) {
+                            if !dead_nodes.insert(victim) {
                                 continue;
                             }
-                            dead_nodes.insert(victim);
-                            let victim_label = site_nodes
+                            let label = site_nodes
                                 .iter()
                                 .find(|(_, &node)| node == victim)
-                                .map(|(&label, _)| label);
-                            if let Some(label) = victim_label {
-                                dead_sites.push(label);
-                            }
+                                .map(|(&label, _)| label)
+                                .expect("every SFU server is a site node");
+                            dead_sites.push(label);
                             for lid in net.links_of(victim) {
                                 net.set_down(lid, true);
                             }
-                            let affected: Vec<usize> =
-                                (0..n).filter(|&p| servers[p] == victim).collect();
-                            match (directory.as_mut(), cfg.resilience.as_ref()) {
-                                (Some(dir), Some(rc)) => {
-                                    // Resilience path: the directory learns
-                                    // the outage (ground truth; probes lag)
-                                    // and every stranded participant gets a
-                                    // reconnect state machine. The first
-                                    // attempt fires after the same
-                                    // detect + reconnect lag the legacy
-                                    // path waits out.
-                                    if let Some(label) = victim_label {
-                                        dir.set_site_up(label, false);
-                                        for _ in &affected {
-                                            dir.detach(label, 0);
-                                        }
-                                    }
-                                    for &p in &affected {
-                                        let waiting = reconnectors.iter().any(|r| {
-                                            r.participant() == p as u64
-                                                && matches!(
-                                                    r.phase(),
-                                                    ReconnectPhase::Waiting { .. }
-                                                )
-                                        });
-                                        if !waiting {
-                                            reconnectors.push(Reconnector::new(
-                                                p as u64,
-                                                now,
-                                                now + detect + reconnect,
-                                                rc.backoff,
-                                                rc.rejoin_budget,
-                                                cfg.seed,
-                                            ));
-                                        }
-                                    }
-                                }
-                                _ => {
-                                    pending_failovers
-                                        .push((now + detect + reconnect, affected));
-                                }
+                            // The directory learns the outage (ground
+                            // truth; probes lag). Each stranded
+                            // participant's first attempt fires after the
+                            // detect + reconnect lag.
+                            dir.set_site_up(label, false);
+                            for p in (0..n).filter(|&p| servers[p] == victim) {
+                                dir.detach(label, 0);
+                                reconnectors.push(Reconnector::new(
+                                    p as u64,
+                                    now,
+                                    now + detect + reconnect,
+                                    dir.config().backoff,
+                                    dir.config().rejoin_budget,
+                                    cfg.seed,
+                                ));
                             }
                         }
                         // Radio outages cut both directions of the access
@@ -1134,123 +1095,39 @@ impl SessionSim {
                 }
             }
 
-            // SFU failover (legacy path): reattach each due cohort to the
-            // next-nearest live site once its reconnection gap elapses.
-            while let Some(pos) = pending_failovers
-                .iter()
-                .position(|(due_at, _)| now >= *due_at)
-            {
-                let (_, affected) = pending_failovers.remove(pos);
-                {
-                    if let Some(site) =
-                        failover_site(registry, cfg.provider, &locations[0], dead_sites)
-                    {
-                        let node = *site_nodes.entry(site.label).or_insert_with(|| {
-                            net.add_node(
-                                &format!("{} {}", site.provider, site.label),
-                                &format!("{}", site.provider),
-                                site.location(),
-                            )
-                        });
-                        for &p in &affected {
-                            let d = latency.one_way(&locations[p], &site.location());
-                            net.add_duplex(aps[p], node, LinkConfig::core(d));
-                            servers[p] = node;
-                        }
-                        // Extend the backbone to every other live site.
-                        let others: Vec<NodeId> = site_nodes
-                            .values()
-                            .copied()
-                            .filter(|&s| s != node && !dead_nodes.contains(&s))
-                            .collect();
-                        for other in others {
-                            let pair = (node.min(other), node.max(other));
-                            if backbone_pairs.insert(pair) {
-                                let d = latency
-                                    .one_way(
-                                        &site.location(),
-                                        &net.geodb()
-                                            .lookup(net.addr(other))
-                                            .map(|e| e.location)
-                                            .unwrap_or_else(|| site.location()),
-                                    )
-                                    .mul_f64(0.8);
-                                net.add_duplex(node, other, LinkConfig::core(d));
-                            }
-                        }
-                        vca_metrics().failovers.inc();
-                        if trace::enabled() {
-                            trace::record(
-                                TraceKind::SfuFailover,
-                                now.as_nanos(),
-                                trace::intern(site.label),
-                                affected.len() as u64,
-                                0,
-                                0,
-                            );
-                        }
-                        failovers.push((now, site.label.to_string()));
-                    }
-                    // No live site left: the session stays dark — degraded,
-                    // not aborted.
-                }
-            }
-
-            // Resilience path: probe the fleet on its cadence, then fire
-            // every due reconnect attempt — candidate selection routes
-            // around dead/observed-down/breaker-open sites, and admission
-            // may still refuse (capacity, sessions, or a zombie site that
-            // feeds the breaker). Refusals reschedule per backoff until
-            // the rejoin budget runs out.
-            if let (Some(dir), Some(rc)) = (directory.as_mut(), cfg.resilience.as_ref()) {
+            // SFU failover: probe the fleet on its cadence, then fire every
+            // due reconnect attempt through the directory. Candidate
+            // selection routes around dead, observed-down and breaker-open
+            // sites, and admission may still refuse; refusals reschedule
+            // per backoff until the rejoin budget runs out. The candidate
+            // is anchored where the assignment policy anchors placement:
+            // the initiator under NearestToInitiator (what §4.1 measured),
+            // the participant under GeoDistributed.
+            if let Some(dir) = directory.as_mut() {
                 if now >= *next_probe {
                     dir.probe_tick(now);
-                    *next_probe = now + rc.probe_every;
+                    *next_probe = now + dir.config().probe_every;
                 }
-                for rec in reconnectors.iter_mut() {
-                    if !rec.due(now) {
-                        continue;
-                    }
+                let mut cohorts: Vec<(ServerSite, Vec<usize>)> = Vec::new();
+                for rec in reconnectors.iter_mut().filter(|r| r.due(now)) {
                     let p = rec.participant() as usize;
-                    let attempt = rec.take_attempt();
-                    resilience_metrics().reconnect_attempts.inc();
-                    let candidate = dir.candidate(&locations[p], dead_sites, now);
-                    let mut admitted = None;
-                    let verdict_code = match candidate {
-                        None => {
-                            rec.on_rejected(now);
-                            2
-                        }
-                        Some(site) => match dir.try_admit(site.label, 0, p as u64, now) {
-                            AdmissionVerdict::Admitted => {
-                                admitted = Some(site);
-                                0
-                            }
-                            AdmissionVerdict::Rejected(_) => {
-                                rec.on_rejected(now);
-                                1
-                            }
-                        },
+                    let anchor = match cfg.policy {
+                        AssignmentPolicy::NearestToInitiator => &locations[0],
+                        AssignmentPolicy::GeoDistributed => &locations[p],
                     };
-                    if trace::enabled() {
-                        trace::record(
-                            TraceKind::ReconnectAttempt,
-                            now.as_nanos(),
-                            trace::intern(candidate.map(|s| s.label).unwrap_or("")),
-                            p as u64,
-                            attempt as u64,
-                            verdict_code,
-                        );
+                    let Some(site) = dir.attempt_reconnect(rec, anchor, dead_sites, 0, now) else {
+                        continue;
+                    };
+                    match cohorts.iter_mut().find(|(s, _)| s.label == site.label) {
+                        Some((_, cohort)) => cohort.push(p),
+                        None => cohorts.push((site, vec![p])),
                     }
-                    if matches!(rec.phase(), ReconnectPhase::Abandoned { .. }) {
-                        resilience_metrics().reconnects_abandoned.inc();
-                    }
-                    let Some(site) = admitted else { continue };
-                    // Reattach: same wiring as the legacy path, but
-                    // anchored on the participant's own location and with
-                    // the backbone extension in sorted order (several
-                    // participants can land on different sites the same
-                    // tick).
+                }
+                // One failover per site per tick: everyone admitted to a
+                // site this tick moves as one cohort — their access links,
+                // then the backbone extended to every other live site in
+                // node order, then one failover record.
+                for (site, cohort) in cohorts {
                     let node = *site_nodes.entry(site.label).or_insert_with(|| {
                         net.add_node(
                             &format!("{} {}", site.provider, site.label),
@@ -1258,15 +1135,17 @@ impl SessionSim {
                             site.location(),
                         )
                     });
-                    let d = latency.one_way(&locations[p], &site.location());
-                    net.add_duplex(aps[p], node, LinkConfig::core(d));
-                    servers[p] = node;
+                    for &p in &cohort {
+                        let d = latency.one_way(&locations[p], &site.location());
+                        net.add_duplex(aps[p], node, LinkConfig::core(d));
+                        servers[p] = node;
+                    }
                     let mut others: Vec<NodeId> = site_nodes
                         .values()
                         .copied()
                         .filter(|&s| s != node && !dead_nodes.contains(&s))
                         .collect();
-                    others.sort();
+                    others.sort_unstable();
                     for other in others {
                         let pair = (node.min(other), node.max(other));
                         if backbone_pairs.insert(pair) {
@@ -1282,19 +1161,13 @@ impl SessionSim {
                             net.add_duplex(node, other, LinkConfig::core(d));
                         }
                     }
-                    rec.on_admitted(now);
-                    if let Some(lat) = rec.rejoin_latency() {
-                        resilience_metrics()
-                            .rejoin_ms
-                            .observe(lat.as_nanos() / 1_000_000);
-                    }
                     vca_metrics().failovers.inc();
                     if trace::enabled() {
                         trace::record(
                             TraceKind::SfuFailover,
                             now.as_nanos(),
                             trace::intern(site.label),
-                            1,
+                            cohort.len() as u64,
                             0,
                             0,
                         );
@@ -1305,7 +1178,7 @@ impl SessionSim {
                 // sanitizer checks nobody has vanished — every participant
                 // is attached to a live site, waiting on a reconnect
                 // machine, or abandoned.
-                if topology == Topology::Sfu && t > 0 && t % feedback_every == 0 {
+                if t > 0 && t % feedback_every == 0 {
                     let mut attached = 0usize;
                     let mut reconnecting = 0usize;
                     let mut abandoned = 0usize;
@@ -1377,7 +1250,7 @@ impl SessionSim {
                             net.send(
                                 clients[i],
                                 dst,
-                                PortPair::new(5_000 + i as u16, QUIC_PORT),
+                                PortPair::new(MEDIA_PORT_BASE + i as u16, QUIC_PORT),
                                 wire,
                             );
                         }
@@ -1409,7 +1282,7 @@ impl SessionSim {
                             net.send(
                                 clients[i],
                                 dst,
-                                PortPair::new(5_000 + i as u16, RTP_PORT),
+                                PortPair::new(MEDIA_PORT_BASE + i as u16, RTP_PORT),
                                 pkt,
                             );
                         }
@@ -2316,8 +2189,9 @@ mod tests {
 
     /// Regression: two staggered ServerDown faults on *different* sites,
     /// the second landing while the first cohort's reattach is still
-    /// pending. The old single-slot `pending_failover` overwrote the
-    /// earlier cohort, silently stranding it; the queue reattaches both.
+    /// pending. A single pending-reattach slot once overwrote the earlier
+    /// cohort, silently stranding it; per-participant reconnect machines
+    /// reattach both.
     #[test]
     fn staggered_server_down_faults_reattach_both_cohorts() {
         let mut cfg = SessionConfig::two_party(
@@ -2374,12 +2248,14 @@ mod tests {
         }
     }
 
-    /// With resilience on, a ServerDown spawns per-participant reconnect
-    /// machines instead of the legacy cohort slot: everyone reattaches
-    /// through admission, the episode summaries land in the outcome, and
-    /// an idle fleet refuses nobody.
+    /// A ServerDown spawns one reconnect machine per stranded participant:
+    /// everyone reattaches through admission, the episode summaries land
+    /// in the outcome, and an idle fleet refuses nobody. Under
+    /// NearestToInitiator the candidate is anchored on the initiator, so
+    /// the SF and NYC participants both land on M1 — the SF initiator's
+    /// next-nearest FaceTime site — as one failover.
     #[test]
-    fn resilience_reconnects_all_participants_after_server_down() {
+    fn server_down_moves_the_call_to_the_initiators_next_nearest_site() {
         let mut cfg = SessionConfig::two_party(
             Provider::FaceTime,
             (DeviceKind::VisionPro, sf()),
@@ -2387,7 +2263,6 @@ mod tests {
             78,
         );
         cfg.duration = SimDuration::from_secs(10);
-        cfg.resilience = Some(ResilienceConfig::default());
         cfg.fault_plans = vec![(
             0,
             FaultPlan::server_outage(
@@ -2411,6 +2286,9 @@ mod tests {
             assert!(rejoin >= SimDuration::from_millis(1_500), "{rejoin:?}");
         }
         assert_eq!(out.admission_rejects, 0);
-        assert_eq!(out.failovers.len(), 2, "{:?}", out.failovers);
+        let initial = out.assignment.as_ref().unwrap().attachments[0].label;
+        assert_eq!(initial, "W", "the SF initiator starts on the western site");
+        assert_eq!(out.failovers.len(), 1, "{:?}", out.failovers);
+        assert_eq!(out.failovers[0].1, "M1", "{:?}", out.failovers);
     }
 }

@@ -1,7 +1,7 @@
 //! Thread-count determinism: every formatted artifact must be
 //! byte-identical whether the harness runs on one worker or all cores —
 //! and, with the flight recorder on, the deterministic metrics snapshot
-//! must be identical too.
+//! must be identical too, and must agree with what the artifacts report.
 //!
 //! Every test takes the `core::par::override_guard` so the process-global
 //! knobs (`set_threads`, `trace::force`, `metrics::force`) are never raced
@@ -9,6 +9,7 @@
 
 use visionsim::experiments::{extensions, figure6, fleet, mesh_streaming, resilience, storms, table1};
 use visionsim::core::{metrics, par, trace};
+use visionsim::vca::server::resilience_metrics;
 
 /// Render a small-but-representative slice of the suite at `seed`.
 fn artifacts(seed: u64) -> String {
@@ -102,4 +103,36 @@ fn metrics_are_identical_across_thread_counts_with_tracing_on() {
     metrics::force(None);
     metrics::reset();
     trace::reset();
+}
+
+/// Storm drills reconnect through the same `SiteDirectory` step as
+/// sessions, so the metrics sidecar must count exactly the attempts,
+/// rejoins and abandonments the storms table reports.
+#[test]
+fn storm_metrics_count_every_reconnect_the_drills_report() {
+    let _guard = par::override_guard();
+    metrics::force(Some(true));
+    metrics::reset();
+
+    let drills = storms::run(12, 2024);
+    let attempts: u64 = drills.scenarios.iter().map(|s| s.attempts).sum();
+    let rejoins: u64 = drills
+        .scenarios
+        .iter()
+        .flat_map(|s| s.attempt_hist)
+        .map(u64::from)
+        .sum();
+    let abandoned: usize = drills.scenarios.iter().map(|s| s.abandoned).sum();
+    assert!(attempts > 0 && rejoins > 0, "no reconnects");
+    assert_eq!(
+        metrics::counter_value("vca/reconnect_attempts"),
+        Some(attempts),
+        "vca/reconnect_attempts disagrees with the storms table"
+    );
+    let m = resilience_metrics();
+    assert_eq!(m.rejoin_ms.count(), rejoins, "vca/rejoin_ms count");
+    assert_eq!(m.reconnects_abandoned.get(), abandoned as u64);
+
+    metrics::force(None);
+    metrics::reset();
 }

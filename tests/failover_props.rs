@@ -6,24 +6,28 @@
 //!    caller's dead list, observed `Down`, or sitting behind an open
 //!    circuit breaker — across randomized up/down flips, probe cadences,
 //!    and admission attempts.
-//! 2. Session-level failover targets never name a killed site, with the
-//!    legacy queue and with the full resilience layer, across chaos seeds.
+//! 2. Session-level failover targets never name a killed site across
+//!    chaos seeds: every SFU session reconnects through its
+//!    `SiteDirectory`, so this covers the one reattach path sessions have.
 //! 3. Reconnect backoff sequences are byte-identical at 1, 4, and 8
 //!    worker threads: jitter comes from `derive_seed`, never from the
 //!    schedule.
+//!
+//! Every test that flips process-global knobs takes
+//! `core::par::override_guard`.
 
 use std::collections::BTreeMap;
-use visionsim_core::par::{self, derive_seed, par_map};
-use visionsim_core::rng::SimRng;
-use visionsim_core::time::{SimDuration, SimTime};
-use visionsim_device::device::DeviceKind;
-use visionsim_geo::cities;
-use visionsim_geo::sites::{Provider, SiteRegistry};
-use visionsim_net::fault::FaultPlan;
-use visionsim_net::probe::SiteHealth;
-use visionsim_vca::server::{AdmissionVerdict, BackoffPolicy, ResilienceConfig, SiteDirectory};
-use visionsim_vca::session::{SessionConfig, SessionRunner};
-use visionsim_vca::AssignmentPolicy;
+use visionsim::core::par::{self, derive_seed, par_map};
+use visionsim::core::rng::SimRng;
+use visionsim::core::time::{SimDuration, SimTime};
+use visionsim::device::device::DeviceKind;
+use visionsim::geo::cities;
+use visionsim::geo::sites::{Provider, SiteRegistry};
+use visionsim::net::fault::FaultPlan;
+use visionsim::net::probe::SiteHealth;
+use visionsim::vca::server::{AdmissionVerdict, BackoffPolicy, ResilienceConfig, SiteDirectory};
+use visionsim::vca::session::{SessionConfig, SessionRunner};
+use visionsim::vca::AssignmentPolicy;
 
 /// Chaos-drive a [`SiteDirectory`]: random ground-truth flips, the probe
 /// cadence, and admission attempts that feed breakers. After every step
@@ -153,8 +157,8 @@ fn open_breaker_outlives_ground_truth_recovery() {
 }
 
 /// Build the staggered two-site outage used by the regression test in
-/// `session.rs`, parameterized by seed and resilience mode.
-fn staggered_outage_config(seed: u64, resilience: bool) -> SessionConfig {
+/// `session.rs`, parameterized by seed.
+fn staggered_outage_config(seed: u64) -> SessionConfig {
     let mut cfg = SessionConfig::two_party(
         Provider::FaceTime,
         (DeviceKind::VisionPro, cities::US_WEST[0]),
@@ -181,38 +185,32 @@ fn staggered_outage_config(seed: u64, resilience: bool) -> SessionConfig {
             ),
         ),
     ];
-    if resilience {
-        cfg.resilience = Some(ResilienceConfig::default());
-    }
     cfg
 }
 
-/// Across chaos seeds and both reattach implementations (legacy queue,
-/// resilience layer), no failover ever lands on a killed site.
+/// Across chaos seeds, no failover ever lands on a killed site.
 #[test]
 fn failover_targets_never_name_a_killed_site_across_seeds() {
     for seed in [3u64, 11, 42, 77, 1_000, 65_535] {
-        for resilience in [false, true] {
-            let out = SessionRunner::new(staggered_outage_config(seed, resilience)).run();
-            let initial: Vec<&str> = out
-                .assignment
-                .as_ref()
-                .expect("SFU session has an assignment")
-                .attachments
-                .iter()
-                .map(|s| s.label)
-                .collect();
-            assert_ne!(initial[0], initial[1], "seed {seed}: need distinct sites");
+        let out = SessionRunner::new(staggered_outage_config(seed)).run();
+        let initial: Vec<&str> = out
+            .assignment
+            .as_ref()
+            .expect("SFU session has an assignment")
+            .attachments
+            .iter()
+            .map(|s| s.label)
+            .collect();
+        assert_ne!(initial[0], initial[1], "seed {seed}: need distinct sites");
+        assert!(
+            !out.failovers.is_empty(),
+            "seed {seed}: outages must trigger failovers"
+        );
+        for (_, label) in &out.failovers {
             assert!(
-                !out.failovers.is_empty(),
-                "seed {seed} resilience={resilience}: outages must trigger failovers"
+                !initial.contains(&label.as_str()),
+                "seed {seed}: reattached to killed site {label}"
             );
-            for (_, label) in &out.failovers {
-                assert!(
-                    !initial.contains(&label.as_str()),
-                    "seed {seed} resilience={resilience}: reattached to killed site {label}"
-                );
-            }
         }
     }
 }
@@ -228,7 +226,7 @@ fn backoff_schedule(seed: u64, participant: u64) -> Vec<u64> {
 /// Backoff jitter must come from `derive_seed(seed, "reconnect", p)` and
 /// nothing else: the per-participant sequences are byte-identical whether
 /// the fleet is computed on 1, 4, or 8 workers — and so is a full
-/// resilience session's reconnect ledger.
+/// session's reconnect ledger.
 #[test]
 fn reconnect_backoff_is_byte_identical_across_thread_counts() {
     let _guard = par::override_guard();
@@ -241,7 +239,7 @@ fn reconnect_backoff_is_byte_identical_across_thread_counts() {
             "{:?}",
             par_map(participants.clone(), |p| backoff_schedule(2024, p))
         );
-        let out = SessionRunner::new(staggered_outage_config(7, true)).run();
+        let out = SessionRunner::new(staggered_outage_config(7)).run();
         let ledger = format!("{:?} rejects={}", out.reconnects, out.admission_rejects);
         match &baseline {
             None => baseline = Some((schedules, ledger)),
