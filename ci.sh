@@ -21,8 +21,10 @@ VISIONSIM_THREADS=4 cargo test -q -p visionsim-experiments resilience
 
 echo "== sanitizer explicitly on and off =="
 # Debug tests default the sanitizer on; exercise both explicit settings on
-# the crates that carry check sites (core, net) and the hostile decoders.
+# the crates that carry check sites (core, net) and the hostile decoders
+# (the compress hostility suite lives in the root package).
 VISIONSIM_SANITIZE=1 cargo test -q -p visionsim-core -p visionsim-net -p visionsim-compress -p visionsim-mesh
+VISIONSIM_SANITIZE=1 cargo test -q --test compress_hostility
 VISIONSIM_SANITIZE=0 cargo test -q -p visionsim-core -p visionsim-net
 
 echo "== allocation gate: sanitizer on and off =="
@@ -85,7 +87,7 @@ echo "$RESUME_OUT" | grep -q 'fleet.*verified' \
   || { echo "resume did not verify the fleet checksum" >&2; exit 1; }
 rm -rf "$FLEETDIR"
 
-echo "== bench smoke + regression gate (packet_path, fleet) =="
+echo "== bench smoke + regression gate (packet_path, fleet, codecs) =="
 # Quick pass (few samples) to catch bit-rot in the bench harness and gross
 # regressions; results go to a scratch file so the committed BENCH.json
 # numbers (full 10-sample runs) are not overwritten. Any benchmark whose
@@ -98,8 +100,11 @@ VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
   cargo bench -p visionsim-bench --bench packet_path
 VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
   cargo bench -p visionsim-bench --bench fleet
+VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
+  cargo bench -p visionsim-bench --bench codecs
 grep -q '"packet_path/hops"' "$BENCHTMP" || { echo "bench smoke wrote no hops record" >&2; exit 1; }
 grep -q '"fleet/sessions_per_sec"' "$BENCHTMP" || { echo "bench smoke wrote no fleet record" >&2; exit 1; }
+grep -q '"semantic/decode_frame"' "$BENCHTMP" || { echo "bench smoke wrote no codec record" >&2; exit 1; }
 python3 - "$BENCHTMP" BENCH.json <<'PY'
 import json, sys
 fresh = json.load(open(sys.argv[1]))
@@ -114,7 +119,7 @@ for name, entry in sorted(committed.items()):
     floor = per_sec * 0.75
     got = fresh[name]["per_sec"]
     status = "ok" if got >= floor else "REGRESSED"
-    print(f"  {name}: {got/1e6:.1f}M vs committed {per_sec/1e6:.1f}M ({status})")
+    print(f"  {name}: {got:.4g}/s vs committed {per_sec:.4g}/s ({status})")
     if got < floor:
         bad.append(name)
 if bad:

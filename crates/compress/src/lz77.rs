@@ -94,7 +94,10 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
     let mut tokens = Vec::new();
     let n = data.len();
     let mut head = vec![-1i64; 1 << HASH_BITS];
-    let mut prev = vec![-1i64; WINDOW];
+    // Chain links are indexed by `i % WINDOW`; below one window that is
+    // `i` itself, so an input shorter than the window needs only `n` of
+    // them (a keypoint frame is under 1 KiB).
+    let mut prev = vec![-1i64; n.min(WINDOW)];
     let insert = |head: &mut [i64], prev: &mut [i64], i: usize| {
         if i + MIN_MATCH <= n {
             let h = hash3(data, i);

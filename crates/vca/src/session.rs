@@ -216,6 +216,9 @@ pub struct SessionOutcome {
     pub availability: Vec<Vec<(SimTime, PersonaState)>>,
     /// Encoded semantic frame sizes observed at senders (spatial only).
     pub semantic_frame_sizes: Vec<usize>,
+    /// Semantic decode calls the session made: one per frame that at least
+    /// one receiver completed, however many receivers completed it.
+    pub semantic_decodes: u64,
     /// End-to-end semantic-frame latency samples per receiving
     /// participant, milliseconds: capture tick → frame fully reassembled
     /// (spatial sessions only). Motion-to-photon adds up to one display
@@ -311,7 +314,6 @@ enum SenderState {
 /// Per-receiver bookkeeping for one remote sender.
 struct ReceiverPeer {
     assembler: FrameAssembler,
-    codec: SemanticCodec,
     /// RTP loss tracking.
     last_seq: Option<u16>,
     lost: u64,
@@ -341,7 +343,6 @@ impl ReceiverPeer {
     fn new() -> Self {
         ReceiverPeer {
             assembler: FrameAssembler::new(),
-            codec: SemanticCodec::new(SemanticConfig::default()),
             last_seq: None,
             lost: 0,
             received: 0,
@@ -527,7 +528,7 @@ pub struct SessionSim {
     availability_log: Vec<Vec<(SimTime, PersonaState)>>,
     rx_bytes_since_frame: Vec<usize>,
     semantic_frame_sizes: Vec<usize>,
-    frame_sent_at: Vec<Vec<SimTime>>,
+    frame_sent_at: Vec<Vec<(SimTime, bool)>>,
     e2e_latency_ms: Vec<visionsim_core::stats::Percentiles>,
     fault_plans: Vec<(usize, FaultPlan)>,
     ladders: Vec<DegradationLadder>,
@@ -781,8 +782,8 @@ impl SessionSim {
         let semantic_frame_sizes: Vec<usize> = Vec::new();
         // Semantic frame ids are assigned sequentially per sender; log the
         // capture instant of each so receivers can measure end-to-end
-        // latency on completion.
-        let frame_sent_at: Vec<Vec<SimTime>> = vec![Vec::new(); n];
+        // latency on completion, and whether any receiver has decoded it.
+        let frame_sent_at: Vec<Vec<(SimTime, bool)>> = vec![Vec::new(); n];
         let e2e_latency_ms: Vec<visionsim_core::stats::Percentiles> =
             (0..n).map(|_| visionsim_core::stats::Percentiles::new()).collect();
 
@@ -1237,7 +1238,7 @@ impl SessionSim {
                         let frame = capture.next_frame(rng).persona_subset();
                         let payload = codec.encode(&frame);
                         semantic_frame_sizes.push(payload.len());
-                        frame_sent_at[i].push(now);
+                        frame_sent_at[i].push((now, false));
                         let dst = match topology {
                             Topology::Sfu => servers[i],
                             Topology::P2P => clients[1 - i],
@@ -1476,15 +1477,44 @@ impl SessionSim {
                                                 peer.assembler.push(frag)
                                             {
                                                 peer.on_frame_complete(frame_id);
-                                                if let Some(&sent) = frame_sent_at
+                                                let Some((sent, decoded)) = frame_sent_at
                                                     [sender]
-                                                    .get(frame_id as usize)
-                                                {
-                                                    e2e_latency_ms[r].push(
-                                                        d.at.since(sent).as_millis_f64(),
-                                                    );
+                                                    .get_mut(frame_id as usize)
+                                                else {
+                                                    continue;
+                                                };
+                                                e2e_latency_ms[r]
+                                                    .push(d.at.since(*sent).as_millis_f64());
+                                                // One decode per frame, not per receiver:
+                                                // the first to complete it decodes through
+                                                // the sender's own codec. Exact, because an
+                                                // absolute-mode decode is a pure function of
+                                                // the payload and touches no codec state;
+                                                // sessions only build
+                                                // `SemanticConfig::default()`, which is
+                                                // absolute; and corrupted packets never
+                                                // reach the assembler, so every receiver
+                                                // reassembles the sender's exact bytes.
+                                                if *decoded {
+                                                    continue;
                                                 }
-                                                let _ = peer.codec.decode(&payload);
+                                                *decoded = true;
+                                                let SenderState::Spatial { codec, .. } =
+                                                    &mut senders[sender]
+                                                else {
+                                                    unreachable!("semantic frame from a 2D sender")
+                                                };
+                                                let decode = codec.decode(&payload);
+                                                sanitizer::check(
+                                                    decode.is_ok(),
+                                                    "semantic/decode",
+                                                    || {
+                                                        format!(
+                                                            "frame {frame_id} of sender \
+                                                             {sender}: {decode:?}"
+                                                        )
+                                                    },
+                                                );
                                             }
                                         }
                                     }
@@ -1756,6 +1786,7 @@ impl SessionSim {
             counters,
             availability_log,
             semantic_frame_sizes,
+            frame_sent_at,
             e2e_latency_ms,
             mode_log,
             ladders,
@@ -1789,6 +1820,11 @@ impl SessionSim {
             counters,
             availability: availability_log,
             semantic_frame_sizes,
+            semantic_decodes: frame_sent_at
+                .iter()
+                .flatten()
+                .filter(|(_, decoded)| *decoded)
+                .count() as u64,
             e2e_latency_ms,
             geodb: net.geodb().clone(),
             final_quality,

@@ -4,12 +4,12 @@
 //! clean wrong answer where the format cannot detect the damage), never
 //! panic, and never allocate anywhere near a lying header's claim.
 
-use visionsim_compress::lzma_like::{compress, decompress, MAX_DECODED_LEN};
-use visionsim_compress::rans;
-use visionsim_compress::varint;
-use visionsim_core::par::derive_seed;
-use visionsim_core::rng::SimRng;
-use visionsim_core::SimError;
+use visionsim::compress::lzma_like::{compress, decompress, MAX_DECODED_LEN};
+use visionsim::compress::rans;
+use visionsim::compress::varint;
+use visionsim::core::par::derive_seed;
+use visionsim::core::rng::SimRng;
+use visionsim::core::SimError;
 
 const CASES: u64 = 48;
 

@@ -207,4 +207,17 @@ fn sfu_fanout_reaches_every_participant() {
         assert_eq!(media.len(), 3, "participant {i} media {media:?}");
         assert_eq!(audio.len(), 3, "participant {i} audio {audio:?}");
     }
+    // Every receiver still completes the other three streams, but each
+    // frame is decoded once for the whole call, not once per receiver.
+    let encoded = out.semantic_frame_sizes.len() as f64;
+    let completed: usize = out.e2e_latency_ms.iter().map(|p| p.count()).sum();
+    assert!(
+        completed as f64 >= 0.9 * 3.0 * encoded,
+        "{completed} completions for {encoded} frames fanned out to 3 receivers"
+    );
+    let decodes = out.semantic_decodes as f64;
+    assert!(
+        decodes <= encoded && decodes >= 0.9 * encoded,
+        "{decodes} decodes for {encoded} encoded frames"
+    );
 }
