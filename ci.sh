@@ -22,9 +22,10 @@ VISIONSIM_THREADS=4 cargo test -q -p visionsim-experiments resilience
 echo "== sanitizer explicitly on and off =="
 # Debug tests default the sanitizer on; exercise both explicit settings on
 # the crates that carry check sites (core, net) and the hostile decoders
-# (the compress hostility suite lives in the root package).
+# (the compress hostility and property suites live in the root package).
 VISIONSIM_SANITIZE=1 cargo test -q -p visionsim-core -p visionsim-net -p visionsim-compress -p visionsim-mesh
 VISIONSIM_SANITIZE=1 cargo test -q --test compress_hostility
+VISIONSIM_SANITIZE=1 cargo test -q --test compress_prop
 VISIONSIM_SANITIZE=0 cargo test -q -p visionsim-core -p visionsim-net
 
 echo "== allocation gate: sanitizer on and off =="

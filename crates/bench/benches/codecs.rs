@@ -1,6 +1,11 @@
 //! Micro-benchmarks of every in-tree codec: the LZMA-style compressor on
 //! keypoint payloads, rANS on mesh residuals, the mesh codec on a persona
 //! head, the semantic codec end-to-end, and ChaCha20.
+//!
+//! The keypoint benches (`lzma_like/*`, `semantic/*`) cycle through
+//! `KEYPOINT_FRAMES` consecutive captured frames, one per iteration, as a
+//! session does. Repeating one frame would let the branch predictor learn
+//! that frame's coded bits and read about half the per-frame cost.
 
 use visionsim_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -12,21 +17,27 @@ use visionsim_semantic::codec::{SemanticCodec, SemanticConfig};
 use visionsim_sensor::capture::RgbdCapture;
 use visionsim_transport::cipher;
 
+const KEYPOINT_FRAMES: usize = 90;
+
 fn bench(c: &mut Criterion) {
     // Realistic payloads.
     let mut cap = RgbdCapture::default_session();
     let mut rng = SimRng::seed_from_u64(1);
-    let frame = cap.next_frame(&mut rng).persona_subset();
-    let kp_bytes = frame.to_bytes();
-    let kp_compressed = compress(&kp_bytes);
+    let frames: Vec<_> = (0..KEYPOINT_FRAMES)
+        .map(|_| cap.next_frame(&mut rng).persona_subset())
+        .collect();
+    let kp_bytes: Vec<Vec<u8>> = frames.iter().map(|f| f.to_bytes()).collect();
+    let kp_compressed: Vec<Vec<u8>> = kp_bytes.iter().map(|b| compress(b)).collect();
 
     let mut g = c.benchmark_group("lzma_like");
-    g.throughput(Throughput::Bytes(kp_bytes.len() as u64));
+    g.throughput(Throughput::Bytes(kp_bytes[0].len() as u64));
+    let mut raw = kp_bytes.iter().cycle();
     g.bench_function("compress_keypoint_frame", |b| {
-        b.iter(|| black_box(compress(&kp_bytes)))
+        b.iter(|| black_box(compress(raw.next().unwrap())))
     });
+    let mut packed = kp_compressed.iter().cycle();
     g.bench_function("decompress_keypoint_frame", |b| {
-        b.iter(|| black_box(decompress(&kp_compressed).unwrap()))
+        b.iter(|| black_box(decompress(packed.next().unwrap()).unwrap()))
     });
     g.finish();
 
@@ -65,11 +76,15 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("semantic");
     g.throughput(Throughput::Elements(1));
     let mut enc = SemanticCodec::new(SemanticConfig::default());
-    g.bench_function("encode_frame", |b| b.iter(|| black_box(enc.encode(&frame))));
-    let payload = SemanticCodec::new(SemanticConfig::default()).encode(&frame);
+    let payloads: Vec<Vec<u8>> = frames.iter().map(|f| enc.encode(f)).collect();
+    let mut frame = frames.iter().cycle();
+    g.bench_function("encode_frame", |b| {
+        b.iter(|| black_box(enc.encode(frame.next().unwrap())))
+    });
     let mut dec = SemanticCodec::new(SemanticConfig::default());
+    let mut payload = payloads.iter().cycle();
     g.bench_function("decode_frame", |b| {
-        b.iter(|| black_box(dec.decode(&payload).unwrap()))
+        b.iter(|| black_box(dec.decode(payload.next().unwrap()).unwrap()))
     });
     g.finish();
 

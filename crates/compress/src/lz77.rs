@@ -16,6 +16,8 @@ pub const WINDOW: usize = 1 << 16;
 
 const HASH_BITS: u32 = 15;
 const CHAIN_DEPTH: usize = 64;
+/// A chain-table entry that names no position.
+const NONE: u32 = u32::MAX;
 
 /// One parsed token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,8 +53,8 @@ fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 fn best_match(
     data: &[u8],
     i: usize,
-    head: &[i64],
-    prev: &[i64],
+    head: &[u32],
+    prev: &[u32],
 ) -> Option<(usize, usize)> {
     if i + MIN_MATCH > data.len() {
         return None;
@@ -61,7 +63,7 @@ fn best_match(
     let mut best: Option<(usize, usize)> = None;
     let mut cand = head[hash3(data, i)];
     let mut depth = 0;
-    while cand >= 0 && depth < CHAIN_DEPTH {
+    while cand != NONE && depth < CHAIN_DEPTH {
         let c = cand as usize;
         if i - c > WINDOW {
             break;
@@ -90,19 +92,31 @@ fn best_match(
 }
 
 /// Parse `data` into LZ77 tokens.
+///
+/// # Panics
+///
+/// If `data` holds `u32::MAX` bytes or more: the chain tables store
+/// positions as `u32`, with `u32::MAX` meaning none. Such an input could
+/// not round-trip anyway: [`decompress`](crate::lzma_like::decompress)
+/// refuses any stream that claims more than
+/// [`MAX_DECODED_LEN`](crate::lzma_like::MAX_DECODED_LEN) (256 MiB).
 pub fn tokenize(data: &[u8]) -> Vec<Token> {
     let mut tokens = Vec::new();
     let n = data.len();
-    let mut head = vec![-1i64; 1 << HASH_BITS];
+    assert!(
+        n < u32::MAX as usize,
+        "lz77 input of {n} bytes exceeds u32 positions"
+    );
+    let mut head = vec![NONE; 1 << HASH_BITS];
     // Chain links are indexed by `i % WINDOW`; below one window that is
     // `i` itself, so an input shorter than the window needs only `n` of
     // them (a keypoint frame is under 1 KiB).
-    let mut prev = vec![-1i64; n.min(WINDOW)];
-    let insert = |head: &mut [i64], prev: &mut [i64], i: usize| {
+    let mut prev = vec![NONE; n.min(WINDOW)];
+    let insert = |head: &mut [u32], prev: &mut [u32], i: usize| {
         if i + MIN_MATCH <= n {
             let h = hash3(data, i);
             prev[i % WINDOW] = head[h];
-            head[h] = i as i64;
+            head[h] = i as u32;
         }
     };
     let mut i = 0;

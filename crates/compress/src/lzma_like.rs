@@ -24,20 +24,22 @@ const LITERAL_CONTEXTS: usize = 16;
 /// Hard ceiling on a stream's claimed decompressed length (256 MiB).
 pub const MAX_DECODED_LEN: usize = 256 << 20;
 
+/// Every adaptive model of one stream, inline (about 9 KiB): a call
+/// allocates nothing for them.
 struct Models {
     is_match: BitModel,
-    literals: Vec<Vec<BitModel>>,
-    len_tree: Vec<BitModel>,
-    slot_tree: Vec<BitModel>,
+    literals: [[BitModel; 256]; LITERAL_CONTEXTS],
+    len_tree: [BitModel; 512],
+    slot_tree: [BitModel; 32],
 }
 
 impl Models {
     fn new() -> Self {
         Models {
             is_match: BitModel::new(),
-            literals: vec![vec![BitModel::new(); 256]; LITERAL_CONTEXTS],
-            len_tree: vec![BitModel::new(); 512],
-            slot_tree: vec![BitModel::new(); 32],
+            literals: [[BitModel::new(); 256]; LITERAL_CONTEXTS],
+            len_tree: [BitModel::new(); 512],
+            slot_tree: [BitModel::new(); 32],
         }
     }
 }

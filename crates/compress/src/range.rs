@@ -32,13 +32,21 @@ impl BitModel {
         Self::default()
     }
 
-    fn update(&mut self, bit: bool) {
-        if bit {
-            self.0 -= self.0 >> MOVE_BITS;
-        } else {
-            self.0 += ((1 << PROB_BITS) - self.0) >> MOVE_BITS;
-        }
+    /// Adapt the probability of a 0 to a coded bit. Both outcomes are
+    /// computed and `mask` (all ones for a 1) keeps one: float mantissa
+    /// bits are coin flips, which a branch on the bit mispredicts half the
+    /// time. The probability stays in `[31, 2017]`.
+    fn update(&mut self, mask: u32) {
+        let p = self.0 as u32;
+        let after_one = p - (p >> MOVE_BITS);
+        let after_zero = p + (((1 << PROB_BITS) - p) >> MOVE_BITS);
+        self.0 = ((after_one & mask) | (after_zero & !mask)) as u16;
     }
+}
+
+/// All ones for a 1 bit, all zeros for a 0 bit.
+fn bit_mask(bit: bool) -> u32 {
+    0u32.wrapping_sub(bit as u32)
 }
 
 /// Range encoder producing a byte stream.
@@ -87,16 +95,14 @@ impl RangeEncoder {
         self.low = (self.low << 8) & 0xFFFF_FFFF;
     }
 
-    /// Encode one bit under `model`.
+    /// Encode one bit under `model`: a 0 keeps `[low, low + bound)`, a 1
+    /// keeps `[low + bound, low + range)`, selected without a branch.
     pub fn encode_bit(&mut self, model: &mut BitModel, bit: bool) {
         let bound = (self.range >> PROB_BITS) * model.0 as u32;
-        if !bit {
-            self.range = bound;
-        } else {
-            self.low += bound as u64;
-            self.range -= bound;
-        }
-        model.update(bit);
+        let mask = bit_mask(bit);
+        self.low += (bound & mask) as u64;
+        self.range = (bound & !mask) | ((self.range - bound) & mask);
+        model.update(mask);
         while self.range < TOP {
             self.range <<= 8;
             self.shift_low();
@@ -192,18 +198,15 @@ impl<'a> RangeDecoder<'a> {
         self.overrun
     }
 
-    /// Decode one bit under `model`.
+    /// Decode one bit under `model`, the mirror of
+    /// [`RangeEncoder::encode_bit`]: the same branch-free selection.
     pub fn decode_bit(&mut self, model: &mut BitModel) -> bool {
         let bound = (self.range >> PROB_BITS) * model.0 as u32;
-        let bit = if self.code < bound {
-            self.range = bound;
-            false
-        } else {
-            self.code -= bound;
-            self.range -= bound;
-            true
-        };
-        model.update(bit);
+        let bit = self.code >= bound;
+        let mask = bit_mask(bit);
+        self.code -= bound & mask;
+        self.range = (bound & !mask) | ((self.range - bound) & mask);
+        model.update(mask);
         while self.range < TOP {
             self.range <<= 8;
             self.code = (self.code << 8) | self.next_byte() as u32;

@@ -27,6 +27,12 @@ use crate::world::ServiceWorld;
 /// buffer forever.
 pub const MAX_CONTROL_LINE: usize = 64 * 1024;
 
+/// How long a `/metrics` client has to send its whole request head. It
+/// bounds the head, not each read: with a timeout per read, a client
+/// trickling one byte at a time holds the single HTTP thread, and every
+/// scrape queued behind it, for as long as it keeps trickling.
+const REQUEST_HEAD_DEADLINE: Duration = Duration::from_millis(500);
+
 /// Knobs for [`serve`].
 pub struct ServeOptions {
     /// Virtual-time multiplier (1.0 = real time).
@@ -99,15 +105,70 @@ pub fn handle_command(world: &mut ServiceWorld, line: &str) -> (String, bool) {
     }
 }
 
+/// Send `reply` and its newline in one write. Sent as two writes, the
+/// newline waits behind Nagle's algorithm for the client's delayed ACK.
+fn write_line(out: &mut impl Write, reply: &str) -> std::io::Result<()> {
+    let mut line = String::with_capacity(reply.len() + 1);
+    line.push_str(reply);
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
+/// Read what has arrived on one control connection and answer every
+/// complete line with one [`write_line`]. Returns whether to keep the
+/// connection: false once the peer closed, an I/O error occurred, or an
+/// unterminated line outgrew [`MAX_CONTROL_LINE`].
+fn drain_control_conn(
+    world: &mut ServiceWorld,
+    stream: &mut (impl Read + Write),
+    pending: &mut Vec<u8>,
+    shutdown: &mut bool,
+) -> bool {
+    let mut read_buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut read_buf) {
+            Ok(0) => return false, // peer closed
+            Ok(n) => pending.extend_from_slice(&read_buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(_) => return false,
+        }
+    }
+    // A client streaming bytes without ever sending a newline would
+    // otherwise grow `pending` without bound; no valid control line
+    // approaches this cap.
+    if pending.len() > MAX_CONTROL_LINE && !pending.contains(&b'\n') {
+        let _ = write_line(stream, "err line too long");
+        return false;
+    }
+    while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
+        let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
+        let line = String::from_utf8_lossy(&line_bytes);
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let (reply, quit) = handle_command(world, line);
+        *shutdown |= quit;
+        if write_line(stream, &reply).is_err() {
+            return false;
+        }
+    }
+    true
+}
+
 /// Serve the minimal HTTP surface: `GET /metrics` renders the registry
 /// in Prometheus text exposition format, `GET /healthz` answers `ok`.
 /// Hand-rolled request handling — one request per connection, ignore
 /// everything past the request line.
 fn serve_metrics_conn(stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let deadline = Instant::now() + REQUEST_HEAD_DEADLINE;
     let mut head = Vec::new();
     let mut buf = [0u8; 2048];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
@@ -130,11 +191,11 @@ fn serve_metrics_conn(stream: &mut TcpStream) {
         "/healthz" => ("200 OK", "ok\n".to_string()),
         _ => ("404 Not Found", "not found\n".to_string()),
     };
-    let _ = write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
+    let _ = stream.write_all(response.as_bytes());
 }
 
 fn spawn_metrics_thread(
@@ -221,45 +282,15 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<()> {
         std::thread::sleep(opts.pacing);
         world.advance_to(clock.virtual_elapsed_ns());
 
-        // Accept new control connections.
+        // Accept new control connections. Every reply is one complete
+        // write, so Nagle's algorithm would only delay it.
         while let Ok((stream, _)) = control.accept() {
             let _ = stream.set_nonblocking(true);
+            let _ = stream.set_nodelay(true);
             conns.push((stream, Vec::new()));
         }
-        // Drain complete lines from every connection.
-        let mut read_buf = [0u8; 4096];
         conns.retain_mut(|(stream, pending)| {
-            loop {
-                match stream.read(&mut read_buf) {
-                    Ok(0) => return false, // peer closed
-                    Ok(n) => pending.extend_from_slice(&read_buf[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => return false,
-                }
-            }
-            // A client streaming bytes without ever sending a newline
-            // would otherwise grow `pending` without bound; no valid
-            // control line approaches this cap.
-            if pending.len() > MAX_CONTROL_LINE
-                && !pending.contains(&b'\n')
-            {
-                let _ = writeln!(stream, "err line too long");
-                return false;
-            }
-            while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&line_bytes);
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let (reply, quit) = handle_command(&mut world, line);
-                shutdown |= quit;
-                if writeln!(stream, "{reply}").is_err() {
-                    return false;
-                }
-            }
-            true
+            drain_control_conn(&mut world, stream, pending, &mut shutdown)
         });
 
         // Live trace sidecar, every ~10 pacing ticks.
@@ -294,7 +325,7 @@ pub fn serve(opts: ServeOptions) -> std::io::Result<()> {
 pub fn control_roundtrip(addr: &SocketAddr, line: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    writeln!(stream, "{line}")?;
+    write_line(&mut stream, line)?;
     let mut reply = Vec::new();
     let mut buf = [0u8; 1024];
     loop {
@@ -317,10 +348,8 @@ pub fn control_roundtrip(addr: &SocketAddr, line: &str) -> std::io::Result<Strin
 pub fn scrape(addr: &SocketAddr, target: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
+    let request = format!("GET {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
     let mut response = Vec::new();
     stream.read_to_end(&mut response)?;
     let text = String::from_utf8_lossy(&response);
@@ -334,6 +363,75 @@ pub fn scrape(addr: &SocketAddr, target: &str) -> std::io::Result<String> {
 mod tests {
     use super::*;
     use visionsim_core::par::override_guard;
+
+    /// A control connection double: `input` arrives over as many reads as
+    /// it takes, then the socket would block; each `write` call is kept.
+    struct FakeConn {
+        input: Vec<u8>,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Read for FakeConn {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.input.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.input.len());
+            buf[..n].copy_from_slice(&self.input[..n]);
+            self.input.drain(..n);
+            Ok(n)
+        }
+    }
+
+    impl Write for FakeConn {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_control_reply_is_one_write() {
+        let mut world = ServiceWorld::new();
+        let mut conn = FakeConn {
+            input: b"join mixed 2 9 10\n\nsnapshot\nexplode\nleave 0\nshut".to_vec(),
+            writes: Vec::new(),
+        };
+        let (mut pending, mut shutdown) = (Vec::new(), false);
+        assert!(drain_control_conn(
+            &mut world,
+            &mut conn,
+            &mut pending,
+            &mut shutdown
+        ));
+        assert_eq!(conn.writes.len(), 4, "one write per non-empty line");
+        assert_eq!(conn.writes[0], b"ok join 0\n");
+        for w in &conn.writes {
+            assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1);
+            assert_eq!(w.last(), Some(&b'\n'));
+        }
+        assert_eq!(
+            pending, b"shut",
+            "the unterminated tail waits for its newline"
+        );
+        assert!(!shutdown);
+
+        let mut conn = FakeConn {
+            input: vec![b'x'; MAX_CONTROL_LINE + 1],
+            writes: Vec::new(),
+        };
+        assert!(!drain_control_conn(
+            &mut world,
+            &mut conn,
+            &mut Vec::new(),
+            &mut shutdown
+        ));
+        assert_eq!(conn.writes, [b"err line too long\n".to_vec()]);
+    }
 
     #[test]
     fn handle_command_drives_the_world() {
