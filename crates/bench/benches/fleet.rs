@@ -1,6 +1,5 @@
 //! Fleet-scale benchmarks: end-to-end session throughput of the sharded
-//! conservative-PDES engine, and the cost of its barrier protocol in
-//! isolation.
+//! conservative-PDES engine, and the cost of its round loop in isolation.
 //!
 //! * `fleet/sessions_per_sec` — wall-clock session arrivals processed per
 //!   second by a scaled-down (seconds-long) fleet run with the full
@@ -10,8 +9,9 @@
 //!   figures.
 //! * `fleet/barrier_rounds` — lookahead windows per second on a
 //!   nearly-empty workload (one tick per shard per round), isolating the
-//!   synchronization overhead: floor computation, two barrier waits, and
-//!   envelope routing, with no model work to hide behind.
+//!   per-round cost of the engine's one loop: floor computation, stepping
+//!   each shard in turn on the calling thread, and envelope routing, with
+//!   no model work to hide behind.
 
 use visionsim_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use visionsim_core::shard::{ConservativeEngine, Envelope, ShardWorld};
@@ -40,7 +40,7 @@ fn bench_sessions(c: &mut Criterion) {
 
 /// A shard that does nothing but tick once per lookahead window: every
 /// round has exactly one event per shard and zero cross-shard messages,
-/// so the measured time is the barrier protocol itself.
+/// so the measured time is the round loop itself.
 struct TickWorld {
     t: SimTime,
     step: SimDuration,

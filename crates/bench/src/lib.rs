@@ -1,31 +1,25 @@
 //! # visionsim-bench
 //!
-//! Benchmark harness. Every table and figure in the paper's evaluation has
-//! a bench target that (a) regenerates the artifact and prints it, and
-//! (b) measures the cost of the regeneration:
+//! Benchmark harness and the benches that record `BENCH.json`. Paper
+//! artifacts are not benched here: `regenerate` writes and times each one.
 //!
-//! | bench target | paper artifact |
+//! | bench target | what it times |
 //! |---|---|
-//! | `table1_rtt` | Table 1 |
-//! | `figure4_throughput` | Figure 4 |
-//! | `figure5_visibility` | Figure 5 |
-//! | `figure6_scalability` | Figure 6 |
-//! | `section43_delivery` | §4.3 inline experiments (mesh streaming, display latency, keypoints, rate cliff) |
-//! | `protocol_classify` | §4.1 protocol findings |
 //! | `codecs` | micro-benchmarks of every in-tree codec |
-//! | `ablations` | DESIGN.md's design-choice ablations |
-//! | `harness` | sequential vs parallel Figure 6 (the `core::par` speedup) |
+//! | `packet_path` | per-hop forwarding, SFU fan-out and tap observation in `net::network` |
+//! | `fleet` | fleet session throughput and the conservative-PDES round loop |
 //!
-//! Run with `cargo bench --workspace`.
+//! Run with `cargo bench -p visionsim-bench`.
 //!
-//! The measurement harness itself lives in this crate (the package registry
-//! is offline, so no criterion): a Criterion-shaped API — [`Criterion`],
-//! [`BenchmarkGroup`], [`Bencher::iter`], [`Throughput`], [`BenchmarkId`],
-//! [`criterion_group!`]/[`criterion_main!`] — over a simple
-//! calibrate-then-sample loop. Each benchmark is calibrated so one sample
-//! takes ≥10 ms of wall-clock, then `sample_size` samples are timed and the
-//! per-iteration min / mean / max are reported (min is the headline number:
-//! it is the least noise-contaminated statistic on a shared machine).
+//! The measurement harness itself lives in this crate (the workspace has
+//! no external dependency, so no criterion): a Criterion-shaped API —
+//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`], [`Throughput`],
+//! [`BenchmarkId`], [`criterion_group!`]/[`criterion_main!`] — over a
+//! simple calibrate-then-sample loop. Each benchmark is calibrated so one
+//! sample takes ≥10 ms of wall-clock, then `sample_size` samples are timed
+//! and the per-iteration min / mean / max are reported (min is the headline
+//! number: it is the least noise-contaminated statistic on a shared
+//! machine).
 
 use std::path::Path;
 use std::sync::Mutex;
@@ -189,9 +183,10 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Time `f` for the configured number of iterations. Return values are
-    /// dropped after the loop, so construction cost is measured but drop
-    /// cost largely is not — adequate for the comparative numbers here.
+    /// Time `f` for the configured number of iterations. Each return value
+    /// passes through `black_box` and is dropped inside the timed loop, so
+    /// the figure includes freeing what `f` returns, as Criterion's `iter`
+    /// does.
     pub fn iter<T, F: FnMut() -> T>(&mut self, mut f: F) {
         let start = Instant::now();
         for _ in 0..self.iters {

@@ -28,8 +28,9 @@
 //!   [`trace::TraceEvent`]s plus the [`span!`] timing guard.
 //! * [`metrics`] — typed metrics registry (`VISIONSIM_METRICS=1`): counters,
 //!   gauges, and log2-bucket histograms snapshotted to `metrics.json`.
-//! * [`shard`] — conservative PDES: per-shard event queues synchronized by
-//!   link-latency lookahead, byte-identical at any thread or shard count.
+//! * [`shard`] — conservative PDES: per-shard event queues stepped in
+//!   link-latency lookahead rounds on the calling thread, byte-identical
+//!   at any shard count.
 
 pub mod error;
 pub mod event;

@@ -17,8 +17,9 @@ use visionsim_core::stats::Percentiles;
 use visionsim_vca::fleet::{run_fleet, FleetConfig, FleetOutcome};
 
 /// Shard count used by the artifact run. Any value produces the same
-/// bytes (pinned by `tests/fleet_props.rs`); 8 matches the parallelism
-/// the bench sweep targets.
+/// bytes (pinned by `tests/fleet_props.rs`); 8 is the partition the
+/// `fleet` bench and perfbench's `global_fleet` workload also run, so
+/// their timings describe this run.
 pub const ARTIFACT_SHARDS: usize = 8;
 
 /// The rendered fleet artifact.

@@ -16,10 +16,10 @@
 //! the signaling/occupancy level (slots, participants, join latency),
 //! which is exactly what the fleet artifact reports on.
 //!
-//! Determinism at any shard/thread count rests on per-*site* isolation:
-//! each site owns its RNG stream, its egress sequence counters, and its
-//! counters; cross-site effects ride the engine's deterministic barrier
-//! exchange.
+//! Determinism at any shard count rests on per-*site* isolation: each
+//! site owns its RNG stream, its egress sequence counters, and its
+//! counters; cross-site effects ride the engine's deterministic exchange
+//! between rounds.
 
 use std::collections::BTreeMap;
 
@@ -713,7 +713,6 @@ pub fn run_fleet(cfg: &FleetConfig, n_shards: usize) -> FleetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use visionsim_core::par;
 
     /// Digest of everything observable in an outcome (ignores nothing
     /// but float formatting noise — values print with full precision).
@@ -775,21 +774,12 @@ mod tests {
     }
 
     #[test]
-    fn fleet_outcome_is_invariant_across_shard_and_thread_counts() {
-        let _guard = par::override_guard();
-        par::set_threads(Some(1));
+    fn fleet_outcome_is_invariant_across_shard_counts() {
         let baseline = digest(&run_fleet(&FleetConfig::smoke(7), 1));
         for shards in [2usize, 5, 16] {
-            for threads in [1usize, 4, 8] {
-                par::set_threads(Some(threads));
-                let d = digest(&run_fleet(&FleetConfig::smoke(7), shards));
-                assert_eq!(
-                    d, baseline,
-                    "{shards} shards x {threads} threads diverged"
-                );
-            }
+            let d = digest(&run_fleet(&FleetConfig::smoke(7), shards));
+            assert_eq!(d, baseline, "{shards} shards diverged from 1");
         }
-        par::set_threads(None);
     }
 
     #[test]
