@@ -89,45 +89,54 @@ echo "$RESUME_OUT" | grep -q 'fleet.*verified' \
   || { echo "resume did not verify the fleet checksum" >&2; exit 1; }
 rm -rf "$FLEETDIR"
 
-echo "== bench smoke + regression gate (packet_path, fleet, codecs) =="
-# Quick pass (few samples) to catch bit-rot in the bench harness and gross
-# regressions; results go to a scratch file so the committed BENCH.json
-# numbers (full 10-sample runs) are not overwritten. Any benchmark whose
-# per_sec lands more than 25% below its committed value fails the gate —
-# wide enough for box noise on a 3-sample smoke, tight enough to catch a
-# real regression. Entries without per_sec (wall-clock trajectory records
-# like regenerate/wall) are informational and skip the gate.
-BENCHTMP=$(mktemp)
-VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
-  cargo bench -p visionsim-bench --bench packet_path
-VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
-  cargo bench -p visionsim-bench --bench fleet
-VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHTMP" \
-  cargo bench -p visionsim-bench --bench codecs
-grep -q '"packet_path/hops"' "$BENCHTMP" || { echo "bench smoke wrote no hops record" >&2; exit 1; }
-grep -q '"fleet/sessions_per_sec"' "$BENCHTMP" || { echo "bench smoke wrote no fleet record" >&2; exit 1; }
-grep -q '"semantic/decode_frame"' "$BENCHTMP" || { echo "bench smoke wrote no codec record" >&2; exit 1; }
-python3 - "$BENCHTMP" BENCH.json <<'PY'
-import json, sys
-fresh = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
+echo "== bench smoke + regression gate (packet_path, event_queue, fleet, codecs) =="
+# Quick passes (few samples) to catch bit-rot in the bench harness and
+# gross regressions; results go to scratch files so the committed
+# BENCH.json numbers (full 10-sample runs) are not overwritten. Some
+# kernels read in one of two modes from one bench process to the next
+# (lzma_like/compress_keypoint_frame about 50-62 or 78-88 us,
+# fleet/barrier_rounds about 27-34 or 48-56 us), so a single draw against
+# the committed figure fails at random. Each bench therefore runs in
+# SMOKE_DRAWS separate processes, the targets interleaved, and the gate
+# takes each entry's median per_sec over the draws: an entry whose median
+# lands more than 25% below its committed per_sec fails. Entries without
+# per_sec (wall-clock trajectory records like regenerate/wall) are
+# informational and skip the gate.
+SMOKE_DRAWS=5
+BENCHDIR=$(mktemp -d)
+for draw in $(seq 1 "$SMOKE_DRAWS"); do
+  for bench in packet_path event_queue fleet codecs; do
+    VISIONSIM_BENCH_SAMPLES=3 VISIONSIM_BENCH_JSON="$BENCHDIR/draw$draw.json" \
+      cargo bench -p visionsim-bench --bench "$bench"
+  done
+done
+grep -q '"packet_path/hops"' "$BENCHDIR/draw1.json" || { echo "bench smoke wrote no hops record" >&2; exit 1; }
+grep -q '"event_queue/hold"' "$BENCHDIR/draw1.json" || { echo "bench smoke wrote no event queue record" >&2; exit 1; }
+grep -q '"fleet/sessions_per_sec"' "$BENCHDIR/draw1.json" || { echo "bench smoke wrote no fleet record" >&2; exit 1; }
+grep -q '"semantic/decode_frame"' "$BENCHDIR/draw1.json" || { echo "bench smoke wrote no codec record" >&2; exit 1; }
+python3 - BENCH.json "$BENCHDIR"/draw*.json <<'PY'
+import json, statistics, sys
+committed = json.load(open(sys.argv[1]))
+draws = [json.load(open(p)) for p in sys.argv[2:]]
 bad = []
 for name, entry in sorted(committed.items()):
-    if name not in fresh:
-        continue  # recorded by another run (e.g. regenerate/wall)
     per_sec = entry.get("per_sec")
     if per_sec is None:
         continue  # wall-clock trajectory entries are not throughput-gated
+    got = [d[name]["per_sec"] for d in draws if name in d]
+    if not got:
+        continue  # recorded by another run (e.g. regenerate/wall)
+    median = statistics.median(got)
     floor = per_sec * 0.75
-    got = fresh[name]["per_sec"]
-    status = "ok" if got >= floor else "REGRESSED"
-    print(f"  {name}: {got:.4g}/s vs committed {per_sec:.4g}/s ({status})")
-    if got < floor:
+    status = "ok" if median >= floor else "REGRESSED"
+    print(f"  {name}: median {median:.4g}/s of {len(got)} draws "
+          f"({min(got):.4g}-{max(got):.4g}) vs committed {per_sec:.4g}/s ({status})")
+    if median < floor:
         bad.append(name)
 if bad:
     sys.exit(f"bench regression gate: {', '.join(bad)} fell >25% below BENCH.json")
 PY
-rm -f "$BENCHTMP"
+rm -rf "$BENCHDIR"
 
 echo "== supervised regenerate: quarantine + resume smoke =="
 ARTDIR=$(mktemp -d)

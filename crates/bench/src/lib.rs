@@ -7,6 +7,7 @@
 //! |---|---|
 //! | `codecs` | micro-benchmarks of every in-tree codec |
 //! | `packet_path` | per-hop forwarding, SFU fan-out and tap observation in `net::network` |
+//! | `event_queue` | `core::event::EventQueue` alone, on the hold model |
 //! | `fleet` | fleet session throughput and the conservative-PDES round loop |
 //!
 //! Run with `cargo bench -p visionsim-bench`.

@@ -1,10 +1,20 @@
 //! Discrete-event scheduling.
 //!
-//! [`EventQueue`] is a min-heap keyed by [`SimTime`] with a monotone sequence
-//! number as tie-breaker, so events scheduled for the same instant pop in
-//! FIFO order. Determinism of the tie-break matters: two packets arriving at
-//! a queue "simultaneously" must drain in a reproducible order for runs to
-//! replay bit-exactly.
+//! [`EventQueue`] pops events in `(at, seq)` order: by [`SimTime`], with a
+//! monotone sequence number as tie-breaker, so events scheduled for the
+//! same instant pop in FIFO order. Determinism of the tie-break matters: two
+//! packets arriving at a queue "simultaneously" must drain in a reproducible
+//! order for runs to replay bit-exactly.
+//!
+//! The queue is a slab-backed hole heap. A pending payload waits in a slab
+//! slot and never moves until it pops; the 4-ary min-heap holds only small
+//! `Copy` entries, the packed `(at, seq)` key and the payload's slot. Sifts
+//! move a hole instead of swapping: `schedule` moves the hole up from the
+//! new leaf, and `pop` walks it from the root down to a leaf along the
+//! smallest child, then drops the former last entry into it and moves that
+//! entry up (Floyd's bottom-up pop). Every key is unique, so neither the
+//! heap's shape nor which slot an event occupies can change the pop order:
+//! it is the total `(at, seq)` order.
 //!
 //! When the [`crate::sanitizer`] is enabled the queue also monitors two
 //! invariants observe-only: popped timestamps never regress (virtual-time
@@ -13,7 +23,6 @@
 
 use crate::sanitizer;
 use crate::time::SimTime;
-use std::cmp::Ordering;
 
 /// Occupancy ceiling the sanitizer checks against: no workload in the
 /// workspace legitimately keeps this many events pending at once.
@@ -30,44 +39,20 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> ScheduledEvent<E> {
-    /// `(at, seq)` packed into one integer so heap sifts compare once,
-    /// branchlessly — the two-level `cmp().then_with()` chain mispredicts
-    /// heavily when many events share a timestamp, which is exactly the
-    /// steady-state shape of batched packet traffic.
-    #[inline]
-    fn key(&self) -> u128 {
-        pack_key(self.at, self.seq)
-    }
-}
-
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so a max-heap would yield the earliest event first; also
-        // the order `pops_in_time_order`-style consumers observe.
-        other.key().cmp(&self.key())
-    }
-}
-
 /// `(at, seq)` packed so one unsigned compare orders events exactly like
 /// the lexicographic `(at, seq)` pair: timestamp in the high 64 bits,
-/// insertion sequence in the low 64.
+/// insertion sequence in the low 64. One branch-free compare matters
+/// because many events share a timestamp in batched packet traffic, where
+/// a two-level `cmp().then_with()` chain mispredicts.
 #[inline]
 const fn pack_key(at: SimTime, seq: u64) -> u128 {
     ((at.as_nanos() as u128) << 64) | seq as u128
+}
+
+/// The timestamp half of a packed key.
+#[inline]
+const fn key_time(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
 }
 
 /// A reusable structure-of-arrays buffer that [`EventQueue::drain_due_into`]
@@ -149,20 +134,30 @@ impl<E> ScratchBatch<E> {
     }
 }
 
-/// A deterministic discrete-event queue.
+/// One heap entry: an event's packed `(at, seq)` key and the slab slot
+/// that holds its payload.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    key: u128,
+    slot: u32,
+}
+
+/// A deterministic discrete-event queue: a 4-ary min-heap of small
+/// `(key, slot)` entries over a payload slab (see the module docs).
 ///
-/// Internally a 4-ary min-heap in structure-of-arrays layout: sift
-/// operations compare packed `u128` keys in a dense array (four per cache
-/// line) and only move the fixed-size payloads alongside. Keys are unique
-/// (the sequence number is a tie-breaker), so the pop order is the total
-/// `(at, seq)` order regardless of heap shape — arity is purely a
-/// constant-factor choice, not a semantic one.
+/// Payloads stay in their slot from `schedule` to `pop`, so a sift moves
+/// only the fixed-size entries, whatever `E` is. Vacated slots go on a LIFO
+/// free list and are reused first, so in steady state the slab stays as
+/// large as the most events ever pending at once and scheduling allocates
+/// nothing.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Packed `(at, seq)` ordering keys, heap-ordered.
-    keys: Vec<u128>,
-    /// Payloads, parallel to `keys`.
-    payloads: Vec<E>,
+    /// Heap-ordered entries.
+    heap: Vec<Entry>,
+    /// Payload slab: `Some` while the event in that slot is pending.
+    slots: Vec<Option<E>>,
+    /// Vacant slots, most recently vacated last.
+    free: Vec<u32>,
     next_seq: u64,
     now: SimTime,
     /// One-shot flag so an occupancy breach reports once per queue, not
@@ -171,7 +166,7 @@ pub struct EventQueue<E> {
 }
 
 /// Children per heap node. Four keeps the tree half as deep as a binary
-/// heap and the sibling scan inside one cache line.
+/// heap; arity is a constant-factor choice only, since keys are unique.
 const HEAP_ARITY: usize = 4;
 
 impl<E> Default for EventQueue<E> {
@@ -184,47 +179,77 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            keys: Vec::new(),
-            payloads: Vec::new(),
+            heap: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             occupancy_reported: false,
         }
     }
 
-    fn sift_up(&mut self, mut i: usize) {
+    /// Move the hole at `i` up past every parent with a larger key, then
+    /// write `entry` into it: each parent passed moves down one level, and
+    /// `entry` is written once.
+    #[inline]
+    fn fill_hole_up(&mut self, mut i: usize, entry: Entry) {
         while i > 0 {
             let parent = (i - 1) / HEAP_ARITY;
-            if self.keys[parent] <= self.keys[i] {
+            let p = self.heap[parent];
+            if p.key < entry.key {
                 break;
             }
-            self.keys.swap(i, parent);
-            self.payloads.swap(i, parent);
+            self.heap[i] = p;
             i = parent;
         }
+        self.heap[i] = entry;
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.keys.len();
+    /// Remove the root entry (Floyd's bottom-up pop): walk the root's hole
+    /// down to a leaf, pulling up the smallest child at each level, then
+    /// fill the hole with the former last entry and move it up. The last
+    /// entry came from the bottom, so it rarely rises far, and the walk
+    /// down needs no compare against it.
+    fn pop_entry(&mut self) -> Option<Entry> {
+        let last = self.heap.pop()?;
+        let n = self.heap.len();
+        if n == 0 {
+            return Some(last);
+        }
+        let top = self.heap[0];
+        let mut i = 0;
         loop {
             let first = i * HEAP_ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            let end = (first + HEAP_ARITY).min(n);
-            for c in first + 1..end {
-                if self.keys[c] < self.keys[min] {
-                    min = c;
+            if first + HEAP_ARITY <= n {
+                // Four children: pick the smallest with pairwise selects,
+                // which compile to conditional moves rather than branches
+                // that mispredict on random keys.
+                let c: &[Entry; HEAP_ARITY] = self.heap[first..first + HEAP_ARITY]
+                    .try_into()
+                    .expect("slice of HEAP_ARITY entries");
+                let lo = usize::from(c[1].key < c[0].key);
+                let hi = 2 + usize::from(c[3].key < c[2].key);
+                let m = if c[hi].key < c[lo].key { hi } else { lo };
+                self.heap[i] = c[m];
+                i = first + m;
+            } else {
+                // The last internal node may have fewer children; their
+                // own children would start past the end, so it ends the walk.
+                if first < n {
+                    let mut m = first;
+                    for c in first + 1..n {
+                        if self.heap[c].key < self.heap[m].key {
+                            m = c;
+                        }
+                    }
+                    self.heap[i] = self.heap[m];
+                    i = m;
                 }
-            }
-            if self.keys[i] <= self.keys[min] {
                 break;
             }
-            self.keys.swap(i, min);
-            self.payloads.swap(i, min);
-            i = min;
         }
+        self.fill_hole_up(i, last);
+        Some(top)
     }
 
     /// The current virtual time: the timestamp of the last popped event, or
@@ -247,99 +272,86 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.keys.push(pack_key(at, seq));
-        self.payloads.push(payload);
-        self.sift_up(self.keys.len() - 1);
-        if !self.occupancy_reported && self.keys.len() > OCCUPANCY_BOUND {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(payload);
+                slot
+            }
+            None => {
+                let slot =
+                    u32::try_from(self.slots.len()).expect("more than u32::MAX pending events");
+                self.slots.push(Some(payload));
+                slot
+            }
+        };
+        let entry = Entry {
+            key: pack_key(at, seq),
+            slot,
+        };
+        let leaf = self.heap.len();
+        self.heap.push(entry);
+        self.fill_hole_up(leaf, entry);
+        if !self.occupancy_reported && self.heap.len() > OCCUPANCY_BOUND {
             self.occupancy_reported = true;
             sanitizer::report(
                 "event/occupancy",
                 format!(
                     "queue holds {} pending events (bound {OCCUPANCY_BOUND}) at {:?}",
-                    self.keys.len(),
+                    self.heap.len(),
                     self.now
                 ),
             );
         }
     }
 
-    /// Schedule `payload` `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: crate::time::SimDuration, payload: E) {
-        let at = self.now + delay;
-        self.schedule(at, payload);
-    }
-
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let last = self.keys.len() - 1;
-        self.keys.swap(0, last);
-        self.payloads.swap(0, last);
-        let key = self.keys.pop().expect("checked non-empty");
-        let payload = self.payloads.pop().expect("keys and payloads in sync");
-        if last > 0 {
-            self.sift_down(0);
-        }
-        let at = SimTime::from_nanos((key >> 64) as u64);
-        let seq = key as u64;
+        let Entry { key, slot } = self.pop_entry()?;
+        let payload = self.slots[slot as usize]
+            .take()
+            .expect("a pending entry's slot holds its payload");
+        self.free.push(slot);
+        let at = key_time(key);
         sanitizer::check(at >= self.now, "event/monotonic", || {
             format!("popped event at {at:?} behind the clock at {:?}", self.now)
         });
         self.now = at;
-        Some(ScheduledEvent { at, seq, payload })
+        Some(ScheduledEvent {
+            at,
+            seq: key as u64,
+            payload,
+        })
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.keys
-            .first()
-            .map(|&k| SimTime::from_nanos((k >> 64) as u64))
-    }
-
-    /// Pop the earliest event only if it fires at or before `until` —
-    /// the fused peek-and-pop the hot event loop drains with.
-    pub fn pop_if_due(&mut self, until: SimTime) -> Option<ScheduledEvent<E>> {
-        // One u128 compare against the horizon's upper bound: any key with
-        // timestamp ≤ until sorts below ((until + 1ns) << 64).
-        let bound = (until.as_nanos() as u128 + 1) << 64;
-        if *self.keys.first()? >= bound {
-            return None;
-        }
-        self.pop()
+        self.heap.first().map(|e| key_time(e.key))
     }
 
     /// Drain one *tick* into `batch`: every pending event whose timestamp
     /// equals the earliest due timestamp (≤ `until`), in `(at, seq)` order.
     /// Returns the number of events drained (0 when nothing is due).
     ///
-    /// This is the batched sibling of [`EventQueue::pop_if_due`]: a loop of
-    /// `drain_due_into` observes exactly the pop order of a loop of
-    /// `pop_if_due`, because an event scheduled *while the drained tick is
-    /// being processed* carries a later sequence number than everything
-    /// drained — it lands in a later tick, precisely where the scalar loop
-    /// would have popped it. That equal-timestamp cut is what makes batch
-    /// processing safe for RNG draw-order determinism: no handler-scheduled
-    /// event can ever need to interleave *between* two drained events.
+    /// A loop of `drain_due_into` observes exactly the order of a loop of
+    /// [`EventQueue::pop`] that stops at `until`, because an event scheduled
+    /// *while the drained tick is being processed* carries a later sequence
+    /// number than everything drained — it lands in a later tick, precisely
+    /// where the one-pop-per-event loop would have popped it. That
+    /// equal-timestamp cut is what makes batch processing safe for RNG
+    /// draw-order determinism: no handler-scheduled event can ever need to
+    /// interleave *between* two drained events.
     ///
     /// `batch` is cleared first (capacity retained), so a reused scratch
     /// buffer makes steady-state draining allocation-free.
     pub fn drain_due_into(&mut self, until: SimTime, batch: &mut ScratchBatch<E>) -> usize {
         batch.clear();
-        let Some(first) = self.peek_time() else {
+        let Some(tick) = self.peek_time() else {
             return 0;
         };
-        if first > until {
+        if tick > until {
             return 0;
         }
-        // One tick = all events at `first`. Keys with the same timestamp
-        // sort below ((first + 1ns) << 64) and pop in seq order.
-        let bound = (first.as_nanos() as u128 + 1) << 64;
-        while let Some(&key) = self.keys.first() {
-            if key >= bound {
-                break;
-            }
+        while self.peek_time() == Some(tick) {
             let ev = self.pop().expect("peeked non-empty");
             batch.ats.push(ev.at);
             batch.seqs.push(ev.seq);
@@ -350,17 +362,17 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.heap.is_empty()
     }
 
     /// Advance the clock to `until` without processing anything — the idle
     /// fast path for callers that drain events themselves and only need the
-    /// virtual time moved (no closure, no per-event dispatch).
+    /// virtual time moved.
     ///
     /// # Panics
     /// If an event earlier than `until` is still pending: skipping it would
@@ -376,27 +388,11 @@ impl<E> EventQueue<E> {
             self.now = until;
         }
     }
-
-    /// Drain and process events until the queue is empty or `until` is
-    /// reached (events scheduled exactly at `until` are processed). The
-    /// handler may schedule further events through the queue it is given.
-    pub fn run_until<F>(&mut self, until: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Self, SimTime, E),
-    {
-        while let Some(ev) = self.pop_if_due(until) {
-            handler(self, ev.at, ev.payload);
-        }
-        if self.now < until {
-            self.now = until;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -438,24 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_horizon_and_allows_rescheduling() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), 0u32);
-        let mut fired = Vec::new();
-        q.run_until(SimTime::from_millis(5), |q, t, n| {
-            fired.push(n);
-            if n < 100 {
-                // Re-arm 1 ms later, counting fires.
-                q.schedule(t + SimDuration::from_millis(1), n + 1);
-            }
-        });
-        // Fires at 1,2,3,4,5 ms inclusive.
-        assert_eq!(fired, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.now(), SimTime::from_millis(5));
-        assert_eq!(q.len(), 1); // the 6 ms event is still pending
-    }
-
-    #[test]
     fn advance_to_moves_the_clock_without_dispatch() {
         let mut q: EventQueue<u32> = EventQueue::new();
         q.advance_to(SimTime::from_millis(250));
@@ -476,13 +454,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(10), ());
         q.advance_to(SimTime::from_millis(20));
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_when_idle() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.run_until(SimTime::from_secs(1), |_, _, _| {});
-        assert_eq!(q.now(), SimTime::from_secs(1));
     }
 
     #[test]
@@ -518,53 +489,28 @@ mod tests {
     }
 
     #[test]
-    fn drain_loop_matches_scalar_pop_order_with_rescheduling() {
-        // A handler that re-schedules at the same instant: the batched loop
-        // must process the re-scheduled event in a later tick, exactly where
-        // the scalar loop pops it (after everything already pending).
-        let build = || {
-            let mut q = EventQueue::new();
-            let t = SimTime::from_millis(1);
-            for i in 0..4u32 {
-                q.schedule(t, i);
-            }
-            q
-        };
-        let horizon = SimTime::from_millis(1);
-        // Scalar reference.
-        let mut scalar = Vec::new();
-        let mut q = build();
-        while let Some(ev) = q.pop_if_due(horizon) {
-            scalar.push(ev.payload);
-            if ev.payload < 2 {
-                q.schedule(ev.at, ev.payload + 10);
-            }
-        }
-        // Batched run of the same workload.
-        let mut batched = Vec::new();
-        let mut q = build();
+    fn drain_due_into_takes_a_tick_at_the_end_of_time() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::MAX, 1u8);
+        q.schedule(SimTime::MAX, 2u8);
         let mut batch = ScratchBatch::new();
-        while q.drain_due_into(horizon, &mut batch) > 0 {
-            let mut to_schedule = Vec::new();
-            for (at, _, &p) in batch.iter() {
-                batched.push(p);
-                if p < 2 {
-                    to_schedule.push((at, p + 10));
-                }
-            }
-            for (at, p) in to_schedule {
-                q.schedule(at, p);
-            }
-        }
-        assert_eq!(scalar, batched);
+        assert_eq!(q.drain_due_into(SimTime::MAX, &mut batch), 2);
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
+    fn a_steady_hold_reuses_its_slots() {
+        // Pop one, schedule one: the slab never outgrows the pending depth.
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(10), "first");
-        q.pop();
-        q.schedule_in(SimDuration::from_millis(5), "second");
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(15)));
+        for i in 0..16u64 {
+            q.schedule(SimTime::from_nanos(i), i);
+        }
+        for i in 16..1_000u64 {
+            let ev = q.pop().expect("pending");
+            q.schedule(ev.at + crate::time::SimDuration::from_nanos(i % 7), i);
+        }
+        assert_eq!(q.len(), 16);
+        assert_eq!(q.slots.len(), 16);
+        assert_eq!(q.free.len(), 0);
     }
 }

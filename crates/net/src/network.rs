@@ -1058,8 +1058,7 @@ impl Network {
             }
         }
         self.scratch = scratch;
-        // Advance the clock even if idle — a bare clock move, not the
-        // handler machinery of `EventQueue::run_until`.
+        // Advance the clock even if idle: a bare clock move.
         if self.queue.now() < until {
             self.queue.advance_to(until);
         }

@@ -159,14 +159,11 @@ impl RtpStream {
         Self::new(payload_type, ssrc, 90_000)
     }
 
-    /// Packetize one media chunk captured at `media_time_s` seconds.
-    /// `last_of_frame` sets the marker bit.
-    pub fn packetize(
-        &mut self,
-        media_time_s: f64,
-        payload: Vec<u8>,
-        last_of_frame: bool,
-    ) -> RtpPacket {
+    /// The header of the next packet, for a media chunk captured at
+    /// `media_time_s` seconds; `last_of_frame` sets the marker bit. Takes
+    /// the stream's next sequence number, so a caller that writes the wire
+    /// image itself stamps exactly what [`RtpStream::packetize`] would.
+    pub fn next_header(&mut self, media_time_s: f64, last_of_frame: bool) -> RtpHeader {
         let header = RtpHeader {
             payload_type: self.payload_type,
             marker: last_of_frame,
@@ -175,7 +172,21 @@ impl RtpStream {
             ssrc: self.ssrc,
         };
         self.next_seq = self.next_seq.wrapping_add(1);
-        RtpPacket { header, payload }
+        header
+    }
+
+    /// Packetize one media chunk captured at `media_time_s` seconds.
+    /// `last_of_frame` sets the marker bit.
+    pub fn packetize(
+        &mut self,
+        media_time_s: f64,
+        payload: Vec<u8>,
+        last_of_frame: bool,
+    ) -> RtpPacket {
+        RtpPacket {
+            header: self.next_header(media_time_s, last_of_frame),
+            payload,
+        }
     }
 }
 
@@ -262,6 +273,19 @@ mod tests {
         // 90 kHz clock: one 30 FPS frame = 3000 ticks.
         assert_eq!(b.header.timestamp - a.header.timestamp, 3_000);
         assert!(b.header.marker && !a.header.marker);
+    }
+
+    #[test]
+    fn next_header_stamps_what_packetize_would() {
+        let mut a = RtpStream::video(PayloadType::H264Video, 7);
+        let mut b = a.clone();
+        for i in 0..4 {
+            let t = i as f64 / 30.0;
+            assert_eq!(
+                a.next_header(t, i == 3),
+                b.packetize(t, vec![], i == 3).header
+            );
+        }
     }
 
     #[test]

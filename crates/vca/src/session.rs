@@ -55,7 +55,7 @@ use visionsim_sensor::capture::RgbdCapture;
 use visionsim_sensor::motion::MotionConfig;
 use visionsim_transport::cipher;
 use visionsim_transport::quic::QuicStreamSender;
-use visionsim_transport::rtp::RtpStream;
+use visionsim_transport::rtp::{RtpHeader, RtpStream, RTP_HEADER_LEN};
 
 /// Cached handles into the metrics registry for the session layer. All
 /// [`Class::Sim`]: derived purely from seeded simulation state.
@@ -458,6 +458,17 @@ fn sender_of(src_port: u16, n: usize) -> Option<(usize, StreamKind)> {
 /// ≈32 kbps before encapsulation).
 const AUDIO_PAYLOAD: usize = 88;
 const AUDIO_EVERY_TICKS: u64 = 2;
+
+/// The wire image of one RTP packet: `header`, then `len` bytes of `fill`.
+/// It is assembled in `buf` (cleared first, capacity reused across the
+/// tick) and copied once into the shared buffer that every hop and SFU
+/// fan-out copy of the packet reads.
+fn rtp_wire(buf: &mut Vec<u8>, header: RtpHeader, fill: u8, len: usize) -> std::sync::Arc<[u8]> {
+    buf.clear();
+    buf.extend_from_slice(&header.to_bytes());
+    buf.resize(RTP_HEADER_LEN + len, fill);
+    std::sync::Arc::from(&buf[..])
+}
 
 /// Uplink rate below which the spatial persona cannot be sustained
 /// (paper §4.3: the persona needs ~0.67 Mbps; below ~700 kbps it fails).
@@ -1018,6 +1029,8 @@ impl SessionSim {
         let t = *t;
         {
             let now = SimTime::from_nanos(t * tick.as_nanos());
+            // Where this tick's RTP wire images are assembled (see `rtp_wire`).
+            let mut wire_buf: Vec<u8> = Vec::new();
 
             // Chaos engine: apply every fault event due by now.
             for (idx, plan) in fault_plans.iter_mut() {
@@ -1273,18 +1286,12 @@ impl SessionSim {
                             } else {
                                 1_200
                             };
-                            let pkt = rtp
-                                .packetize(
-                                    now.as_secs_f64(),
-                                    vec![0xAB; len],
-                                    c + 1 == chunks,
-                                )
-                                .to_bytes();
+                            let header = rtp.next_header(now.as_secs_f64(), c + 1 == chunks);
                             net.send(
                                 clients[i],
                                 dst,
                                 PortPair::new(MEDIA_PORT_BASE + i as u16, RTP_PORT),
-                                pkt,
+                                rtp_wire(&mut wire_buf, header, 0xAB, len),
                             );
                         }
                     }
@@ -1307,10 +1314,12 @@ impl SessionSim {
                             (audio_quic[i].send(vec![0x0A; AUDIO_PAYLOAD]), QUIC_PORT)
                         }
                         PersonaType::TwoD => (
-                            audio_rtp[i]
-                                .packetize(now.as_secs_f64(), vec![0x0A; AUDIO_PAYLOAD], true)
-                                .to_bytes()
-                                .into(),
+                            rtp_wire(
+                                &mut wire_buf,
+                                audio_rtp[i].next_header(now.as_secs_f64(), true),
+                                0x0A,
+                                AUDIO_PAYLOAD,
+                            ),
                             RTP_PORT,
                         ),
                     };
@@ -1522,10 +1531,10 @@ impl SessionSim {
                             }
                         }
                         PersonaType::TwoD => {
-                            if let Some(pkt) =
-                                visionsim_transport::rtp::RtpPacket::parse(&d.packet.payload)
-                            {
-                                let seq = pkt.header.seq;
+                            // Only the sequence number is read: parse the
+                            // header alone rather than copy the payload out.
+                            if let Some(header) = RtpHeader::parse(&d.packet.payload) {
+                                let seq = header.seq;
                                 let mut gap_seen = false;
                                 if let Some(last) = peer.last_seq {
                                     let gap = seq.wrapping_sub(last) as u64;

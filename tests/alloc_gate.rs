@@ -27,10 +27,14 @@ use std::sync::Arc;
 
 use visionsim_core::{metrics, par, trace};
 use visionsim_core::time::{SimDuration, SimTime};
+use visionsim_device::device::DeviceKind;
+use visionsim_geo::cities;
 use visionsim_geo::coords::GeoPoint;
+use visionsim_geo::sites::Provider;
 use visionsim_net::link::LinkConfig;
 use visionsim_net::network::{Network, NodeId, PER_HOP_ALLOC_BUDGET};
 use visionsim_net::packet::PortPair;
+use visionsim_vca::session::{ParticipantSpec, SessionConfig, SessionSim};
 
 /// Counts every heap allocation made by the process.
 struct CountingAlloc;
@@ -203,5 +207,47 @@ fn relaying_a_delivered_payload_allocates_nothing_for_the_bytes() {
     assert!(
         Arc::ptr_eq(&d.packet.payload, &payload),
         "delivery must share the sent allocation"
+    );
+}
+
+#[test]
+fn a_2d_sfu_call_allocates_less_than_once_per_tap_record() {
+    // An 8-party Webex call through an SFU, one Vision Pro and seven
+    // MacBooks, so every persona is 2D video over RTP. Every delivered
+    // packet shows up as tap records at the APs; a per-packet copy on the
+    // send or receive side (building a wire image in several buffers,
+    // parsing a payload out of a delivered packet) costs an allocation
+    // per delivery and pushes the count past one per record.
+    let _guard = par::override_guard();
+    let vantages = cities::us_vantages();
+    let mut cfg = SessionConfig::facetime_avp(8, &vantages, 17);
+    cfg.provider = Provider::Webex;
+    cfg.participants = (0..8)
+        .map(|p| ParticipantSpec {
+            name: format!("U{}", p + 1),
+            device: if p == 0 {
+                DeviceKind::VisionPro
+            } else {
+                DeviceKind::MacBook
+            },
+            city: vantages[p % vantages.len()],
+        })
+        .collect();
+    cfg.duration = SimDuration::from_secs(2);
+    let mut sim = SessionSim::new(cfg);
+    let before = allocations();
+    while !sim.done() {
+        sim.step_tick();
+    }
+    let stepping = allocations() - before;
+    let records: usize = sim.finish().taps.iter().map(Vec::len).sum();
+    assert!(
+        records > 10_000,
+        "the call recorded only {records} tap records"
+    );
+    assert!(
+        stepping < records,
+        "stepping the call allocated {stepping} times for {records} tap records; \
+         a per-delivery copy is back in the 2D media path"
     );
 }
