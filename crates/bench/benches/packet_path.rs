@@ -6,22 +6,38 @@
 //! forwarding chain, fan-out/sec when one delivered payload is re-sent to
 //! many subscribers (the SFU pattern), and tap records/sec at an
 //! observed node.
+//!
+//! The traffic has the shape sessions send. Every session's client uplink
+//! is a serializing `LinkConfig::wifi_access()` hop, so a burst leaves it
+//! one packet at a time; an SFU's subscribers sit at different distances,
+//! so the copies of one relayed frame leave the server at different
+//! instants. A same-instant burst down a passthrough chain is a shape no
+//! session produces, and it would time a different event mix.
 
+use std::sync::Arc;
 use visionsim_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use visionsim_core::time::SimDuration;
 use visionsim_geo::coords::GeoPoint;
 use visionsim_net::link::LinkConfig;
 use visionsim_net::network::{Network, NodeId};
 use visionsim_net::packet::PortPair;
+use visionsim_net::tap::TapId;
 
-/// A linear forwarding chain of `hops` links; taps on every node when
-/// `tapped`.
+/// A linear forwarding chain of `hops` links behind a WiFi access uplink
+/// (the first link); taps on every node when `tapped`.
 fn chain(hops: usize, tapped: bool) -> (Network, NodeId, NodeId) {
     let mut net = Network::new(11);
     let nodes: Vec<NodeId> = (0..=hops)
-        .map(|i| net.add_node(&format!("n{i}"), "bench", GeoPoint::new(37.0, -122.0 + i as f64)))
+        .map(|i| {
+            net.add_node(
+                &format!("n{i}"),
+                "bench",
+                GeoPoint::new(37.0, -122.0 + i as f64),
+            )
+        })
         .collect();
-    for w in nodes.windows(2) {
+    net.add_duplex(nodes[0], nodes[1], LinkConfig::wifi_access());
+    for w in nodes[1..].windows(2) {
         net.add_duplex(w[0], w[1], LinkConfig::core(SimDuration::from_micros(100)));
     }
     if tapped {
@@ -37,86 +53,87 @@ const BATCH: usize = 64;
 const PAYLOAD: usize = 1_200;
 const SUBSCRIBERS: usize = 16;
 
+/// Send one `BATCH` burst down the chain and run until it has drained:
+/// the uplink serializes 64 × 1,228 B in about 2.1 ms, plus 2 ms of
+/// access delay and seven 100 µs core hops.
+fn send_burst(net: &mut Network, src: NodeId, dst: NodeId, payload: &Arc<[u8]>) -> usize {
+    for i in 0..BATCH {
+        net.send(
+            src,
+            dst,
+            PortPair::new(5_000, 5_001 + i as u16),
+            payload.clone(),
+        );
+    }
+    net.run_until(net.now() + SimDuration::from_millis(10));
+    net.poll_delivered(dst).len()
+}
+
 fn bench_hops(c: &mut Criterion) {
     let mut g = c.benchmark_group("packet_path");
     g.throughput(Throughput::Elements((HOPS * BATCH) as u64));
     let (mut net, src, dst) = chain(HOPS, false);
     // Interned once, shared by every send — the datapath's intended idiom
-    // (transport framing emits each frame as one Arc<[u8]>). Admitted as
-    // one batch per tick, the steady-state shape the batched drain loop
-    // is built around.
-    let payload: std::sync::Arc<[u8]> = vec![0xEEu8; PAYLOAD].into();
+    // (transport framing emits each frame as one Arc<[u8]>).
+    let payload: Arc<[u8]> = vec![0xEEu8; PAYLOAD].into();
     g.bench_function("hops", |b| {
-        b.iter(|| {
-            net.send_batch(
-                src,
-                dst,
-                (0..BATCH).map(|i| (PortPair::new(5_000, 5_001 + i as u16), payload.clone())),
-            );
-            net.run_until(net.now() + SimDuration::from_millis(10));
-            net.drain_delivered(dst).count()
-        })
+        b.iter(|| send_burst(&mut net, src, dst, &payload))
     });
     g.finish();
 }
 
-/// Upstream frames relayed per fan-out iteration: the SFU's steady-state
-/// inflow between egress flushes — a multi-party session aggregates
-/// several publishers' tiles, so a burst of frames is pending at each
-/// flush. One frame per iteration would measure mostly fixed per-tick
-/// overhead rather than the fan-out datapath.
+/// Upstream frames relayed per fan-out iteration.
 const UPSTREAM: usize = 16;
 
 fn bench_fanout(c: &mut Criterion) {
     let mut g = c.benchmark_group("packet_path");
     // One element = one packet delivered end-to-end: the upstream relay
-    // legs into the server plus every downstream fan-out copy. Both run
-    // the identical send → admit → cohort → deliver → drain datapath
-    // (the upstream legs on their own tick), so each counted element is
-    // one full packet journey.
-    g.throughput(Throughput::Elements((UPSTREAM + UPSTREAM * SUBSCRIBERS) as u64));
-    // SFU star: a source, a relay server, and N subscribers.
+    // legs into the server plus every downstream fan-out copy.
+    g.throughput(Throughput::Elements(
+        (UPSTREAM + UPSTREAM * SUBSCRIBERS) as u64,
+    ));
+    // SFU star: a source behind a WiFi uplink, a relay server, and N
+    // subscribers 200–350 µs away.
     let mut net = Network::new(12);
     let server = net.add_node("sfu", "bench", GeoPoint::new(39.0, -95.0));
     let source = net.add_node("src", "bench", GeoPoint::new(37.0, -122.0));
-    net.add_duplex(source, server, LinkConfig::core(SimDuration::from_micros(200)));
+    net.add_duplex(source, server, LinkConfig::wifi_access());
     let subs: Vec<NodeId> = (0..SUBSCRIBERS)
         .map(|i| {
-            let n = net.add_node(&format!("sub{i}"), "bench", GeoPoint::new(40.0, -80.0 - i as f64));
-            net.add_duplex(server, n, LinkConfig::core(SimDuration::from_micros(200)));
+            let n = net.add_node(
+                &format!("sub{i}"),
+                "bench",
+                GeoPoint::new(40.0, -80.0 - i as f64),
+            );
+            let delay = SimDuration::from_micros(200 + 10 * i as u64);
+            net.add_duplex(server, n, LinkConfig::core(delay));
             n
         })
         .collect();
-    let frame: std::sync::Arc<[u8]> = vec![0xABu8; PAYLOAD].into();
-    // Reusable relay buffer: the drain iterator borrows the network, so
-    // deliveries park here (capacity reused) while they are re-sent.
-    let mut relay: Vec<visionsim_net::network::Delivered> = Vec::new();
+    let frame: Arc<[u8]> = vec![0xABu8; PAYLOAD].into();
     g.bench_function("fanout", |b| {
         b.iter(|| {
-            net.send_batch(
-                source,
-                server,
-                (0..UPSTREAM).map(|k| (PortPair::new(5_000, 443 + k as u16), frame.clone())),
-            );
-            net.run_until(net.now() + SimDuration::from_millis(1));
-            // Relay the delivered burst to every subscriber, one egress
-            // batch per subscriber socket — the SFU downlink fan-out
-            // sharing each encoded buffer.
-            relay.clear();
-            relay.extend(net.drain_delivered(server));
-            for &s in &subs {
-                net.send_batch(
+            // The server relays each frame to every subscriber when it
+            // arrives, sharing the encoded buffer; the copies of the
+            // previous frame land while the next one crosses the uplink.
+            for k in 0..UPSTREAM {
+                net.send(
+                    source,
                     server,
-                    s,
-                    relay.iter().map(|d| (d.packet.ports, d.packet.payload.clone())),
+                    PortPair::new(5_000, 443 + k as u16),
+                    frame.clone(),
                 );
+                net.run_until(net.now() + SimDuration::from_millis(3));
+                for d in net.poll_delivered(server) {
+                    for &s in &subs {
+                        net.send(server, s, d.packet.ports, d.packet.payload.clone());
+                    }
+                }
             }
             net.run_until(net.now() + SimDuration::from_millis(1));
-            let mut got = 0usize;
-            for &s in &subs {
-                got += net.drain_delivered(s).count();
-            }
-            got
+            subs.iter()
+                .map(|&s| net.poll_delivered(s).len())
+                .sum::<usize>()
         })
     });
     g.finish();
@@ -128,20 +145,14 @@ fn bench_taps(c: &mut Criterion) {
     // source plus one record per hop exit.
     g.throughput(Throughput::Elements(((HOPS + 1) * BATCH) as u64));
     let (mut net, src, dst) = chain(HOPS, true);
-    let payload: std::sync::Arc<[u8]> = vec![0x7Au8; PAYLOAD].into();
+    let payload: Arc<[u8]> = vec![0x7Au8; PAYLOAD].into();
     g.bench_function("tap_records", |b| {
         b.iter(|| {
-            for i in 0..BATCH {
-                net.send(src, dst, PortPair::new(5_000, 5_001 + i as u16), payload.clone());
-            }
-            net.run_until(net.now() + SimDuration::from_millis(10));
-            net.drain_delivered(dst).count();
+            send_burst(&mut net, src, dst, &payload);
             // Drain records so tap storage stays bounded across samples.
-            let mut records = 0usize;
-            for t in 0..=HOPS {
-                records += net.take_tap_records(visionsim_net::tap::TapId(t)).len();
-            }
-            records
+            (0..=HOPS)
+                .map(|t| net.take_tap_records(TapId(t)).len())
+                .sum::<usize>()
         })
     });
     g.finish();

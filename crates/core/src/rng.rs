@@ -74,30 +74,6 @@ impl SimRng {
         (self.next_u64() >> 32) as u32
     }
 
-    /// Fill `out` with consecutive raw outputs — the chunked generation the
-    /// batched netem kernels draw loss decisions from. Equivalent to
-    /// `out.len()` calls of [`SimRng::next_u64`]: same outputs, same final
-    /// state, so a batch path that consumes exactly one draw per packet
-    /// leaves the stream at the identical position the scalar path would.
-    /// The hoisted loop exists so the generator state stays in registers
-    /// across the chunk instead of round-tripping through the sampler's
-    /// branch structure per packet.
-    #[inline]
-    pub fn next_u64_chunk(&mut self, out: &mut [u64]) {
-        let [mut s0, mut s1, mut s2, mut s3] = self.s;
-        for slot in out.iter_mut() {
-            *slot = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-            let t = s1 << 17;
-            s2 ^= s0;
-            s3 ^= s1;
-            s1 ^= s2;
-            s0 ^= s3;
-            s2 ^= t;
-            s3 = s3.rotate_left(45);
-        }
-        self.s = [s0, s1, s2, s3];
-    }
-
     /// A fingerprint of the generator state: equal iff the two generators
     /// will produce identical future streams. Used by the datapath
     /// equivalence suite to pin exact RNG stream position.
@@ -280,21 +256,6 @@ mod tests {
         let mut c2 = a.fork();
         let other: Vec<u64> = (0..5).map(|_| c2.next_u64()).collect();
         assert_ne!(child_seed_stream, other);
-    }
-
-    #[test]
-    fn chunked_generation_matches_scalar_stream_and_state() {
-        let mut scalar = SimRng::seed_from_u64(77);
-        let mut chunked = SimRng::seed_from_u64(77);
-        let want: Vec<u64> = (0..37).map(|_| scalar.next_u64()).collect();
-        let mut got = vec![0u64; 37];
-        chunked.next_u64_chunk(&mut got[..16]);
-        chunked.next_u64_chunk(&mut got[16..33]);
-        chunked.next_u64_chunk(&mut got[33..]);
-        assert_eq!(want, got);
-        assert_eq!(scalar.state_fingerprint(), chunked.state_fingerprint());
-        // And the streams stay locked afterwards.
-        assert_eq!(scalar.next_u64(), chunked.next_u64());
     }
 
     #[test]

@@ -69,89 +69,6 @@ impl GeConfig {
     }
 }
 
-/// How one probability in a [`GeKernel`] consumes randomness. Mirrors
-/// [`SimRng::chance`] *exactly*, including its draw elision: a clamped
-/// probability (`p ≤ 0` or `p ≥ 1`) decides without touching the stream,
-/// only the open interval draws one uniform. Precomputing the mode per
-/// state is what lets the batched kernel keep the scalar path's RNG
-/// stream position bit-for-bit while hoisting the config branches out of
-/// the per-packet loop.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DrawPlan {
-    /// `p ≤ 0`: always false, no draw.
-    Never,
-    /// `p ≥ 1`: always true, no draw.
-    Always,
-    /// `0 < p < 1`: one uniform draw, compared against the threshold.
-    Draw(f64),
-}
-
-impl DrawPlan {
-    /// Classify a probability the way [`SimRng::chance`] treats it.
-    #[inline]
-    pub fn of(p: f64) -> DrawPlan {
-        if p <= 0.0 {
-            DrawPlan::Never
-        } else if p >= 1.0 {
-            DrawPlan::Always
-        } else {
-            DrawPlan::Draw(p)
-        }
-    }
-
-    /// Evaluate the trial. Draw-for-draw identical to `rng.chance(p)` for
-    /// the probability this plan was built from.
-    #[inline]
-    pub fn eval(self, rng: &mut SimRng) -> bool {
-        match self {
-            DrawPlan::Never => false,
-            DrawPlan::Always => true,
-            DrawPlan::Draw(p) => rng.uniform() < p,
-        }
-    }
-}
-
-/// Table-driven Gilbert–Elliott stepping kernel: per-state transition and
-/// loss plans indexed by the current state (0 = Good, 1 = Bad), with the
-/// state advance expressed as an XOR of the transition outcome — no
-/// data-dependent branch on which state the channel lands in. The only
-/// remaining branches select by [`DrawPlan`] mode, which is constant per
-/// state for a given config and therefore perfectly predicted in a batch
-/// loop.
-#[derive(Clone, Copy, Debug)]
-pub struct GeKernel {
-    /// Transition plan per current state: `trans[0]` = P(Good→Bad),
-    /// `trans[1]` = P(Bad→Good). A hit flips the state either way.
-    trans: [DrawPlan; 2],
-    /// Loss plan per *landed* state.
-    loss: [DrawPlan; 2],
-}
-
-impl GeKernel {
-    /// Build the transition/loss tables for a config.
-    pub fn new(config: &GeConfig) -> Self {
-        GeKernel {
-            trans: [
-                DrawPlan::of(config.good_to_bad),
-                DrawPlan::of(config.bad_to_good),
-            ],
-            loss: [DrawPlan::of(config.loss_good), DrawPlan::of(config.loss_bad)],
-        }
-    }
-
-    /// Advance one packet: evaluate the current state's transition plan,
-    /// flip the state by XOR on a hit, then evaluate the landed state's
-    /// loss plan. Returns true when the packet is dropped. Consumes draws
-    /// in exactly the order and count of the scalar
-    /// [`GilbertElliott::sample_drop`].
-    #[inline]
-    pub fn step(&self, state: &mut usize, rng: &mut SimRng) -> bool {
-        let flip = self.trans[*state].eval(rng);
-        *state ^= flip as usize;
-        self.loss[*state].eval(rng)
-    }
-}
-
 /// The stateful Gilbert–Elliott channel.
 #[derive(Clone, Debug)]
 pub struct GilbertElliott {
@@ -178,30 +95,20 @@ impl GilbertElliott {
         self.in_bad
     }
 
-    /// The stepping kernel for this channel's config (for batch loops that
-    /// hoist table construction out of the per-packet iteration).
-    pub fn kernel(&self) -> GeKernel {
-        GeKernel::new(&self.config)
-    }
-
-    /// Current state as the kernel's table index (0 = Good, 1 = Bad).
-    pub fn state_index(&self) -> usize {
-        self.in_bad as usize
-    }
-
-    /// Restore the state from a kernel table index after a batch run.
-    pub fn set_state_index(&mut self, state: usize) {
-        self.in_bad = state != 0;
-    }
-
     /// Step the channel one packet: transition first, then sample the
     /// current state's loss. Returns true when the packet is dropped.
     pub fn sample_drop(&mut self, rng: &mut SimRng) -> bool {
-        let kernel = self.kernel();
-        let mut state = self.state_index();
-        let dropped = kernel.step(&mut state, rng);
-        self.set_state_index(state);
-        dropped
+        let leave = if self.in_bad {
+            self.config.bad_to_good
+        } else {
+            self.config.good_to_bad
+        };
+        self.in_bad ^= rng.chance(leave);
+        rng.chance(if self.in_bad {
+            self.config.loss_bad
+        } else {
+            self.config.loss_good
+        })
     }
 }
 

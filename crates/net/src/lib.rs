@@ -31,9 +31,9 @@ pub mod shaper;
 pub mod tap;
 pub mod xshard;
 
-pub use fault::{apply_to_netem, DrawPlan, FaultEvent, FaultKind, FaultPlan, GeConfig, GeKernel, GilbertElliott};
+pub use fault::{apply_to_netem, FaultEvent, FaultKind, FaultPlan, GeConfig, GilbertElliott};
 pub use link::{LinkConfig, LinkId};
-pub use netem::{Netem, NetemBatch, NetemVerdict, RateProfile, TokenBucket};
+pub use netem::{Netem, NetemVerdict, RateProfile, TokenBucket};
 pub use network::{Delivered, Network, NodeId};
 pub use packet::{Packet, PortPair, IP_UDP_OVERHEAD_BYTES};
 pub use probe::{AnycastProbe, RttProber};

@@ -184,9 +184,9 @@ impl LinkState {
 
     /// True when the link neither serializes (no rate bottleneck, no
     /// shaper) nor impairs beyond a fixed delay: admission is a
-    /// constant-offset schedule with no randomness and no queue, the
-    /// precondition for the batched datapath's constant-verdict admission
-    /// fast path.
+    /// constant-offset schedule with no randomness and no queue, so the
+    /// network schedules the exit directly instead of calling
+    /// [`Self::serialize`] and [`crate::netem::Netem::apply`].
     #[inline]
     pub fn is_passthrough(&self) -> bool {
         self.config.rate.is_none() && self.shaper.is_none() && self.config.netem.is_transparent()
@@ -195,9 +195,7 @@ impl LinkState {
     /// Compute when a packet of `size` accepted at `now` finishes
     /// serializing (and, when a shaper is attached, clears the shaper's
     /// finite FIFO queue), updating the busy horizon. Returns `None` when
-    /// a drop-tail queue is full. Draws no randomness, so the network may
-    /// serialize a whole run of admissions before sampling their netem
-    /// verdicts and still match one-at-a-time admission.
+    /// a drop-tail queue is full. Draws no randomness.
     #[inline]
     pub fn serialize(&mut self, now: SimTime, size: ByteSize) -> Option<SimTime> {
         let serialized = match self.config.rate {

@@ -6,16 +6,11 @@
 //! [`Netem`] reproduces those knobs, plus the loss/corruption injection the
 //! session guides' reference stack exposes for robustness testing.
 
-use crate::fault::{DrawPlan, GilbertElliott};
+use crate::fault::GilbertElliott;
 use std::cell::Cell;
 use visionsim_core::rng::SimRng;
 use visionsim_core::time::{SimDuration, SimTime};
 use visionsim_core::units::{ByteSize, DataRate};
-
-/// How many uniform words the loss-only batch path generates per
-/// [`SimRng::next_u64_chunk`] call — sized to keep the xoshiro state in
-/// registers without spilling the output buffer out of L1.
-const RNG_CHUNK: usize = 64;
 
 /// Impairment configuration for one link direction.
 #[derive(Clone, Debug, Default)]
@@ -86,8 +81,8 @@ impl Netem {
 
     /// True when no knob except `extra_delay` is active: the verdict is a
     /// constant `Deliver` and zero randomness is drawn. This is the common
-    /// case on the forwarding fast path and the precondition for the
-    /// constant-fill branch of [`Netem::apply_batch`].
+    /// case on core links, and the netem half of
+    /// [`crate::link::LinkState::is_passthrough`].
     #[inline]
     pub fn is_transparent(&self) -> bool {
         !self.down
@@ -119,10 +114,8 @@ impl Netem {
         self.apply_impaired(now, size, rng)
     }
 
-    /// The knob-by-knob verdict for a non-transparent, non-down config —
-    /// the single source of truth for impairment ordering and RNG draw
-    /// order, shared by the scalar [`Netem::apply`] and the general branch
-    /// of [`Netem::apply_batch`].
+    /// The knob-by-knob verdict for a non-transparent, non-down config:
+    /// the one place that fixes impairment order and RNG draw order.
     fn apply_impaired(&mut self, now: SimTime, size: ByteSize, rng: &mut SimRng) -> NetemVerdict {
         if let Some(ge) = &mut self.ge {
             if ge.sample_drop(rng) {
@@ -166,127 +159,6 @@ impl Netem {
             };
         }
         NetemVerdict::Deliver { delay, corrupt }
-    }
-
-    /// Sample verdicts for a batch of packets admitted at the same instant,
-    /// writing them into a reusable output buffer.
-    ///
-    /// Draw-order contract: the verdict stream and the RNG stream position
-    /// afterwards are bit-identical to calling [`Netem::apply`] once per
-    /// packet in slice order. Fast paths only exist where that equivalence
-    /// is provable:
-    ///
-    /// - transparent config — zero draws, constant fill;
-    /// - link down — zero draws, constant fill;
-    /// - independent loss only — exactly one uniform per packet, so the
-    ///   words can be generated in register-resident chunks;
-    /// - Gilbert–Elliott (plus optional independent loss) — draw count is
-    ///   state-dependent, so no chunking, but the transition table and
-    ///   channel state hoist out of the per-packet loop;
-    /// - anything else — the scalar `apply_impaired` per packet.
-    pub fn apply_batch(
-        &mut self,
-        now: SimTime,
-        sizes: &[ByteSize],
-        rng: &mut SimRng,
-        out: &mut NetemBatch,
-    ) {
-        out.verdicts.clear();
-        out.verdicts.reserve(sizes.len());
-        if self.is_transparent() {
-            let v = NetemVerdict::Deliver {
-                delay: self.extra_delay,
-                corrupt: false,
-            };
-            out.verdicts.resize(sizes.len(), v);
-            return;
-        }
-        if self.down {
-            out.verdicts.resize(sizes.len(), NetemVerdict::Drop);
-            return;
-        }
-        let only_stochastic = self.jitter.is_zero()
-            && self.profile.is_none()
-            && self.shaper.is_none()
-            && self.reorder == 0.0
-            && self.corrupt == 0.0
-            && self.duplicate == 0.0;
-        if only_stochastic {
-            let deliver = NetemVerdict::Deliver {
-                delay: self.extra_delay,
-                corrupt: false,
-            };
-            match (&mut self.ge, DrawPlan::of(self.loss)) {
-                (None, DrawPlan::Draw(p)) => {
-                    // Independent loss alone draws exactly one uniform per
-                    // packet, so the words can be pre-generated in chunks.
-                    // The comparison reproduces `SimRng::uniform` bit-for-bit.
-                    let mut words = [0u64; RNG_CHUNK];
-                    let mut remaining = sizes.len();
-                    while remaining > 0 {
-                        let n = remaining.min(RNG_CHUNK);
-                        rng.next_u64_chunk(&mut words[..n]);
-                        for &w in &words[..n] {
-                            let u = (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                            out.verdicts
-                                .push(if u < p { NetemVerdict::Drop } else { deliver });
-                        }
-                        remaining -= n;
-                    }
-                    return;
-                }
-                (Some(ge), loss_plan) => {
-                    // Hoist the transition table and channel state out of
-                    // the loop; `||` short-circuits exactly like the scalar
-                    // path (a GE drop never evaluates the loss draw).
-                    let kernel = ge.kernel();
-                    let mut state = ge.state_index();
-                    for _ in sizes {
-                        let dropped = kernel.step(&mut state, rng) || loss_plan.eval(rng);
-                        out.verdicts
-                            .push(if dropped { NetemVerdict::Drop } else { deliver });
-                    }
-                    ge.set_state_index(state);
-                    return;
-                }
-                // loss ≥ 1 with no GE: rare, let the general loop decide.
-                _ => {}
-            }
-        }
-        for &size in sizes {
-            let v = self.apply_impaired(now, size, rng);
-            out.verdicts.push(v);
-        }
-    }
-}
-
-/// Reusable output buffer for [`Netem::apply_batch`]: one verdict per
-/// admitted packet, in admission order. Allocated once and recycled so the
-/// batch kernel stays inside the datapath's per-hop allocation budget.
-#[derive(Debug, Default)]
-pub struct NetemBatch {
-    verdicts: Vec<NetemVerdict>,
-}
-
-impl NetemBatch {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        NetemBatch::default()
-    }
-
-    /// Number of verdicts from the last `apply_batch`.
-    pub fn len(&self) -> usize {
-        self.verdicts.len()
-    }
-
-    /// True when no verdicts are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.verdicts.is_empty()
-    }
-
-    /// The verdicts, in admission order.
-    pub fn verdicts(&self) -> &[NetemVerdict] {
-        &self.verdicts
     }
 }
 
@@ -833,77 +705,6 @@ mod tests {
                 assert!(dup_delay > delay);
             }
             other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn apply_batch_matches_scalar_stream_for_every_config_shape() {
-        use crate::fault::{GeConfig, GilbertElliott};
-        let ge = || {
-            GilbertElliott::new(GeConfig {
-                good_to_bad: 0.05,
-                bad_to_good: 0.2,
-                loss_good: 0.01,
-                loss_bad: 0.8,
-            })
-        };
-        let configs = vec![
-            Netem::none(),
-            Netem::with_delay(SimDuration::from_millis(20)),
-            Netem {
-                down: true,
-                loss: 0.5,
-                ..Netem::default()
-            },
-            Netem {
-                loss: 0.3,
-                ..Netem::default()
-            },
-            Netem {
-                loss: 1.5,
-                ..Netem::default()
-            },
-            Netem {
-                ge: Some(ge()),
-                ..Netem::default()
-            },
-            Netem {
-                ge: Some(ge()),
-                loss: 0.1,
-                ..Netem::default()
-            },
-            Netem {
-                jitter: SimDuration::from_millis(5),
-                loss: 0.2,
-                corrupt: 0.1,
-                duplicate: 0.15,
-                reorder: 0.1,
-                reorder_extra: SimDuration::from_millis(30),
-                ..Netem::default()
-            },
-            Netem::with_rate_limit(DataRate::from_kbps(700)),
-        ];
-        for (i, config) in configs.into_iter().enumerate() {
-            let sizes: Vec<ByteSize> = (0..257)
-                .map(|k| ByteSize::from_bytes(100 + (k % 5) * 300))
-                .collect();
-            let now = SimTime::from_millis(7);
-            let mut scalar = config.clone();
-            let mut batched = config;
-            let mut rng_s = SimRng::seed_from_u64(42 + i as u64);
-            let mut rng_b = SimRng::seed_from_u64(42 + i as u64);
-            let want: Vec<NetemVerdict> = sizes
-                .iter()
-                .map(|&s| scalar.apply(now, s, &mut rng_s))
-                .collect();
-            let mut out = NetemBatch::new();
-            batched.apply_batch(now, &sizes, &mut rng_b, &mut out);
-            assert_eq!(out.verdicts(), &want[..], "verdicts diverged for config {i}");
-            assert_eq!(
-                rng_s.state_fingerprint(),
-                rng_b.state_fingerprint(),
-                "rng stream position diverged for config {i}"
-            );
         }
     }
 

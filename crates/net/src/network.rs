@@ -18,25 +18,27 @@
 //! * routes are resolved once into `Arc<[LinkId]>` handed out by the
 //!   route cache; a packet carries a `(route, hop)` cursor, never a
 //!   per-event clone of the link list;
-//! * in-flight packets live in a slab (`flights` + LIFO free list) and
-//!   [`EventQueue`] stores a fixed-size POD referencing a slot, so heap
-//!   sift operations move a few words instead of owning payload vectors.
+//! * in-flight packets live in a slab (`flights` + LIFO free list) and an
+//!   [`EventQueue`] event is just a slot index, so scheduling and popping
+//!   move a few words instead of owning payload vectors.
 //!
 //! Forwarding a warmed-up packet one hop performs no heap allocation (the
 //! `alloc_gate` integration test pins this with a counting allocator, and
 //! [`PER_HOP_ALLOC_BUDGET`] is the gated budget).
 //!
-//! # One drain loop
+//! # One event per packet-hop
 //!
-//! Same-instant admissions accumulate in one open run, which closes into
-//! a `LinkExit` (one packet) or a `CohortExit` (two or more); both sizes
-//! share every admission and exit step. The root `batch_equiv` test
-//! checks the result against a scalar reference model that keeps one
-//! queue entry per packet copy per hop.
+//! Every admitted packet copy schedules one queue event, at the instant
+//! it leaves the link it is crossing; the event's payload is the copy's
+//! flight slot. Same-instant exits pop in schedule order, which is the
+//! per-packet order. `run_until` drains one tick at a time (every event
+//! due at the earliest timestamp) and processes it in that order. The
+//! root `batch_equiv` test checks the result against a reference model
+//! that shares no admission, exit or queueing code with [`Network`].
 
 use crate::link::{LinkConfig, LinkId, LinkState};
-use crate::netem::{NetemBatch, NetemVerdict};
-use crate::packet::{Packet, PortPair, IP_UDP_OVERHEAD_BYTES};
+use crate::netem::NetemVerdict;
+use crate::packet::{Packet, PortPair};
 use crate::tap::{Tap, TapDirection, TapId, TapRecord};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -72,11 +74,13 @@ struct NetMetrics {
     link_bytes_exited: metrics::Counter,
     packets_dropped: metrics::Counter,
     in_flight_bytes: metrics::Gauge,
+    /// Pending link exits: up by one per scheduled exit, down by each
+    /// drained tick's width.
     queue_depth: metrics::Gauge,
     /// Non-empty tick drains performed by `run_until`.
     batch_drains: metrics::Counter,
-    /// Log2 histogram of admission-run sizes (members per closed run) —
-    /// the batch width the netem kernel and bulk retirement actually see.
+    /// Log2 histogram of tick widths: link exits per non-empty
+    /// `drain_due_into` call, so its mean is events per drain.
     batch_size: metrics::Histogram,
 }
 
@@ -123,19 +127,16 @@ pub struct Delivered {
 }
 
 /// One in-flight copy of a packet: the packet itself plus its route
-/// cursor. Lives in the network's flight slab; queue events reference it
-/// by slot index. The route is an index into the network's interned
-/// route table, so creating, duplicating, and retiring a flight moves no
+/// cursor. Lives in the network's flight slab; its queue event is the
+/// slot index. The route is an index into the network's interned route
+/// table, so creating, duplicating, and retiring a flight moves no
 /// refcount — only the payload `Arc` is shared state.
 #[derive(Clone, Debug)]
 struct Flight {
     packet: Packet,
     /// Index into [`Network::routes`].
     route: u32,
-    /// Position in the route currently being traversed. Authoritative
-    /// for `LinkExit` events only: cohorts carry the cursor in their
-    /// [`Member`] records, and `close_run` re-syncs this field whenever
-    /// it mints a `LinkExit` for the slot.
+    /// Position in the route of the link being crossed.
     hop: u32,
     /// Cached `packet.wire_size()`: the payload is immutable, so hop
     /// bookkeeping reads the size from the slab instead of chasing the
@@ -183,78 +184,6 @@ const ROUTE_MEMO_SLOTS: usize = 64;
 /// slot; only resolvable pairs are memoized.
 type RouteMemoEntry = (u64, u32);
 
-/// Fixed-size POD event: the queue owns indices, never payloads.
-#[derive(Clone, Copy, Debug)]
-enum NetEvent {
-    /// The flight in slot `flight` finishes traversing `route[hop]`
-    /// (serialization + delay + impairments) and pops out at the link's
-    /// tail node.
-    LinkExit {
-        flight: u32,
-    },
-    /// The run of flights listed in cohort slab slot `cohort` all finish
-    /// traversing their links at the same instant.
-    CohortExit {
-        cohort: u32,
-    },
-}
-
-/// A run of flights admitted back-to-back with the same exit time,
-/// scheduled as one queue event instead of one per packet. Members may
-/// exit *different* links (SFU fan-out admits one copy per subscriber
-/// link at one instant): each member's link is derived from its route
-/// cursor at processing time, and per-link bookkeeping is amortized over
-/// consecutive same-link members. Slots recycle through a LIFO free list
-/// and keep their `Vec` capacity, so steady-state cohort scheduling
-/// allocates nothing.
-#[derive(Debug, Default)]
-struct Cohort {
-    /// Members, in admission order.
-    members: Vec<Member>,
-}
-
-/// A cohort member: the flight slot plus a copy of its route cursor and
-/// wire size. Carrying the cursor in the member record — not just the
-/// slot — means a passthrough continuation is processed without touching
-/// the flight slab at all: the hot chain/fan-out loop reads one
-/// contiguous member array and writes the next, and the slab is only
-/// dereferenced at real boundaries (impairment, duplication, drop, tap
-/// capture, delivery).
-#[derive(Clone, Copy, Debug)]
-struct Member {
-    /// Flight slab slot.
-    slot: u32,
-    /// Index into [`Network::routes`] (copied from the flight).
-    route: u32,
-    /// The hop this member is currently traversing.
-    hop: u32,
-    /// Cached wire size (copied from the flight).
-    size: ByteSize,
-}
-
-/// The admission run currently accumulating. At most one run is open at
-/// any time, and it closes — becoming a queue event — before anything
-/// with a different exit time is scheduled. That single-open-run
-/// discipline is what keeps cohort members contiguous in per-packet
-/// schedule order: the cohort's event sequence number is assigned at
-/// close, after every member's admission and before any later schedule,
-/// so same-instant FIFO tie-breaking replays a per-packet queue's order
-/// exactly. Keying on time alone (not `(link, time)`) lets same-instant
-/// admissions onto different links — the fan-out shape — share one event.
-#[derive(Clone, Copy, Debug)]
-struct OpenRun {
-    at: SimTime,
-}
-
-/// One pending admission on the general (impaired or rate-limited) path:
-/// the member and its serialization completion (`None` = dropped by the
-/// link's drop-tail queue, which consumes no netem draws).
-#[derive(Clone, Copy, Debug)]
-struct AdmitEntry {
-    m: Member,
-    serialized: Option<SimTime>,
-}
-
 /// The simulated network.
 #[derive(Debug)]
 pub struct Network {
@@ -262,7 +191,9 @@ pub struct Network {
     links: Vec<LinkState>,
     /// Outgoing link ids per node.
     adjacency: Vec<Vec<LinkId>>,
-    queue: EventQueue<NetEvent>,
+    /// One pending link exit per in-flight copy; the payload is its
+    /// flight slot.
+    queue: EventQueue<u32>,
     route_cache: RouteCache,
     /// Interned routes, referenced by index from flights and the caches.
     /// Append-only: topology changes clear the *caches*, never this
@@ -282,25 +213,7 @@ pub struct Network {
     next_seq: u64,
     dropped: u64,
     /// Reusable tick-drain buffer.
-    scratch: ScratchBatch<NetEvent>,
-    /// Reusable netem batch-kernel output.
-    netem_out: NetemBatch,
-    /// Cohort slab; `CohortExit` events reference slots here.
-    cohorts: Vec<Cohort>,
-    /// Reusable cohort slots (LIFO; each keeps its member-list capacity).
-    free_cohorts: Vec<u32>,
-    /// The admission run currently accumulating, if any.
-    open_run: Option<OpenRun>,
-    /// Members of the open run, in admission order.
-    open_members: Vec<Member>,
-    /// Reusable buffer: consecutive same-next-link continuations of the
-    /// cohort currently being processed (cursor already advanced).
-    pending_admits: Vec<Member>,
-    /// Reusable buffer: general-path admission records.
-    admit_entries: Vec<AdmitEntry>,
-    /// Reusable buffer: wire sizes of serialization survivors, the batch
-    /// kernel's input.
-    admit_sizes: Vec<ByteSize>,
+    scratch: ScratchBatch<u32>,
 }
 
 impl Network {
@@ -322,14 +235,6 @@ impl Network {
             next_seq: 0,
             dropped: 0,
             scratch: ScratchBatch::new(),
-            netem_out: NetemBatch::new(),
-            cohorts: Vec::new(),
-            free_cohorts: Vec::new(),
-            open_run: None,
-            open_members: Vec::new(),
-            pending_admits: Vec::new(),
-            admit_entries: Vec::new(),
-            admit_sizes: Vec::new(),
         }
     }
 
@@ -623,114 +528,6 @@ impl Network {
         let route = &self.routes[rid as usize];
         assert!(!route.is_empty(), "send to self is not supported");
         let first = route[0];
-        self.send_one(src, dst, rid, first, ports, payload.into())
-    }
-
-    /// Send a burst of frames from `src` to `dst` as one admission batch.
-    ///
-    /// Semantically identical to calling [`Self::send`] once per frame in
-    /// order — same sequence numbers, same exit times, same RNG draw
-    /// order, same stats totals. What batching buys is amortization: the
-    /// route lookup, first-link inspection, tap probe, and (on the
-    /// passthrough fast arm) the open-run resolution and stats flush all
-    /// happen once per call instead of once per frame. This is
-    /// the SFU egress shape: a burst of encoded frames written to one
-    /// subscriber's socket in a single step.
-    ///
-    /// Returns the number of frames the first hop admitted, or `None`
-    /// when no route exists.
-    pub fn send_batch<I>(&mut self, src: NodeId, dst: NodeId, frames: I) -> Option<usize>
-    where
-        I: IntoIterator<Item = (PortPair, Arc<[u8]>)>,
-    {
-        let rid = self.route_id(src, dst)?;
-        let route = &self.routes[rid as usize];
-        assert!(!route.is_empty(), "send to self is not supported");
-        let first = route[0];
-        let link = &self.links[first.0];
-        // The fast arm needs every per-frame observation and branch to be
-        // provably dead: a transparent, unshaped first link (no RNG draw,
-        // no drop — admission cannot fail), an untapped source, and
-        // tracing off. Impaired, tapped, and traced first hops take the
-        // per-frame path instead.
-        let fast = link.is_passthrough()
-            && self.nodes[src.0].taps.is_empty()
-            && !trace::enabled();
-        if !fast {
-            let mut admitted = 0usize;
-            for (ports, payload) in frames {
-                if self.send_one(src, dst, rid, first, ports, payload).is_some() {
-                    admitted += 1;
-                }
-            }
-            return Some(admitted);
-        }
-        let now = self.now();
-        let exit = now + link.config.delay + link.config.netem.extra_delay;
-        // Resolve the run once: every frame in the batch exits at the
-        // same time, exactly as a per-frame loop would re-match the same
-        // open run on each send.
-        self.join_run(exit);
-        let src_addr = self.nodes[src.0].addr;
-        let dst_addr = self.nodes[dst.0].addr;
-        let mut count = 0u64;
-        let mut bytes = 0u64;
-        let mut seq = self.next_seq;
-        // Members land via `extend` over a mapped iterator so an
-        // exact-size source (the common slice-of-frames case) reserves
-        // once and writes without per-frame capacity checks. The member
-        // list is taken out of `self` for the duration because the
-        // closure needs `self` for slab parking.
-        let mut open = std::mem::take(&mut self.open_members);
-        open.extend(frames.into_iter().map(|(ports, payload)| {
-            // Size comes from the payload handle before the packet is
-            // assembled: with no post-construction borrows, the flight
-            // is built straight into its slab slot.
-            let size = ByteSize::from_bytes(payload.len() as u64 + IP_UDP_OVERHEAD_BYTES);
-            let slot = self.alloc_flight(Flight {
-                packet: Packet {
-                    seq: {
-                        let s = seq;
-                        seq += 1;
-                        s
-                    },
-                    src: src_addr,
-                    dst: dst_addr,
-                    ports,
-                    payload,
-                    sent_at: now,
-                    corrupted: false,
-                },
-                route: rid,
-                hop: 0,
-                size,
-            });
-            count += 1;
-            bytes += size.as_bytes();
-            Member {
-                slot,
-                route: rid,
-                hop: 0,
-                size,
-            }
-        }));
-        self.open_members = open;
-        self.next_seq = seq;
-        self.count_passthrough(first, count, bytes);
-        Some(count as usize)
-    }
-
-    /// The post-route-resolution body shared by [`Self::send`] and the
-    /// [`Self::send_batch`] fallback arm.
-    fn send_one(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        rid: u32,
-        first: LinkId,
-        ports: PortPair,
-        payload: Arc<[u8]>,
-    ) -> Option<u64> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let now = self.now();
@@ -739,7 +536,7 @@ impl Network {
             src: self.nodes[src.0].addr,
             dst: self.nodes[dst.0].addr,
             ports,
-            payload,
+            payload: payload.into(),
             sent_at: now,
             corrupted: false,
         };
@@ -774,13 +571,7 @@ impl Network {
                 dst.0 as u64,
             );
         }
-        let member = Member {
-            slot,
-            route: rid,
-            hop: 0,
-            size,
-        };
-        if self.admit_slot(member, first) {
+        if self.admit(slot, size, first) {
             Some(seq)
         } else {
             None
@@ -813,17 +604,13 @@ impl Network {
             .expect("event referenced an empty flight slot")
     }
 
-    /// Admit the member's flight onto the link its cursor points at.
-    /// The flight stays in its slab slot for the link crossing; only the
-    /// rare duplication and drop outcomes touch the slab at all. Returns
-    /// false (releasing the slot) if the link dropped the packet.
-    ///
-    /// Callers guarantee the slab cursor equals `m.hop` on entry (send
-    /// admits at hop 0; `process_exit` advances the slab cursor it builds
-    /// the member from), so the duplication clone inherits a correct
-    /// cursor.
+    /// Admit the flight in `slot` (`size` on the wire) onto link `lid`,
+    /// whose position its cursor already holds. The flight stays in its
+    /// slab slot for the link crossing; only the rare duplication and
+    /// drop outcomes touch the slab at all. Returns false (releasing the
+    /// slot) if the link dropped the packet.
     #[inline]
-    fn admit_slot(&mut self, m: Member, lid: LinkId) -> bool {
+    fn admit(&mut self, slot: u32, size: ByteSize, lid: LinkId) -> bool {
         // Unshaped, unimpaired links (the dominant core-link case) skip
         // the serializer and netem dispatch entirely: no RNG draw, fixed
         // exit time. A transparent netem consumes nothing from the
@@ -833,81 +620,81 @@ impl Network {
         let link = &self.links[lid.0];
         if link.is_passthrough() {
             let exit = self.now() + link.config.delay + link.config.netem.extra_delay;
-            self.count_passthrough(lid, 1, m.size.as_bytes());
-            self.schedule_exit(exit, m);
+            self.count_passthrough(lid, size.as_bytes());
+            self.schedule_exit(exit, slot);
             return true;
         }
-        self.admit_slot_slow(m, lid)
+        self.admit_impaired(slot, size, lid)
     }
 
-    /// The impaired/rate-limited arm of [`Self::admit_slot`].
-    fn admit_slot_slow(&mut self, m: Member, lid: LinkId) -> bool {
+    /// The serializing or impaired arm of [`Self::admit`].
+    fn admit_impaired(&mut self, slot: u32, size: ByteSize, lid: LinkId) -> bool {
         let now = self.now();
         let link = &mut self.links[lid.0];
         link.stats.offered += 1;
-        link.stats.offered_bytes += m.size.as_bytes();
-        let Some(serialized) = link.serialize(now, m.size) else {
-            self.drop_member(TraceKind::QueueDrop, now, lid, m, m.size.as_bytes());
+        link.stats.offered_bytes += size.as_bytes();
+        let Some(serialized) = link.serialize(now, size) else {
+            self.drop_flight(TraceKind::QueueDrop, now, lid, slot, size.as_bytes());
             return false;
         };
-        let verdict = link.config.netem.apply(now, m.size, &mut self.rng);
-        self.apply_verdict(now, lid, m, serialized, verdict)
+        let verdict = link.config.netem.apply(now, size, &mut self.rng);
+        self.apply_verdict(now, lid, slot, size, serialized, verdict)
     }
 
-    /// Admission bookkeeping for `count` packets (`bytes` in total)
-    /// accepted onto passthrough link `lid`, whose exits are already
-    /// scheduled or streaming into the open run.
+    /// Admission bookkeeping for one packet of `bytes` accepted onto
+    /// passthrough link `lid`.
     #[inline]
-    fn count_passthrough(&mut self, lid: LinkId, count: u64, bytes: u64) {
+    fn count_passthrough(&mut self, lid: LinkId, bytes: u64) {
         let link = &mut self.links[lid.0];
-        link.stats.offered += count;
+        link.stats.offered += 1;
         link.stats.offered_bytes += bytes;
-        link.stats.sent += count;
+        link.stats.sent += 1;
         link.stats.bytes += bytes;
-        link.stats.in_flight += count;
+        link.stats.in_flight += 1;
         link.stats.in_flight_bytes += bytes;
         // One capture-state load gates the whole block: the registry
         // lookup and per-counter checks are off the disabled path.
         if metrics::enabled() {
             let metrics = net_metrics();
-            metrics.link_packets_sent.add(count);
+            metrics.link_packets_sent.inc();
             metrics.link_bytes_sent.add(bytes);
             metrics.in_flight_bytes.add(bytes as i64);
         }
     }
 
-    /// Count a dropped member network-wide, release its slot, and trace
+    /// Count a dropped flight network-wide, release its slot, and trace
     /// the drop as `kind` with `detail` in the event's last field. Queue
     /// drops (`serialize` has already counted them on the link) trace
     /// their size; netem drops trace zero.
-    fn drop_member(&mut self, kind: TraceKind, now: SimTime, lid: LinkId, m: Member, detail: u64) {
+    fn drop_flight(&mut self, kind: TraceKind, now: SimTime, lid: LinkId, slot: u32, detail: u64) {
         self.dropped += 1;
         net_metrics().packets_dropped.inc();
-        let flight = self.free_flight(m.slot);
+        let flight = self.free_flight(slot);
         if trace::enabled() {
             trace::record(kind, now.as_nanos(), 0, flight.packet.seq, lid.0 as u64, detail);
         }
     }
 
-    /// Apply a netem verdict to a member that `lid` serialized at
-    /// `serialized`: count it, then drop it or schedule its exit —
+    /// Apply a netem verdict to the flight in `slot` that `lid` serialized
+    /// at `serialized`: count it, then drop it or schedule its exit —
     /// preceded by its duplicate's, so same-instant FIFO tie-breaking is
     /// stable. Returns false if the verdict dropped the packet.
     fn apply_verdict(
         &mut self,
         now: SimTime,
         lid: LinkId,
-        m: Member,
+        slot: u32,
+        size: ByteSize,
         serialized: SimTime,
         verdict: NetemVerdict,
     ) -> bool {
-        let bytes = m.size.as_bytes();
+        let bytes = size.as_bytes();
         let (delay, dup_delay, corrupt) = match verdict {
             NetemVerdict::Drop => {
                 let stats = &mut self.links[lid.0].stats;
                 stats.netem_drops += 1;
                 stats.netem_dropped_bytes += bytes;
-                self.drop_member(TraceKind::PacketDrop, now, lid, m, 0);
+                self.drop_flight(TraceKind::PacketDrop, now, lid, slot, 0);
                 return false;
             }
             NetemVerdict::Deliver { delay, corrupt } => (delay, None, corrupt),
@@ -935,7 +722,7 @@ impl Network {
             metrics.in_flight_bytes.add((copies * bytes) as i64);
         }
         if corrupt {
-            self.flights[m.slot as usize]
+            self.flights[slot as usize]
                 .as_mut()
                 .expect("corrupting an empty flight slot")
                 .packet
@@ -944,84 +731,24 @@ impl Network {
         if let Some(dup_delay) = dup_delay {
             // The duplicate copy forwards independently from this hop on;
             // the clone shares the payload `Arc` — no bytes are copied.
-            let dup = self.flights[m.slot as usize]
+            let dup = self.flights[slot as usize]
                 .clone()
                 .expect("duplicating an empty flight slot");
             let dup = self.alloc_flight(dup);
-            self.schedule_exit(base + dup_delay, Member { slot: dup, ..m });
+            self.schedule_exit(base + dup_delay, dup);
         }
-        self.schedule_exit(base + delay, m);
+        self.schedule_exit(base + delay, slot);
         true
     }
 
-    /// Schedule the member's link exit at `at` by joining the admission
-    /// run for that instant.
+    /// Schedule the exit of the flight in `slot` from the link it is
+    /// crossing.
     #[inline]
-    fn schedule_exit(&mut self, at: SimTime, m: Member) {
-        self.join_run(at);
-        self.open_members.push(m);
-    }
-
-    /// Make the open admission run the one exiting at `at`: keep it when
-    /// the exit time matches, otherwise close it and open a fresh one.
-    /// The deferred close is what turns back-to-back same-instant
-    /// admissions into one cohort event.
-    #[inline]
-    fn join_run(&mut self, at: SimTime) {
-        match self.open_run {
-            Some(run) if run.at == at => {}
-            _ => {
-                self.close_run();
-                self.open_run = Some(OpenRun { at });
-            }
-        }
-    }
-
-    /// Close the accumulating admission run, scheduling it as a single
-    /// `LinkExit` (one member) or a `CohortExit` referencing a pooled slot
-    /// list. Scheduling happens here — not at admission — so the event's
-    /// sequence number lands after every member and before anything
-    /// scheduled later, preserving per-packet tie-break order.
-    fn close_run(&mut self) {
-        let Some(run) = self.open_run.take() else {
-            return;
-        };
-        let members = self.open_members.len();
-        if members == 0 {
-            return;
-        }
+    fn schedule_exit(&mut self, at: SimTime, slot: u32) {
+        self.queue.schedule(at, slot);
         if metrics::enabled() {
-            let metrics = net_metrics();
-            metrics.queue_depth.add(members as i64);
-            metrics.batch_size.observe(members as u64);
+            net_metrics().queue_depth.add(1);
         }
-        if members == 1 {
-            // A lone member becomes a `LinkExit`, which reads the slab
-            // cursor — sync it from the member's copy.
-            let m = self.open_members[0];
-            self.open_members.clear();
-            self.flights[m.slot as usize]
-                .as_mut()
-                .expect("scheduling an exit for an empty flight slot")
-                .hop = m.hop;
-            self.queue.schedule(run.at, NetEvent::LinkExit { flight: m.slot });
-            return;
-        }
-        let c = match self.free_cohorts.pop() {
-            Some(c) => c,
-            None => {
-                let c = self.cohorts.len() as u32;
-                self.cohorts.push(Cohort::default());
-                c
-            }
-        };
-        let cohort = &mut self.cohorts[c as usize];
-        cohort.members.clear();
-        // Swap, not copy: the accumulating buffer becomes the cohort's
-        // member list and the recycled slot's empty vec (capacity intact)
-        // becomes the next accumulating buffer.
-        std::mem::swap(&mut cohort.members, &mut self.open_members);
-        self.queue.schedule(run.at, NetEvent::CohortExit { cohort: c });
     }
 
     /// Advance the simulation to `until`, processing all traffic events.
@@ -1034,27 +761,18 @@ impl Network {
     pub fn run_until(&mut self, until: SimTime) {
         let mut scratch = std::mem::take(&mut self.scratch);
         loop {
-            // An accumulating run may be due inside the next tick — it
-            // must be schedulable before we look at the heap.
-            self.close_run();
             let n = self.queue.drain_due_into(until, &mut scratch);
             if n == 0 {
                 break;
             }
             if metrics::enabled() {
-                net_metrics().batch_drains.inc();
+                let metrics = net_metrics();
+                metrics.batch_drains.inc();
+                metrics.batch_size.observe(n as u64);
+                metrics.queue_depth.add(-(n as i64));
             }
             for i in 0..n {
-                let at = scratch.at(i);
-                match *scratch.payload(i) {
-                    NetEvent::LinkExit { flight } => {
-                        if metrics::enabled() {
-                            net_metrics().queue_depth.add(-1);
-                        }
-                        self.process_exit(at, flight);
-                    }
-                    NetEvent::CohortExit { cohort } => self.process_cohort(at, cohort),
-                }
+                self.process_exit(scratch.at(i), *scratch.payload(i));
             }
         }
         self.scratch = scratch;
@@ -1095,33 +813,26 @@ impl Network {
         }
     }
 
-    /// Pop one flight (a single-member run) out at the tail of the link
-    /// its cursor points at: exit bookkeeping, then either admission onto
-    /// the next hop or delivery into the destination inbox.
+    /// Pop the flight in `slot` out at the tail of the link its cursor
+    /// points at: exit bookkeeping, then either admission onto the next
+    /// hop or delivery into the destination inbox.
     fn process_exit(&mut self, at: SimTime, slot: u32) {
         // Read the cursor — and advance it when there are hops left —
         // without evicting the flight: a forwarded packet stays in its
         // slot hop after hop.
-        let (lid, next, member) = {
+        let (lid, next, size) = {
             let flight = self.flights[slot as usize]
                 .as_mut()
                 .expect("event referenced an empty flight slot");
             let route = &self.routes[flight.route as usize];
             let hop = flight.hop as usize;
-            let lid = route[hop];
             let next = route.get(hop + 1).copied();
             if next.is_some() {
                 flight.hop += 1;
             }
-            let member = Member {
-                slot,
-                route: flight.route,
-                hop: flight.hop,
-                size: flight.size,
-            };
-            (lid, next, member)
+            (route[hop], next, flight.size)
         };
-        self.flush_exit_stats(lid.0, 1, member.size.as_bytes());
+        self.count_exit(lid, size.as_bytes());
         let node = self.links[lid.0].to;
         if let Some(next_lid) = next {
             let flight = self.flights[slot as usize]
@@ -1135,9 +846,24 @@ impl Network {
                 &flight.packet,
                 TapDirection::Transit,
             );
-            self.admit_slot(member, next_lid);
+            self.admit(slot, size, next_lid);
         } else {
             self.deliver(at, node, slot);
+        }
+    }
+
+    /// Exit bookkeeping for one copy of `bytes` leaving link `lid`.
+    #[inline]
+    fn count_exit(&mut self, lid: LinkId, bytes: u64) {
+        let link = &mut self.links[lid.0];
+        link.stats.exited += 1;
+        link.stats.exited_bytes += bytes;
+        link.stats.in_flight -= 1;
+        link.stats.in_flight_bytes -= bytes;
+        if metrics::enabled() {
+            let m = net_metrics();
+            m.link_bytes_exited.add(bytes);
+            m.in_flight_bytes.add(-(bytes as i64));
         }
     }
 
@@ -1170,241 +896,9 @@ impl Network {
         });
     }
 
-    /// Pop a whole cohort of same-instant exits: per-member cursor
-    /// advance, tap/delivery bookkeeping, and next-hop admission. Member
-    /// iteration order is admission order, which is the per-packet
-    /// processing order. Exit stats are amortized over consecutive
-    /// same-link members (one update per run — the whole cohort on a
-    /// forwarding chain), and continuations onto a passthrough next link
-    /// stream straight into the accumulating admission run with one stats
-    /// update per target; only impaired or rate-limited targets buffer
-    /// for the batch kernel.
-    fn process_cohort(&mut self, at: SimTime, cohort: u32) {
-        // Take the member list out of the slab slot (keeping capacity);
-        // the slot itself is only recycled at the end, after the list is
-        // returned — admissions below may allocate fresh cohorts.
-        let mut members = std::mem::take(&mut self.cohorts[cohort as usize].members);
-        if metrics::enabled() {
-            net_metrics().queue_depth.add(-(members.len() as i64));
-        }
-        let tracing = trace::enabled();
-        // Segment-wise processing: cohort members overwhelmingly arrive
-        // in runs sharing one `(route, hop)` cursor (a burst moving down
-        // one chain, or an SFU batch per subscriber link), so the loop
-        // scans each run once, resolves the link and continuation once,
-        // and dispatches the whole segment through a branch-free body —
-        // a straight member copy with the cursor advanced for
-        // passthrough continuations, a tight slab-to-inbox loop for
-        // deliveries. Taps, tracing, and impaired continuations drop to
-        // per-member handling inside the segment.
-        //
-        // Exit-side stats accumulate across consecutive segments on the
-        // same link; admission-side runs accumulate across consecutive
-        // segments with the same continuation target (delivering
-        // segments never split a run — admission order among continuing
-        // members is exactly the per-packet order).
-        let mut cur_lid = usize::MAX;
-        let mut ex_count = 0u64;
-        let mut ex_bytes = 0u64;
-        let mut adm_lid: Option<LinkId> = None;
-        let mut adm_fast = false;
-        let mut adm_count = 0u64;
-        let mut adm_bytes = 0u64;
-        debug_assert!(self.pending_admits.is_empty());
-        let n = members.len();
-        let mut i = 0usize;
-        while i < n {
-            let m0 = members[i];
-            let key = (m0.route, m0.hop);
-            let mut j = i + 1;
-            while j < n && (members[j].route, members[j].hop) == key {
-                j += 1;
-            }
-            let seg = &members[i..j];
-            let route = &self.routes[m0.route as usize];
-            let lid = route[m0.hop as usize];
-            let next = route.get(m0.hop as usize + 1).copied();
-            let node = self.links[lid.0].to;
-            let has_taps = !self.nodes[node].taps.is_empty();
-            let seg_count = seg.len() as u64;
-            let seg_bytes: u64 = seg.iter().map(|m| m.size.as_bytes()).sum();
-            if lid.0 != cur_lid {
-                if ex_count > 0 {
-                    self.flush_exit_stats(cur_lid, ex_count, ex_bytes);
-                }
-                cur_lid = lid.0;
-                ex_count = 0;
-                ex_bytes = 0;
-            }
-            ex_count += seg_count;
-            ex_bytes += seg_bytes;
-            if let Some(next_lid) = next {
-                if has_taps {
-                    for m in seg {
-                        let flight = self.flights[m.slot as usize]
-                            .as_ref()
-                            .expect("cohort referenced an empty flight slot");
-                        Self::record_tap(
-                            &self.nodes,
-                            &mut self.taps,
-                            node,
-                            at,
-                            &flight.packet,
-                            TapDirection::Transit,
-                        );
-                    }
-                }
-                if adm_lid != Some(next_lid) {
-                    self.flush_admissions(at, adm_lid, adm_fast, adm_count, adm_bytes);
-                    adm_count = 0;
-                    adm_bytes = 0;
-                    adm_lid = Some(next_lid);
-                    let link = &self.links[next_lid.0];
-                    adm_fast = link.is_passthrough();
-                    if adm_fast {
-                        // Resolve the open run once per target: nothing
-                        // between two fast segments of the same target
-                        // touches the run (deliveries, taps, and stat
-                        // flushes don't schedule), so segments can
-                        // append directly below.
-                        self.join_run(at + link.config.delay + link.config.netem.extra_delay);
-                    }
-                }
-                // Fast segments stream into the open run; the rest buffer
-                // for `admit_batch`.
-                let admits = if adm_fast {
-                    &mut self.open_members
-                } else {
-                    &mut self.pending_admits
-                };
-                admits.extend(seg.iter().map(|&m| Member {
-                    hop: m.hop + 1,
-                    ..m
-                }));
-                adm_count += seg_count;
-                adm_bytes += seg_bytes;
-            } else if !has_taps && !tracing {
-                // Bulk slot retirement: the whole segment's slots join
-                // the free list in one extend, and the inbox borrow is
-                // hoisted so the loop is slab-read + queue-write only.
-                self.free_flights.extend(seg.iter().map(|m| m.slot));
-                let inbox = &mut self.nodes[node].inbox;
-                for &m in seg {
-                    let flight = self.flights[m.slot as usize]
-                        .take()
-                        .expect("cohort referenced an empty flight slot");
-                    inbox.push_back(Delivered {
-                        packet: flight.packet,
-                        at,
-                    });
-                }
-            } else {
-                for &m in seg {
-                    self.deliver(at, node, m.slot);
-                }
-            }
-            i = j;
-        }
-        if ex_count > 0 {
-            self.flush_exit_stats(cur_lid, ex_count, ex_bytes);
-        }
-        self.flush_admissions(at, adm_lid, adm_fast, adm_count, adm_bytes);
-        // Return the member list (capacity intact) and recycle the slot.
-        members.clear();
-        self.cohorts[cohort as usize].members = members;
-        self.free_cohorts.push(cohort);
-    }
-
-    /// Exit bookkeeping for `count` copies (`bytes` in total) leaving
-    /// link `lid`: a lone `LinkExit` or a run of same-link cohort members.
-    #[inline]
-    fn flush_exit_stats(&mut self, lid: usize, count: u64, bytes: u64) {
-        let link = &mut self.links[lid];
-        link.stats.exited += count;
-        link.stats.exited_bytes += bytes;
-        link.stats.in_flight -= count;
-        link.stats.in_flight_bytes -= bytes;
-        if metrics::enabled() {
-            let m = net_metrics();
-            m.link_bytes_exited.add(bytes);
-            m.in_flight_bytes.add(-(bytes as i64));
-        }
-    }
-
-    /// Finish a cohort's run of continuations onto `lid`, if any: streamed
-    /// passthrough continuations (`fast`, already in the open run) only
-    /// need their admission bookkeeping; buffered ones are admitted now.
-    fn flush_admissions(
-        &mut self,
-        at: SimTime,
-        lid: Option<LinkId>,
-        fast: bool,
-        count: u64,
-        bytes: u64,
-    ) {
-        let Some(lid) = lid else {
-            return;
-        };
-        if fast {
-            self.count_passthrough(lid, count, bytes);
-        } else {
-            let mut pending = std::mem::take(&mut self.pending_admits);
-            self.admit_batch(at, lid, &pending);
-            pending.clear();
-            self.pending_admits = pending;
-        }
-    }
-
-    /// Admit a run of continuations onto impaired or rate-limited `lid`,
-    /// packet-for-packet equivalent to calling `admit_slot` on each in
-    /// order. Every member is serialized first (serialization draws no
-    /// randomness, and queue-dropped packets consume no netem draws),
-    /// then the netem batch kernel runs over the survivors, then verdicts
-    /// apply in admission order.
-    fn admit_batch(&mut self, at: SimTime, lid: LinkId, members: &[Member]) {
-        debug_assert_eq!(at, self.now());
-        let mut entries = std::mem::take(&mut self.admit_entries);
-        let mut surv_sizes = std::mem::take(&mut self.admit_sizes);
-        entries.clear();
-        surv_sizes.clear();
-        let link = &mut self.links[lid.0];
-        for &m in members {
-            link.stats.offered += 1;
-            link.stats.offered_bytes += m.size.as_bytes();
-            let serialized = link.serialize(at, m.size);
-            if serialized.is_some() {
-                surv_sizes.push(m.size);
-            }
-            entries.push(AdmitEntry { m, serialized });
-        }
-        let mut out = std::mem::take(&mut self.netem_out);
-        link.config.netem.apply_batch(at, &surv_sizes, &mut self.rng, &mut out);
-        let mut verdicts = out.verdicts().iter();
-        for &AdmitEntry { m, serialized } in &entries {
-            match serialized {
-                Some(serialized) => {
-                    let verdict = *verdicts.next().expect("one verdict per serialized member");
-                    self.apply_verdict(at, lid, m, serialized, verdict);
-                }
-                None => self.drop_member(TraceKind::QueueDrop, at, lid, m, m.size.as_bytes()),
-            }
-        }
-        debug_assert!(verdicts.next().is_none());
-        self.netem_out = out;
-        self.admit_entries = entries;
-        self.admit_sizes = surv_sizes;
-    }
-
     /// Drain the inbox of `node`.
     pub fn poll_delivered(&mut self, node: NodeId) -> Vec<Delivered> {
         self.nodes[node.0].inbox.drain(..).collect()
-    }
-
-    /// Drain the inbox of `node` as an iterator — no per-poll `Vec`
-    /// allocation, for callers (the SFU relay loop, benches) that consume
-    /// deliveries in place.
-    pub fn drain_delivered(&mut self, node: NodeId) -> impl Iterator<Item = Delivered> + '_ {
-        self.nodes[node.0].inbox.drain(..)
     }
 
     /// Number of packets waiting in `node`'s inbox.

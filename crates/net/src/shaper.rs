@@ -13,12 +13,10 @@
 //!
 //! Admission draws no randomness: the verdict is a pure function of the
 //! admission sequence `(now, size)` and the configured rate. The network
-//! admits packets through [`crate::link::LinkState::serialize`] in
-//! per-packet order whether they arrive alone or in a cohort, so a shaped
-//! link is bit-identical to one-at-a-time admission and across thread
-//! counts — the root `batch_equiv` test pins this with shapers enabled
-//! against a scalar reference model. The float token arithmetic is the
-//! same fixed operation sequence either way.
+//! admits packets through [`crate::link::LinkState::serialize`] one at a
+//! time in per-packet order, so a shaped link replays bit-identically at
+//! any thread count — the root `batch_equiv` test pins this with shapers
+//! enabled against a reference model.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;

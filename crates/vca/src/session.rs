@@ -1785,7 +1785,7 @@ impl SessionSim {
     /// point — the live service finishes sessions early on `leave`.
     pub fn finish(self) -> SessionOutcome {
         let SessionSim {
-            net,
+            mut net,
             tap_ids,
             clients,
             senders,
@@ -1810,7 +1810,7 @@ impl SessionSim {
 
         let taps: Vec<Vec<TapRecord>> = tap_ids
             .iter()
-            .map(|&t| net.tap_records(t).to_vec())
+            .map(|&t| net.take_tap_records(t))
             .collect();
         let client_addrs = clients.iter().map(|&c| net.addr(c)).collect();
         let final_quality = senders

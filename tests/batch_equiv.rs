@@ -1,17 +1,16 @@
 //! Datapath equivalence against a scalar reference model.
 //!
-//! `Network` drains whole ticks at once, schedules same-instant admissions
-//! as one cohort event, runs impaired links through the netem batch kernel,
-//! and retires delivered slots in bulk. None of that may be visible:
-//! delivery order, per-packet verdicts (drops, corruption flags,
+//! `Network` parks in-flight packets in a slab, schedules slot indices on
+//! its slab-backed event queue, drains whole ticks at once, and takes a
+//! fixed-delay shortcut across passthrough links. None of that may be
+//! visible: delivery order, per-packet verdicts (drops, corruption flags,
 //! duplication), per-link counters, tap captures, and the impairment RNG's
 //! position in its stream must all match [`Reference`], a model that keeps
-//! one queue entry per packet copy per hop. This test replays 32
+//! one `BTreeMap` entry per packet copy per hop. This test replays 32
 //! randomized chaos scenarios (fault plans flipping links down, cliffing
 //! rates, spiking delay, injecting Gilbert–Elliott bursts, reordering and
-//! duplicating, shaping with finite queues), 32 cohort-heavy burst
-//! scenarios, and a `send_batch` scenario through both and requires
-//! bit-identical digests.
+//! duplicating, shaping with finite queues) and 32 same-instant burst
+//! scenarios through both and requires bit-identical digests.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,7 +31,7 @@ use visionsim::net::tap::{TapDirection, TapId, TapRecord};
 const SEEDS: u64 = 32;
 
 /// The datapath surface the scenarios drive, implemented by [`Network`]
-/// and by [`Reference`]. `send_batch` defaults to a per-frame `send` loop.
+/// and by [`Reference`].
 trait Datapath {
     fn add_node(&mut self, name: &str, org: &str, location: GeoPoint) -> NodeId;
     fn add_duplex(&mut self, a: NodeId, b: NodeId, config: LinkConfig);
@@ -40,11 +39,6 @@ trait Datapath {
     fn set_shaper(&mut self, link: LinkId, cfg: Option<ShaperConfig>);
     fn add_tap(&mut self, node: NodeId) -> TapId;
     fn send(&mut self, src: NodeId, dst: NodeId, ports: PortPair, payload: Arc<[u8]>);
-    fn send_batch(&mut self, src: NodeId, dst: NodeId, frames: Vec<(PortPair, Arc<[u8]>)>) {
-        for (ports, payload) in frames {
-            self.send(src, dst, ports, payload);
-        }
-    }
     fn run_until(&mut self, until: SimTime);
     fn drain_delivered(&mut self, node: NodeId) -> Vec<Delivered>;
     fn link_stats(&self, link: LinkId) -> LinkStats;
@@ -72,14 +66,11 @@ impl Datapath for Network {
     fn send(&mut self, src: NodeId, dst: NodeId, ports: PortPair, payload: Arc<[u8]>) {
         Network::send(self, src, dst, ports, payload);
     }
-    fn send_batch(&mut self, src: NodeId, dst: NodeId, frames: Vec<(PortPair, Arc<[u8]>)>) {
-        Network::send_batch(self, src, dst, frames);
-    }
     fn run_until(&mut self, until: SimTime) {
         Network::run_until(self, until)
     }
     fn drain_delivered(&mut self, node: NodeId) -> Vec<Delivered> {
-        Network::drain_delivered(self, node).collect()
+        Network::poll_delivered(self, node)
     }
     fn link_stats(&self, link: LinkId) -> LinkStats {
         Network::link_stats(self, link)
@@ -483,7 +474,7 @@ fn scenario_digest(seed: u64, net: &mut impl Datapath) -> String {
     digest
 }
 
-/// For every seed, the network's digests of the chaos and the cohort
+/// For every seed, the network's digests of the chaos and the burst
 /// scenario — delivery order, verdicts, stats, taps, and RNG stream
 /// position — are byte-identical to the reference model's.
 #[test]
@@ -495,20 +486,20 @@ fn network_matches_the_reference_model_across_chaos_seeds() {
             "seed {seed}: the chaos scenario diverged from the scalar reference model"
         );
         assert_eq!(
-            cohort_digest(seed, &mut Reference::new(seed)),
-            cohort_digest(seed, &mut Network::new(seed)),
-            "seed {seed}: the cohort scenario diverged from the scalar reference model"
+            burst_digest(seed, &mut Reference::new(seed)),
+            burst_digest(seed, &mut Network::new(seed)),
+            "seed {seed}: the burst scenario diverged from the scalar reference model"
         );
     }
 }
 
-/// Cohort-heavy traffic, fully determined by `seed`: same-instant bursts
-/// from `src` to three destinations cross a passthrough first hop as one
-/// cohort, split at the tapped hub onto randomly impaired links (the
-/// netem batch kernel) or the fault-plan link (delay spikes keep it
-/// passthrough with extra delay; flaps and loss bursts do not), and
-/// continue as smaller cohorts.
-fn cohort_digest(seed: u64, net: &mut impl Datapath) -> String {
+/// Same-instant bursts, fully determined by `seed`: each step sends a
+/// burst from `src` to three destinations that exits a passthrough first
+/// hop at one instant, splits at the tapped hub onto randomly impaired
+/// links or the fault-plan link (delay spikes keep it passthrough with
+/// extra delay; flaps and loss bursts do not), and crosses a last
+/// passthrough hop.
+fn burst_digest(seed: u64, net: &mut impl Datapath) -> String {
     let mut shape = SimRng::seed_from_u64(derive_seed(0xC0407, "batch_equiv_cohorts", seed));
     let at = GeoPoint::new(39.0, -98.0);
     let src = net.add_node("src", "t", at);
@@ -578,83 +569,11 @@ fn cohort_digest(seed: u64, net: &mut impl Datapath) -> String {
     digest
 }
 
-/// Bursts from `a` to a passthrough neighbour, through an impaired second
-/// hop, and over an impaired first hop — sent per frame or with
-/// `send_batch`, which covers both of its arms.
-fn send_batch_digest(seed: u64, net: &mut impl Datapath, batch: bool) -> String {
-    let a = net.add_node("a", "t", GeoPoint::new(37.77, -122.42));
-    let b = net.add_node("b", "t", GeoPoint::new(39.0, -98.0));
-    let c = net.add_node("c", "t", GeoPoint::new(40.71, -74.01));
-    let d = net.add_node("d", "t", GeoPoint::new(34.05, -118.24));
-    // a→b passthrough (fast arm), b→c impaired second hop, a→d impaired
-    // first hop (per-frame arm).
-    net.add_duplex(a, b, LinkConfig::core(SimDuration::from_millis(5)));
-    net.add_duplex(b, c, LinkConfig::core(SimDuration::from_millis(7)));
-    net.add_duplex(a, d, LinkConfig::core(SimDuration::from_millis(9)));
-    {
-        let netem = net.netem_mut(LinkId(2));
-        netem.loss = 0.1;
-        netem.duplicate = 0.1;
-        netem.jitter = SimDuration::from_micros(800);
-    }
-    {
-        let netem = net.netem_mut(LinkId(4));
-        netem.loss = 0.15;
-        netem.jitter = SimDuration::from_micros(500);
-    }
-    let mut shape = SimRng::seed_from_u64(derive_seed(0x5B47C, "send_batch", seed));
-    for step in 0..40u64 {
-        for &dst in &[b, c, d] {
-            let burst = 1 + shape.uniform_u64(0, 6);
-            let frames: Vec<(PortPair, Arc<[u8]>)> = (0..burst)
-                .map(|k| {
-                    (
-                        PortPair::new(1_000, 2_000 + k as u16),
-                        Arc::from(vec![(step + k) as u8; 64 + (k as usize % 4) * 200]),
-                    )
-                })
-                .collect();
-            if batch {
-                net.send_batch(a, dst, frames);
-            } else {
-                for (ports, payload) in frames {
-                    net.send(a, dst, ports, payload);
-                }
-            }
-        }
-        net.run_until(SimTime::from_millis((step + 1) * 25));
-    }
-    net.run_until(SimTime::from_secs(3));
-    let mut out = String::new();
-    for (ni, &n) in [b, c, d].iter().enumerate() {
-        digest_deliveries(&mut out, &format!("n{ni}"), &net.drain_delivered(n));
-    }
-    digest_totals(&mut out, net, 6);
-    out.push_str(&format!("rng:{:016x};", net.rng_fingerprint()));
-    out
-}
-
-/// `send_batch` and a per-frame `send` loop both match the reference
-/// model: same sequence numbers, delivery order, verdicts, stats, and RNG
-/// stream position, on the passthrough fast arm and the per-frame arm.
+/// Same-instant passthrough fan-out to eight destinations delivers every
+/// packet, drops none, and leaves every link's bytes conserved and
+/// drained.
 #[test]
-fn send_batch_matches_the_reference_model() {
-    for seed in 0..8 {
-        let reference = send_batch_digest(seed, &mut Reference::new(seed), false);
-        for batch in [false, true] {
-            assert_eq!(
-                reference,
-                send_batch_digest(seed, &mut Network::new(seed), batch),
-                "seed {seed}: batch={batch} diverged from the scalar reference model"
-            );
-        }
-    }
-}
-
-/// Passthrough fan-out (the bench shape) batches into real cohorts and
-/// still conserves per-link bytes with zero drops.
-#[test]
-fn fanout_cohorts_conserve_and_deliver_everything() {
+fn passthrough_fanout_delivers_every_packet_and_conserves_link_bytes() {
     let mut net = Network::new(7);
     let src = net.add_node("src", "t", GeoPoint::new(37.77, -122.42));
     let hub = net.add_node("hub", "t", GeoPoint::new(39.0, -98.0));
@@ -674,7 +593,7 @@ fn fanout_cohorts_conserve_and_deliver_everything() {
         net.run_until(SimTime::from_millis((round + 1) * 20));
     }
     net.run_until(SimTime::from_secs(2));
-    let total: usize = dsts.iter().map(|&d| net.drain_delivered(d).count()).sum();
+    let total: usize = dsts.iter().map(|&d| net.poll_delivered(d).len()).sum();
     assert_eq!(total, 50 * 8 * 16);
     assert_eq!(net.total_dropped(), 0);
     for lid in 0..2 * (1 + dsts.len()) {

@@ -1,15 +1,15 @@
 //! Randomized property tests for the network: conservation, ordering, and
 //! impairment invariants, driven by deterministic SimRng cases.
 
-use visionsim_core::par::derive_seed;
-use visionsim_core::rng::SimRng;
-use visionsim_core::time::{SimDuration, SimTime};
-use visionsim_core::units::{ByteSize, DataRate};
-use visionsim_geo::coords::GeoPoint;
-use visionsim_net::link::LinkConfig;
-use visionsim_net::netem::{Netem, NetemVerdict, TokenBucket};
-use visionsim_net::network::Network;
-use visionsim_net::packet::PortPair;
+use visionsim::core::par::derive_seed;
+use visionsim::core::rng::SimRng;
+use visionsim::core::time::{SimDuration, SimTime};
+use visionsim::core::units::{ByteSize, DataRate};
+use visionsim::geo::coords::GeoPoint;
+use visionsim::net::link::LinkConfig;
+use visionsim::net::netem::{Netem, NetemVerdict, TokenBucket};
+use visionsim::net::network::Network;
+use visionsim::net::packet::PortPair;
 
 const CASES: u64 = 48;
 
@@ -30,7 +30,7 @@ fn conservation_under_loss() {
         let a = net.add_node("a", "t", GeoPoint::new(37.77, -122.42));
         let b = net.add_node("b", "t", GeoPoint::new(40.71, -74.01));
         net.add_duplex(a, b, LinkConfig::core(SimDuration::from_millis(10)));
-        net.netem_mut(visionsim_net::link::LinkId(0)).loss = loss;
+        net.netem_mut(visionsim::net::link::LinkId(0)).loss = loss;
         let mut sent = 0u64;
         for k in 0..count {
             if net
@@ -123,7 +123,7 @@ fn token_bucket_never_exceeds_budget() {
 /// probability π_B·loss_bad + π_G·loss_good.
 #[test]
 fn gilbert_elliott_converges_to_stationary_loss() {
-    use visionsim_net::fault::{GeConfig, GilbertElliott};
+    use visionsim::net::fault::{GeConfig, GilbertElliott};
     for i in 0..CASES {
         let mut rng = case_rng("ge_stationary", i);
         let config = GeConfig {
@@ -160,7 +160,7 @@ fn reorder_and_duplicate_conserve_payload_bytes() {
         let b = net.add_node("b", "t", GeoPoint::new(40.71, -74.01));
         net.add_duplex(a, b, LinkConfig::core(SimDuration::from_millis(10)));
         {
-            let netem = net.netem_mut(visionsim_net::link::LinkId(0));
+            let netem = net.netem_mut(visionsim::net::link::LinkId(0));
             netem.reorder = reorder;
             netem.reorder_extra = SimDuration::from_millis(30);
             netem.duplicate = duplicate;
@@ -185,7 +185,7 @@ fn reorder_and_duplicate_conserve_payload_bytes() {
         let extras: u32 = copies.iter().map(|c| c - 1).sum();
         assert_eq!(
             extras as u64,
-            net.link_stats(visionsim_net::link::LinkId(0)).duplicated,
+            net.link_stats(visionsim::net::link::LinkId(0)).duplicated,
             "duplicate counter disagrees with extra deliveries"
         );
         assert_eq!(net.total_dropped(), 0, "reorder/dup must not drop");
@@ -200,9 +200,9 @@ fn reorder_and_duplicate_conserve_payload_bytes() {
 #[test]
 fn shared_payloads_conserve_bytes_under_duplication_and_corruption() {
     use std::sync::Arc;
-    use visionsim_core::sanitizer;
+    use visionsim::core::sanitizer;
 
-    let _guard = visionsim_core::par::override_guard();
+    let _guard = visionsim::core::par::override_guard();
     sanitizer::force(Some(true));
     sanitizer::reset();
     for i in 0..CASES {
@@ -220,7 +220,7 @@ fn shared_payloads_conserve_bytes_under_duplication_and_corruption() {
             net.add_duplex(w[0], w[1], LinkConfig::core(SimDuration::from_millis(5)));
         }
         for lid in 0..2 * hops {
-            let netem = net.netem_mut(visionsim_net::link::LinkId(lid));
+            let netem = net.netem_mut(visionsim::net::link::LinkId(lid));
             netem.duplicate = duplicate;
             netem.corrupt = corrupt;
         }
@@ -240,7 +240,7 @@ fn shared_payloads_conserve_bytes_under_duplication_and_corruption() {
             assert_eq!(&d.packet.payload[..], &payload[..]);
         }
         for lid in 0..2 * hops {
-            let s = net.link_stats(visionsim_net::link::LinkId(lid));
+            let s = net.link_stats(visionsim::net::link::LinkId(lid));
             assert!(s.conserved(), "case {i} link {lid}: {s:?}");
             assert_eq!(s.in_flight, 0, "case {i} link {lid} never drained");
         }
@@ -258,8 +258,8 @@ fn shared_payloads_conserve_bytes_under_duplication_and_corruption() {
 /// matter how work is distributed across worker threads.
 #[test]
 fn fault_plan_replay_identical_across_threads() {
-    use visionsim_core::par::{par_map, set_threads};
-    use visionsim_net::fault::FaultPlan;
+    use visionsim::core::par::{par_map, set_threads};
+    use visionsim::net::fault::FaultPlan;
 
     fn replay_digest(idx: u64) -> String {
         let mut plan = FaultPlan::merged(vec![
@@ -292,7 +292,7 @@ fn fault_plan_replay_identical_across_threads() {
     let idxs: Vec<u64> = (0..16).collect();
     // `set_threads` is process-global; hold the shared override guard so
     // concurrent tests in this binary cannot race the thread count.
-    let _guard = visionsim_core::par::override_guard();
+    let _guard = visionsim::core::par::override_guard();
     set_threads(Some(1));
     let seq: Vec<String> = par_map(idxs.clone(), replay_digest);
     set_threads(Some(4));
@@ -314,7 +314,7 @@ fn extra_delay_is_exact() {
         let a = net.add_node("a", "t", GeoPoint::new(37.77, -122.42));
         let b = net.add_node("b", "t", GeoPoint::new(40.71, -74.01));
         net.add_duplex(a, b, LinkConfig::core(SimDuration::from_millis(20)));
-        net.netem_mut(visionsim_net::link::LinkId(0)).extra_delay =
+        net.netem_mut(visionsim::net::link::LinkId(0)).extra_delay =
             SimDuration::from_millis(delay_ms);
         net.send(a, b, PortPair::new(1, 2), vec![0u8; 32]);
         net.run_until(SimTime::from_secs(5));

@@ -117,7 +117,7 @@ fn run_scenario(seed: u64) {
         now += SimDuration::from_millis(50);
         net.run_until(now);
         for &d in &dsts {
-            net.drain_delivered(d).count();
+            net.poll_delivered(d);
         }
         check_links(&mut net, now, &shaped_links, seed);
     }
