@@ -22,10 +22,11 @@ VISIONSIM_THREADS=4 cargo test -q -p visionsim-experiments resilience
 echo "== sanitizer explicitly on and off =="
 # Debug tests default the sanitizer on; exercise both explicit settings on
 # the crates that carry check sites (core, net) and the hostile decoders
-# (the compress hostility and property suites live in the root package).
+# (the compress hostility and property suites and the semantic codec's
+# property suite live in the root package).
 VISIONSIM_SANITIZE=1 cargo test -q -p visionsim-core -p visionsim-net -p visionsim-compress -p visionsim-mesh
 VISIONSIM_SANITIZE=1 cargo test -q --test compress_hostility
-VISIONSIM_SANITIZE=1 cargo test -q --test compress_prop
+VISIONSIM_SANITIZE=1 cargo test -q --test compress_prop --test semantic_prop
 VISIONSIM_SANITIZE=0 cargo test -q -p visionsim-core -p visionsim-net
 
 echo "== allocation gate: sanitizer on and off =="
@@ -94,9 +95,10 @@ echo "== bench smoke + regression gate (packet_path, event_queue, fleet, codecs)
 # gross regressions; results go to scratch files so the committed
 # BENCH.json numbers (full 10-sample runs) are not overwritten. Some
 # kernels read in one of two modes from one bench process to the next
-# (lzma_like/compress_keypoint_frame about 50-62 or 78-88 us,
-# fleet/barrier_rounds about 27-34 or 48-56 us), so a single draw against
-# the committed figure fails at random. Each bench therefore runs in
+# (lzma_like/compress_keypoint_frame about 38-44 or 51-61 us, the slow
+# mode being what it reads while another hardware thread keeps its core
+# busy; fleet/barrier_rounds about 27-34 or 48-56 us), so a single draw
+# against the committed figure fails at random. Each bench therefore runs in
 # SMOKE_DRAWS separate processes, the targets interleaved, and the gate
 # takes each entry's median per_sec over the draws: an entry whose median
 # lands more than 25% below its committed per_sec fails. Entries without

@@ -4,7 +4,13 @@
 //! a hash of their 3-byte prefix; candidate matches are walked newest-first
 //! up to a bounded chain depth. Greedy parsing with a one-step lazy
 //! heuristic (defer a match if the next position matches longer).
+//!
+//! The 128 KiB table of chain heads is allocated once per thread, not once
+//! per call. A call resets the entries it set before it returns the table,
+//! so the tokens depend on the input alone. A call that unwinds drops the
+//! table it holds.
 
+use std::cell::Cell;
 use visionsim_core::SimError;
 
 /// Smallest useful match.
@@ -91,7 +97,34 @@ fn best_match(
     best
 }
 
+/// Entries of the `head` table.
+const HEAD_LEN: usize = 1 << HASH_BITS;
+
+thread_local! {
+    /// This thread's `head` table between [`tokenize`] calls, all [`NONE`].
+    /// A call takes it out and puts it back only once it is clean again,
+    /// so a call that unwinds drops its table and the next call on the
+    /// thread starts from a fresh one.
+    static HEAD: Cell<Option<Box<[u32]>>> = const { Cell::new(None) };
+}
+
+/// Reset every `head` entry that tokenizing `data` can have set. Below
+/// `HEAD_LEN / 16` positions, re-hashing them is cheaper than filling the
+/// whole table.
+fn clear_head(head: &mut [u32], data: &[u8]) {
+    if data.len() < HEAD_LEN / 16 {
+        for i in 0..data.len().saturating_sub(MIN_MATCH - 1) {
+            head[hash3(data, i)] = NONE;
+        }
+    } else {
+        head.fill(NONE);
+    }
+}
+
 /// Parse `data` into LZ77 tokens.
+///
+/// The 128 KiB `head` table is reused from call to call on one thread
+/// and holds nothing between calls, so the tokens depend on `data` alone.
 ///
 /// # Panics
 ///
@@ -101,13 +134,24 @@ fn best_match(
 /// refuses any stream that claims more than
 /// [`MAX_DECODED_LEN`](crate::lzma_like::MAX_DECODED_LEN) (256 MiB).
 pub fn tokenize(data: &[u8]) -> Vec<Token> {
-    let mut tokens = Vec::new();
     let n = data.len();
     assert!(
         n < u32::MAX as usize,
         "lz77 input of {n} bytes exceeds u32 positions"
     );
-    let mut head = vec![NONE; 1 << HASH_BITS];
+    let mut head = HEAD
+        .take()
+        .unwrap_or_else(|| vec![NONE; HEAD_LEN].into_boxed_slice());
+    let tokens = tokenize_with(data, &mut head);
+    clear_head(&mut head, data);
+    HEAD.set(Some(head));
+    tokens
+}
+
+/// [`tokenize`] on a `head` table that starts all [`NONE`].
+fn tokenize_with(data: &[u8], head: &mut [u32]) -> Vec<Token> {
+    let mut tokens = Vec::new();
+    let n = data.len();
     // Chain links are indexed by `i % WINDOW`; below one window that is
     // `i` itself, so an input shorter than the window needs only `n` of
     // them (a keypoint frame is under 1 KiB).
@@ -121,15 +165,15 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
     };
     let mut i = 0;
     while i < n {
-        let here = best_match(data, i, &head, &prev);
+        let here = best_match(data, i, head, &prev);
         let use_match = match here {
             None => None,
             Some((len, dist)) => {
                 // Lazy heuristic: if the next position matches strictly
                 // longer, emit a literal now and take that match next.
                 if i + 1 < n {
-                    insert(&mut head, &mut prev, i);
-                    let next = best_match(data, i + 1, &head, &prev);
+                    insert(head, &mut prev, i);
+                    let next = best_match(data, i + 1, head, &prev);
                     if let Some((nlen, _)) = next {
                         if nlen > len + 1 {
                             tokens.push(Token::Literal(data[i]));
@@ -139,7 +183,7 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
                     }
                     // `i` already inserted; emit match and insert the rest.
                     for j in i + 1..i + len {
-                        insert(&mut head, &mut prev, j);
+                        insert(head, &mut prev, j);
                     }
                     tokens.push(Token::Match { len, dist });
                     i += len;
@@ -151,13 +195,13 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
         match use_match {
             Some((len, dist)) => {
                 for j in i..i + len {
-                    insert(&mut head, &mut prev, j);
+                    insert(head, &mut prev, j);
                 }
                 tokens.push(Token::Match { len, dist });
                 i += len;
             }
             None => {
-                insert(&mut head, &mut prev, i);
+                insert(head, &mut prev, i);
                 tokens.push(Token::Literal(data[i]));
                 i += 1;
             }

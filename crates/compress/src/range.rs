@@ -4,6 +4,16 @@
 //! probability model ([`BitModel`]). Composite symbols (bytes, lengths) are
 //! coded through bit trees. This is the same construction LZMA uses, which
 //! is exactly what the paper ran over its keypoint traces.
+//!
+//! A keypoint frame is about 7,900 serially dependent bits, so the bit
+//! step is written for the CPU's one serial chain. No adaptive step
+//! branches on the bit's value. Each bit tree and each single bit copies
+//! the coder state (`low` and `range`, or `code` and `range`) into
+//! locals, so it stays in registers across the tree rather than going to
+//! memory and back on every bit. A renormalization is one 8-bit shift.
+//! The encoder emits a byte with one inlined push; the rare pending-0xFF
+//! work runs out of line. The decoder loads both children of a tree node
+//! while it decodes the node's bit.
 
 use visionsim_core::SimError;
 
@@ -32,15 +42,19 @@ impl BitModel {
         Self::default()
     }
 
-    /// Adapt the probability of a 0 to a coded bit. Both outcomes are
-    /// computed and `mask` (all ones for a 1) keeps one: float mantissa
-    /// bits are coin flips, which a branch on the bit mispredicts half the
-    /// time. The probability stays in `[31, 2017]`.
+    /// Adapt the probability of a 0 to a coded bit without a branch on the
+    /// bit (`mask` is all ones for a 1): float mantissa bits are coin
+    /// flips, which a branch on the bit mispredicts half the time. A 0
+    /// adds `(2048 - p) >> 5` and a 1 subtracts `p >> 5`; both are
+    /// `p + ((target - p) >> 5)`, with target 2048 or 31, because an
+    /// arithmetic shift gives `(31 - p) >> 5 = -(p >> 5)`. The
+    /// probability stays in `[31, 2017]`.
+    #[inline(always)]
     fn update(&mut self, mask: u32) {
-        let p = self.0 as u32;
-        let after_one = p - (p >> MOVE_BITS);
-        let after_zero = p + (((1 << PROB_BITS) - p) >> MOVE_BITS);
-        self.0 = ((after_one & mask) | (after_zero & !mask)) as u16;
+        let floor = (1 << MOVE_BITS) - 1;
+        let target = (1 << PROB_BITS) - (((1 << PROB_BITS) - floor) & mask);
+        let p = self.0 as i32;
+        self.0 = (p + ((target as i32 - p) >> MOVE_BITS)) as u16;
     }
 }
 
@@ -77,9 +91,30 @@ impl RangeEncoder {
         }
     }
 
-    fn shift_low(&mut self) {
-        if (self.low as u32) < 0xFF00_0000 || (self.low >> 32) != 0 {
-            let carry = (self.low >> 32) as u8;
+    /// LZMA's cache-and-carry step: settle the cached byte with the carry
+    /// out of `low`, cache `low`'s top byte, and return the shifted `low`.
+    /// In the common case, no 0xFF byte is pending and the top byte is not
+    /// 0xFF, that is one push.
+    #[inline(always)]
+    fn shift_low(&mut self, low: u64) -> u64 {
+        if self.cache_size == 1 && low >> 24 != 0xFF {
+            self.out.push(self.cache.wrapping_add((low >> 32) as u8));
+            self.cache = (low >> 24) as u8;
+            (low & 0x00FF_FFFF) << 8
+        } else {
+            self.shift_low_pending(low)
+        }
+    }
+
+    /// The rest of [`shift_low`](Self::shift_low), about one call in a
+    /// hundred: defer a 0xFF top byte, since a later carry may still turn
+    /// it into 0x00, or settle the cached byte and the deferred 0xFF run,
+    /// adding the carry to each.
+    #[cold]
+    #[inline(never)]
+    fn shift_low_pending(&mut self, low: u64) -> u64 {
+        if (low as u32) < 0xFF00_0000 || (low >> 32) != 0 {
+            let carry = (low >> 32) as u8;
             let mut byte = self.cache;
             loop {
                 self.out.push(byte.wrapping_add(carry));
@@ -89,57 +124,77 @@ impl RangeEncoder {
                     break;
                 }
             }
-            self.cache = (self.low >> 24) as u8;
+            self.cache = (low >> 24) as u8;
         }
         self.cache_size += 1;
-        self.low = (self.low << 8) & 0xFFFF_FFFF;
+        (low << 8) & 0xFFFF_FFFF
     }
 
-    /// Encode one bit under `model`: a 0 keeps `[low, low + bound)`, a 1
-    /// keeps `[low + bound, low + range)`, selected without a branch.
-    pub fn encode_bit(&mut self, model: &mut BitModel, bit: bool) {
-        let bound = (self.range >> PROB_BITS) * model.0 as u32;
-        let mask = bit_mask(bit);
-        self.low += (bound & mask) as u64;
-        self.range = (bound & !mask) | ((self.range - bound) & mask);
-        model.update(mask);
-        while self.range < TOP {
-            self.range <<= 8;
-            self.shift_low();
+    /// Restore `range ≥ TOP` after one bit. A bit leaves `range` at least
+    /// `31 · 2^13` (a model bit: the probability stays in `[31, 2017]`) or
+    /// `2^23` (a direct bit), so one 8-bit shift is always enough.
+    #[inline(always)]
+    fn normalize(&mut self, low: &mut u64, range: &mut u32) {
+        if *range < TOP {
+            *range <<= 8;
+            *low = self.shift_low(*low);
         }
+    }
+
+    /// One adaptive bit on the caller's copy of the coder state: a 0 keeps
+    /// `[low, low + bound)`, a 1 keeps `[low + bound, low + range)`,
+    /// selected without a branch.
+    #[inline(always)]
+    fn code_bit(&mut self, low: &mut u64, range: &mut u32, model: &mut BitModel, bit: bool) {
+        let bound = (*range >> PROB_BITS) * model.0 as u32;
+        let mask = bit_mask(bit);
+        *low += (bound & mask) as u64;
+        *range = (bound & !mask) | ((*range - bound) & mask);
+        model.update(mask);
+        self.normalize(low, range);
+    }
+
+    /// Encode one bit under `model`.
+    #[inline]
+    pub fn encode_bit(&mut self, model: &mut BitModel, bit: bool) {
+        let (mut low, mut range) = (self.low, self.range);
+        self.code_bit(&mut low, &mut range, model, bit);
+        (self.low, self.range) = (low, range);
     }
 
     /// Encode `count` bits of `value` (MSB-first) at fixed probability 1/2.
     pub fn encode_direct(&mut self, value: u32, count: u32) {
+        let (mut low, mut range) = (self.low, self.range);
         for i in (0..count).rev() {
-            self.range >>= 1;
-            let bit = (value >> i) & 1;
-            if bit == 1 {
-                self.low += self.range as u64;
+            range >>= 1;
+            if (value >> i) & 1 == 1 {
+                low += range as u64;
             }
-            while self.range < TOP {
-                self.range <<= 8;
-                self.shift_low();
-            }
+            self.normalize(&mut low, &mut range);
         }
+        (self.low, self.range) = (low, range);
     }
 
     /// Encode `value` through a bit tree of `depth` levels. `models` must
     /// hold `1 << depth` entries.
+    #[inline]
     pub fn encode_tree(&mut self, models: &mut [BitModel], depth: u32, value: u32) {
         debug_assert!(models.len() >= (1usize << depth));
+        let (mut low, mut range) = (self.low, self.range);
         let mut m: usize = 1;
         for i in (0..depth).rev() {
             let bit = (value >> i) & 1 == 1;
-            self.encode_bit(&mut models[m], bit);
+            self.code_bit(&mut low, &mut range, &mut models[m], bit);
             m = (m << 1) | bit as usize;
         }
+        (self.low, self.range) = (low, range);
     }
 
     /// Flush and return the encoded bytes.
     pub fn finish(mut self) -> Vec<u8> {
+        let mut low = self.low;
         for _ in 0..5 {
-            self.shift_low();
+            low = self.shift_low(low);
         }
         self.out
     }
@@ -151,8 +206,9 @@ pub struct RangeDecoder<'a> {
     code: u32,
     range: u32,
     input: &'a [u8],
+    /// Index of the next input byte; past the end of `input`, the decoder
+    /// reads zeros.
     pos: usize,
-    overrun: usize,
 }
 
 impl<'a> RangeDecoder<'a> {
@@ -174,20 +230,7 @@ impl<'a> RangeDecoder<'a> {
             range: u32::MAX,
             input,
             pos: 5,
-            overrun: 0,
         })
-    }
-
-    fn next_byte(&mut self) -> u8 {
-        let b = match self.input.get(self.pos) {
-            Some(&b) => b,
-            None => {
-                self.overrun += 1;
-                0
-            }
-        };
-        self.pos += 1;
-        b
     }
 
     /// How many bytes past the end of input have been (virtually) read.
@@ -195,53 +238,86 @@ impl<'a> RangeDecoder<'a> {
     /// normal at stream end; a growing overrun means the caller is decoding
     /// past a truncated stream.
     pub fn overrun(&self) -> usize {
-        self.overrun
+        self.pos.saturating_sub(self.input.len())
     }
 
-    /// Decode one bit under `model`, the mirror of
-    /// [`RangeEncoder::encode_bit`]: the same branch-free selection.
-    pub fn decode_bit(&mut self, model: &mut BitModel) -> bool {
-        let bound = (self.range >> PROB_BITS) * model.0 as u32;
-        let bit = self.code >= bound;
-        let mask = bit_mask(bit);
-        self.code -= bound & mask;
-        self.range = (bound & !mask) | ((self.range - bound) & mask);
-        model.update(mask);
-        while self.range < TOP {
-            self.range <<= 8;
-            self.code = (self.code << 8) | self.next_byte() as u32;
+    /// The decoder's side of [`RangeEncoder::normalize`]: one 8-bit shift
+    /// is always enough.
+    #[inline(always)]
+    fn normalize(&mut self, code: &mut u32, range: &mut u32) {
+        if *range < TOP {
+            let byte = self.input.get(self.pos).copied().unwrap_or(0);
+            self.pos += 1;
+            *range <<= 8;
+            *code = (*code << 8) | byte as u32;
         }
-        bit
+    }
+
+    /// One adaptive bit under probability `p` on the caller's copy of the
+    /// coder state, the mirror of [`RangeEncoder::code_bit`]. Returns the
+    /// bit's mask (all ones for a 1).
+    #[inline(always)]
+    fn code_bit(&mut self, code: &mut u32, range: &mut u32, p: u16) -> u32 {
+        let bound = (*range >> PROB_BITS) * p as u32;
+        let mask = bit_mask(*code >= bound);
+        *code -= bound & mask;
+        *range = (bound & !mask) | ((*range - bound) & mask);
+        self.normalize(code, range);
+        mask
+    }
+
+    /// Decode one bit under `model`.
+    #[inline(always)]
+    pub fn decode_bit(&mut self, model: &mut BitModel) -> bool {
+        let (mut code, mut range) = (self.code, self.range);
+        let mask = self.code_bit(&mut code, &mut range, model.0);
+        model.update(mask);
+        (self.code, self.range) = (code, range);
+        mask != 0
     }
 
     /// Decode `count` fixed-probability bits (MSB-first).
     pub fn decode_direct(&mut self, count: u32) -> u32 {
+        let (mut code, mut range) = (self.code, self.range);
         let mut value = 0u32;
         for _ in 0..count {
-            self.range >>= 1;
-            let bit = if self.code >= self.range {
-                self.code -= self.range;
-                1
-            } else {
-                0
-            };
-            value = (value << 1) | bit;
-            while self.range < TOP {
-                self.range <<= 8;
-                self.code = (self.code << 8) | self.next_byte() as u32;
+            range >>= 1;
+            let bit = code >= range;
+            if bit {
+                code -= range;
             }
+            value = (value << 1) | bit as u32;
+            self.normalize(&mut code, &mut range);
         }
+        (self.code, self.range) = (code, range);
         value
     }
 
-    /// Decode a value from a bit tree of `depth` levels.
+    /// Decode a value from a bit tree of `depth` levels. Each level but
+    /// the last loads both children's probabilities while its own bit is
+    /// decoded, so the next level's probability is a select on the bit,
+    /// not a load that waits for it.
+    #[inline(always)]
     pub fn decode_tree(&mut self, models: &mut [BitModel], depth: u32) -> u32 {
         debug_assert!(models.len() >= (1usize << depth));
-        let mut m: usize = 1;
-        for _ in 0..depth {
-            let bit = self.decode_bit(&mut models[m]);
-            m = (m << 1) | bit as usize;
+        if depth == 0 {
+            return 0;
         }
+        let (mut code, mut range) = (self.code, self.range);
+        let mut m: usize = 1;
+        let mut p = models[1].0;
+        for _ in 1..depth {
+            let children = &models[2 * m..2 * m + 2];
+            let (p0, p1) = (children[0].0, children[1].0);
+            let mask = self.code_bit(&mut code, &mut range, p);
+            models[m].update(mask);
+            m = (m << 1) | (mask & 1) as usize;
+            p = ((p1 as u32 & mask) | (p0 as u32 & !mask)) as u16;
+        }
+        let mask = self.code_bit(&mut code, &mut range, p);
+        models[m].update(mask);
+        m = (m << 1) | (mask & 1) as usize;
+        (self.code, self.range) = (code, range);
         m as u32 - (1 << depth)
     }
 }
@@ -334,6 +410,19 @@ mod tests {
             assert_eq!(dec.decode_bit(&mut model), i % 3 == 0);
             assert_eq!(dec.decode_direct(4), i % 16);
             assert_eq!(dec.decode_tree(&mut tree, 5), i % 32);
+        }
+    }
+
+    #[test]
+    fn update_is_the_two_outcome_formula() {
+        for p in 31..=2017u16 {
+            let mut zero = BitModel(p);
+            zero.update(bit_mask(false));
+            assert_eq!(zero.0, p + ((2048 - p) >> MOVE_BITS), "p = {p} after a 0");
+            let mut one = BitModel(p);
+            one.update(bit_mask(true));
+            assert_eq!(one.0, p - (p >> MOVE_BITS), "p = {p} after a 1");
+            assert!((31..=2017).contains(&zero.0) && (31..=2017).contains(&one.0));
         }
     }
 

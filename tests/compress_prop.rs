@@ -1,8 +1,9 @@
 //! Randomized property tests for `visionsim-compress`: every codec must
 //! round-trip arbitrary inputs bit-exactly, decoders must never panic on
-//! arbitrary (malformed) inputs, and the range coder's branch-free bit
-//! step must match a branchy reference model byte for byte. Cases are
-//! deterministic SimRng draws.
+//! arbitrary (malformed) inputs, the range coder's branch-free bit step
+//! must match a branchy reference model byte for byte, and LZ77 tokens
+//! must not depend on earlier calls on the thread. Cases are deterministic
+//! SimRng draws.
 
 use visionsim::compress::bitio::{BitReader, BitWriter};
 use visionsim::compress::lz77;
@@ -12,6 +13,7 @@ use visionsim::compress::rans;
 use visionsim::compress::varint;
 use visionsim::core::par::derive_seed;
 use visionsim::core::rng::SimRng;
+use visionsim::sensor::capture::RgbdCapture;
 
 const CASES: u64 = 96;
 
@@ -124,6 +126,38 @@ fn lz77_round_trips() {
         };
         let tokens = lz77::tokenize(&data);
         assert_eq!(lz77::detokenize(&tokens).expect("own tokens"), data);
+    }
+}
+
+/// `lz77::tokenize` reuses one `head` table per thread, so a call must
+/// leave it as it found it: tokenizing A, then B, whose 3-byte prefixes
+/// hash to A's buckets at other positions, then A again must give the
+/// tokens a fresh thread gives for A. The inputs cover 0–2 bytes (no
+/// hashed position), a keypoint frame, and more than one window (the
+/// chain links wrap).
+#[test]
+fn lz77_tokens_do_not_depend_on_earlier_calls() {
+    let mut capture = RgbdCapture::default_session();
+    let frame = capture
+        .next_frame(&mut SimRng::seed_from_u64(61))
+        .persona_subset()
+        .to_bytes();
+    let mut rng = case_rng("lz77_reuse", 0);
+    let mut inputs = vec![Vec::new(), vec![7], vec![7, 7], frame];
+    inputs.push(compressible_bytes(&mut rng, 3_000));
+    let mut long = compressible_bytes(&mut rng, 40_000);
+    while long.len() <= lz77::WINDOW + 5_000 {
+        long.extend_from_within(..long.len() / 2);
+    }
+    inputs.push(long);
+    for a in &inputs {
+        let fresh = std::thread::scope(|s| s.spawn(|| lz77::tokenize(a)).join().unwrap());
+        let mut b = vec![0xA5; 5];
+        b.extend_from_slice(a);
+        b.extend_from_slice(&a[..a.len() / 2]);
+        assert_eq!(lz77::tokenize(a), fresh, "{}-byte A, first call", a.len());
+        lz77::tokenize(&b);
+        assert_eq!(lz77::tokenize(a), fresh, "{}-byte A, after B", a.len());
     }
 }
 
@@ -256,6 +290,18 @@ mod reference {
         cache: u8,
         cache_size: u64,
         out: Vec<u8>,
+        events: ByteEvents,
+    }
+
+    /// How often an encoder's `shift_low` took each rare byte path.
+    #[derive(Debug, Default)]
+    pub struct ByteEvents {
+        /// Calls that added a carry to the cached byte.
+        pub carries: u64,
+        /// Of those, the calls that carried through deferred 0xFF bytes.
+        pub deferred_carries: u64,
+        /// Calls that deferred a 0xFF byte (`cache_size > 1`).
+        pub deferrals: u64,
     }
 
     impl Encoder {
@@ -266,12 +312,17 @@ mod reference {
                 cache: 0,
                 cache_size: 1,
                 out: Vec::new(),
+                events: ByteEvents::default(),
             }
         }
 
         fn shift_low(&mut self) {
             if (self.low as u32) < 0xFF00_0000 || (self.low >> 32) != 0 {
                 let carry = (self.low >> 32) as u8;
+                if carry != 0 {
+                    self.events.carries += 1;
+                    self.events.deferred_carries += (self.cache_size > 1) as u64;
+                }
                 let mut byte = self.cache;
                 loop {
                     self.out.push(byte.wrapping_add(carry));
@@ -282,6 +333,8 @@ mod reference {
                     }
                 }
                 self.cache = (self.low >> 24) as u8;
+            } else {
+                self.events.deferrals += 1;
             }
             self.cache_size += 1;
             self.low = (self.low << 8) & 0xFFFF_FFFF;
@@ -316,11 +369,12 @@ mod reference {
             }
         }
 
-        pub fn finish(mut self) -> Vec<u8> {
+        /// Flush; returns the bytes and how often each rare byte path ran.
+        pub fn finish(mut self) -> (Vec<u8>, ByteEvents) {
             for _ in 0..5 {
                 self.shift_low();
             }
-            self.out
+            (self.out, self.events)
         }
     }
 
@@ -511,10 +565,13 @@ fn decode_side_by_side(bytes: &[u8], steps: &[Step], label: &str) -> Vec<Step> {
 /// `decode_bit`) is the branchy reference's arithmetic with the branch
 /// replaced by a mask select: the encoders must write identical bytes,
 /// and the decoders must read identical bits with identical `overrun()`,
-/// on their own streams and on arbitrary bytes.
+/// on their own streams and on arbitrary bytes. The cases must also reach
+/// the encoder's rare byte paths, which the library codes out of line:
+/// deferring a 0xFF byte, and a carry through deferred 0xFF bytes.
 #[test]
 fn bit_coder_matches_the_reference_model() {
     let (mut lowest, mut highest) = (reference::PROB_INIT, reference::PROB_INIT);
+    let mut events = reference::ByteEvents::default();
     for i in 0..CASES {
         let mut rng = case_rng("bit_coder_reference", i);
         let steps = coder_steps(&mut rng);
@@ -548,11 +605,11 @@ fn bit_coder_matches_the_reference_model() {
             }
         }
         let encoded = lib.finish();
-        assert_eq!(
-            encoded,
-            reference.finish(),
-            "case {i}: encoder bytes differ"
-        );
+        let (expected, case_events) = reference.finish();
+        assert_eq!(encoded, expected, "case {i}: encoder bytes differ");
+        events.carries += case_events.carries;
+        events.deferred_carries += case_events.deferred_carries;
+        events.deferrals += case_events.deferrals;
 
         let decoded = decode_side_by_side(&encoded, &steps, &format!("case {i}"));
         assert!(decoded == steps, "case {i}: steps did not round-trip");
@@ -562,4 +619,8 @@ fn bit_coder_matches_the_reference_model() {
     }
     // The runs drove the run model to both ends of its range.
     assert_eq!((lowest, highest), (31, 2017));
+    assert!(
+        events.deferred_carries > 0 && events.deferrals > 0,
+        "the cases reached too few rare byte paths: {events:?}"
+    );
 }

@@ -1,11 +1,11 @@
 //! Randomized property tests for the semantic codec and packetization,
 //! driven by deterministic SimRng cases.
 
-use visionsim_core::par::derive_seed;
-use visionsim_core::rng::SimRng;
-use visionsim_semantic::codec::{CodecMode, SemanticCodec, SemanticConfig};
-use visionsim_semantic::packetize::{Fragment, FrameAssembler, Packetizer};
-use visionsim_sensor::keypoints::KeypointFrame;
+use visionsim::core::par::derive_seed;
+use visionsim::core::rng::SimRng;
+use visionsim::semantic::codec::{CodecMode, SemanticCodec, SemanticConfig};
+use visionsim::semantic::packetize::{Fragment, FrameAssembler, Packetizer};
+use visionsim::sensor::keypoints::KeypointFrame;
 
 const CASES: u64 = 96;
 
