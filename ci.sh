@@ -143,12 +143,19 @@ rm -rf "$BENCHDIR"
 echo "== supervised regenerate: quarantine + resume smoke =="
 ARTDIR=$(mktemp -d)
 # An injected panic must quarantine one artifact, let the rest finish,
-# and exit non-zero with a summary.
-if VISIONSIM_ARTIFACT_DIR="$ARTDIR" VISIONSIM_FAIL_ARTIFACT=figure5 \
-   ./target/release/regenerate 2024 > /dev/null; then
+# and exit non-zero with a summary naming the artifact, its seed and its
+# panic message. The output is captured and fed to grep as a here-string,
+# not piped: `grep -q` would close the pipe early and the writer's
+# SIGPIPE would trip pipefail.
+if FAIL_OUT=$(VISIONSIM_ARTIFACT_DIR="$ARTDIR" VISIONSIM_FAIL_ARTIFACT=figure5 \
+   ./target/release/regenerate 2024); then
   echo "regenerate should exit non-zero when an artifact is quarantined" >&2
   exit 1
 fi
+grep -q '^artifacts: 16 written, 0 resumed, 1 failed$' <<< "$FAIL_OUT" \
+  || { echo "summary does not report exactly one failed artifact" >&2; exit 1; }
+grep -Eq '^  figure5 +2024 +injected failure via VISIONSIM_FAIL_ARTIFACT=figure5$' <<< "$FAIL_OUT" \
+  || { echo "summary does not name figure5, seed 2024 and its panic message" >&2; exit 1; }
 test ! -f "$ARTDIR/figure5.txt" || { echo "quarantined artifact was written" >&2; exit 1; }
 test -f "$ARTDIR/table1.txt" || { echo "surviving artifacts were not written" >&2; exit 1; }
 test -f "$ARTDIR/manifest.json" || { echo "manifest missing after failure" >&2; exit 1; }

@@ -15,7 +15,7 @@
 //! The measurement harness itself lives in this crate (the workspace has
 //! no external dependency, so no criterion): a Criterion-shaped API —
 //! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`], [`Throughput`],
-//! [`BenchmarkId`], [`criterion_group!`]/[`criterion_main!`] — over a
+//! [`criterion_group!`]/[`criterion_main!`] — over a
 //! simple calibrate-then-sample loop. Each benchmark is calibrated so one
 //! sample takes ≥10 ms of wall-clock, then `sample_size` samples are timed
 //! and the per-iteration min / mean / max are reported (min is the headline
@@ -157,26 +157,6 @@ pub enum Throughput {
     Elements(u64),
 }
 
-/// A benchmark identifier with a parameter, e.g. `session_5s/2`.
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    /// `BenchmarkId::new("session_5s", 2)` → `session_5s/2`.
-    pub fn new(function: &str, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            name: format!("{function}/{parameter}"),
-        }
-    }
-}
-
-impl std::fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)
-    }
-}
-
 /// The timing loop handed to each benchmark closure.
 pub struct Bencher {
     iters: u64,
@@ -295,14 +275,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Criterion-style parameterized benchmark.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input))
-    }
-
     /// End the group (kept for API parity; reporting is immediate).
     pub fn finish(&mut self) {}
 }
@@ -391,11 +363,6 @@ mod tests {
         g.bench_function("spin", |b| b.iter(|| ran = ran.wrapping_add(1)));
         g.finish();
         assert!(ran > 0);
-    }
-
-    #[test]
-    fn benchmark_id_formats_with_parameter() {
-        assert_eq!(BenchmarkId::new("session", 5).to_string(), "session/5");
     }
 
     fn record(name: &str, ns: f64) -> BenchRecord {

@@ -11,13 +11,11 @@
 //!   the static [`rans`] entropy coder from this crate for its
 //!   quantize/delta/entropy pipeline.
 //!
-//! Layers, bottom-up: [`bitio`] (bit-level I/O), [`varint`]
-//! (LEB128 + zigzag), [`lz77`] (hash-chain match finder),
-//! [`range`] (carry-correct adaptive binary range coder),
-//! [`rans`] (static table-based rANS), and [`lzma_like`]
+//! Layers, bottom-up: [`varint`] (LEB128 + zigzag), [`lz77`]
+//! (hash-chain match finder), [`range`] (carry-correct adaptive binary
+//! range coder), [`rans`] (static table-based rANS), and [`lzma_like`]
 //! (the assembled general-purpose codec).
 
-pub mod bitio;
 pub mod lz77;
 pub mod lzma_like;
 pub mod range;

@@ -18,8 +18,8 @@
 //! * [`series`] — time-series recording (e.g. throughput over a session).
 //! * [`par`] — deterministic parallel execution ([`par::par_map`]),
 //!   collision-free per-cell seed derivation ([`par::derive_seed`]), and
-//!   the supervised engine ([`par::try_par_map`]): `catch_unwind` +
-//!   watchdog + retry-once + quarantine per cell.
+//!   the supervised harness cell ([`par::run_cell`]): `catch_unwind` +
+//!   retry-once + quarantine.
 //! * [`error`] — the shared [`error::SimError`] taxonomy every decoder
 //!   and parser of hostile bytes returns.
 //! * [`sanitizer`] — opt-in runtime invariant monitor (`VISIONSIM_SANITIZE=1`,
@@ -49,7 +49,7 @@ pub use error::SimError;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use trace::{TraceEvent, TraceKind};
 pub use event::{EventQueue, ScheduledEvent};
-pub use par::{derive_seed, par_map, try_par_map, Cell, CellError, CellFailure};
+pub use par::{derive_seed, par_map, CellError};
 pub use rng::SimRng;
 pub use series::{RateSeries, TimeSeries};
 pub use shard::{ConservativeEngine, Envelope, EngineReport, ShardWorld};

@@ -2,29 +2,24 @@
 //!
 //! The paper's methodology is ≥5 independent repeats per cell — every cell
 //! is a pure function of its config and seed, so the suite is
-//! embarrassingly parallel. [`par_map`] fans independent work items across
-//! `available_parallelism()` OS threads (scoped, no dependencies) and
-//! returns results **in submission order**, so a parallel run is
-//! bit-identical to a sequential one as long as each item derives its own
-//! RNG stream via [`derive_seed`] instead of sharing a generator.
+//! embarrassingly parallel. [`par_map`] runs independent work items on the
+//! calling thread and up to `threads() − 1` scoped helpers, and returns
+//! results **in submission order**, so a parallel run is bit-identical to
+//! a sequential one as long as each item derives its own RNG stream via
+//! [`derive_seed`] instead of sharing a generator.
 //!
-//! # Supervision
+//! # Panics and supervision
 //!
-//! [`try_par_map`] is the supervised variant: every cell runs under
-//! `catch_unwind` with a wall-clock watchdog. A panicking or overrunning
-//! cell is retried once with the identical input (and therefore the
-//! identical derived seed — cells are pure functions of config and seed);
-//! if it fails again it is **quarantined**: the cell yields a structured
-//! [`CellError`] while every other cell runs to completion. [`par_map`]
-//! keeps its historical signature as a wrapper over the same engine that
-//! propagates the first quarantined error as a panic.
+//! Every [`par_map`] item runs under `catch_unwind`, so one panicking item
+//! never stops the others. Once every item has run, the lowest-index
+//! item's panic resumes on the caller with its own payload.
 //!
-//! The watchdog is detection, not preemption: Rust cannot cancel a thread,
-//! so a cell that overruns its budget is marked quarantined (its eventual
-//! result, if any, is discarded) and the pool's other workers keep
-//! draining cells — but a cell that literally never returns will still
-//! block the final join. True kill semantics require process isolation,
-//! which is out of scope for an in-process harness.
+//! [`run_cell`] supervises one harness artifact: it runs under
+//! `catch_unwind`, is retried once with the same label and seed (a cell is
+//! a pure function of its config and seed), and is **quarantined** into a
+//! [`CellError`] if the retry fails too. Nothing detects a hung cell:
+//! Rust cannot cancel a thread, so a cell that never returns blocks its
+//! caller.
 //!
 //! Thread count resolution, highest priority first:
 //! 1. a programmatic override set with [`set_threads`] (used by the
@@ -34,8 +29,8 @@
 //! 3. [`std::thread::available_parallelism`].
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -63,11 +58,11 @@ fn par_metrics() -> &'static ParMetrics {
     })
 }
 
-/// Flight-recorder entry for a cell lifecycle moment. Wall-clock
+/// Flight-recorder entry for a [`run_cell`] lifecycle moment. Wall-clock
 /// timestamps: supervision has no virtual clock.
-fn trace_cell(kind: TraceKind, label: &str, seed: u64, b: u64) {
+fn trace_cell(kind: TraceKind, label: &str, seed: u64) {
     if trace::enabled() {
-        trace::record(kind, trace::wall_ns(), trace::intern(label), seed, b, 0);
+        trace::record(kind, trace::wall_ns(), trace::intern(label), seed, 0, 0);
     }
 }
 
@@ -117,21 +112,6 @@ pub fn threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The per-cell wall-clock budget the watchdog enforces, from
-/// `VISIONSIM_CELL_TIMEOUT_SECS` (default 600 s — generous, because a
-/// cell is a whole experiment repetition, not one packet).
-pub fn cell_timeout() -> Duration {
-    static TIMEOUT: OnceLock<Duration> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| {
-        let secs = std::env::var("VISIONSIM_CELL_TIMEOUT_SECS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(600);
-        Duration::from_secs(secs)
-    })
-}
-
 /// Derive a collision-free child seed for one experiment cell.
 ///
 /// XOR-offset schemes (`seed ^ ((r + 1) * 7919)`) correlate streams across
@@ -155,65 +135,26 @@ pub fn derive_seed(root: u64, label: &str, index: u64) -> u64 {
     splitmix64(&mut st)
 }
 
-/// One supervised work item: the input plus the identity a failure report
-/// needs to be actionable.
-#[derive(Clone, Debug)]
-pub struct Cell<I> {
-    /// Human-readable cell label (e.g. `"figure6/users=4"`).
-    pub label: String,
-    /// The cell's derived seed (zero when seeding is not meaningful).
-    pub seed: u64,
-    /// The input handed to the map function.
-    pub input: I,
-}
-
-impl<I> Cell<I> {
-    /// Build a cell.
-    pub fn new(label: impl Into<String>, seed: u64, input: I) -> Self {
-        Cell {
-            label: label.into(),
-            seed,
-            input,
-        }
-    }
-}
-
-/// How a quarantined cell failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CellFailure {
-    /// Both attempts panicked.
-    Panicked,
-    /// The cell overran its wall-clock budget.
-    TimedOut,
-}
-
-/// A quarantined cell: both the attempt and its retry failed.
+/// A quarantined cell: both the attempt and its retry panicked.
 #[derive(Clone, Debug)]
 pub struct CellError {
     /// The cell's label.
     pub label: String,
-    /// The cell's derived seed — rerun `<binary> <seed>` to reproduce.
+    /// The cell's seed — rerun `<binary> <seed>` to reproduce.
     pub seed: u64,
-    /// Wall-clock spent in the failing attempt.
+    /// Wall-clock spent in both attempts.
     pub elapsed: Duration,
-    /// The panic payload (or a timeout description).
+    /// The retry's panic payload.
     pub payload: String,
-    /// Panic vs watchdog timeout.
-    pub kind: CellFailure,
 }
 
 impl fmt::Display for CellError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match self.kind {
-            CellFailure::Panicked => "panicked",
-            CellFailure::TimedOut => "timed out",
-        };
         write!(
             f,
-            "cell {} (seed {}) {} after {:.2}s: {}",
+            "cell {} (seed {}) panicked after {:.2}s: {}",
             self.label,
             self.seed,
-            kind,
             self.elapsed.as_secs_f64(),
             self.payload
         )
@@ -232,319 +173,92 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One `catch_unwind`-wrapped attempt with the sanitizer context tagged.
-fn attempt<I, T>(cell: &Cell<I>, f: &(impl Fn(&Cell<I>) -> T + Sync)) -> Result<T, String> {
-    sanitizer::set_context(&cell.label, cell.seed);
-    let out = catch_unwind(AssertUnwindSafe(|| f(cell))).map_err(payload_string);
-    sanitizer::clear_context();
-    out
-}
-
-/// Run one supervised cell inline: `catch_unwind`, retried once on panic
-/// with the identical input/seed, quarantined on the second failure. This
-/// is the same supervision [`try_par_map`] applies per cell, minus the
-/// watchdog (a single inline cell cannot preempt itself).
-pub fn run_cell<I, T>(cell: &Cell<I>, f: impl Fn(&Cell<I>) -> T + Sync) -> Result<T, CellError> {
-    run_cell_inner(cell, &f, true)
-}
-
-fn run_cell_inner<I, T>(
-    cell: &Cell<I>,
-    f: &(impl Fn(&Cell<I>) -> T + Sync),
-    retry: bool,
-) -> Result<T, CellError> {
+/// Run one supervised cell on the calling thread: `f` runs under
+/// `catch_unwind` with the sanitizer tagged `(label, seed)`, is retried
+/// once if it panics, and is quarantined into a [`CellError`] if the retry
+/// panics too.
+pub fn run_cell<T>(label: &str, seed: u64, f: impl Fn() -> T) -> Result<T, CellError> {
+    let m = par_metrics();
     let start = Instant::now();
-    trace_cell(TraceKind::CellStart, &cell.label, cell.seed, 0);
-    par_metrics().cells.inc();
-    let outcome = match attempt(cell, f) {
-        Ok(t) => {
-            par_metrics().cell_wall_ns.observe(start.elapsed().as_nanos() as u64);
-            return Ok(t);
-        }
-        Err(first) if !retry => Err(first),
-        Err(_first) => {
-            trace_cell(TraceKind::CellRetry, &cell.label, cell.seed, 0);
-            par_metrics().retries.inc();
-            attempt(cell, f)
-        }
-    };
-    par_metrics().cell_wall_ns.observe(start.elapsed().as_nanos() as u64);
+    trace_cell(TraceKind::CellStart, label, seed);
+    m.cells.inc();
+    sanitizer::set_context(Some((label.to_string(), seed)));
+    let mut outcome = catch_unwind(AssertUnwindSafe(&f));
+    if outcome.is_err() {
+        trace_cell(TraceKind::CellRetry, label, seed);
+        m.retries.inc();
+        outcome = catch_unwind(AssertUnwindSafe(&f));
+    }
+    sanitizer::set_context(None);
+    m.cell_wall_ns.observe(start.elapsed().as_nanos() as u64);
     outcome.map_err(|payload| {
-        trace_cell(TraceKind::CellQuarantine, &cell.label, cell.seed, 0);
-        par_metrics().quarantined.inc();
+        trace_cell(TraceKind::CellQuarantine, label, seed);
+        m.quarantined.inc();
         CellError {
-            label: cell.label.clone(),
-            seed: cell.seed,
+            label: label.to_string(),
+            seed,
             elapsed: start.elapsed(),
-            payload,
-            kind: CellFailure::Panicked,
+            payload: payload_string(payload),
         }
     })
 }
 
-/// Per-cell slot state shared between workers and the watchdog.
-enum Slot<T> {
-    Pending,
-    Done(T),
-    Failed(CellError),
-}
-
-/// Supervised parallel map: every cell runs under `catch_unwind` with a
-/// wall-clock watchdog, is retried once on failure with the identical
-/// input (hence the identical derived seed), and is quarantined into a
-/// [`CellError`] only if it fails twice — while every other cell runs to
-/// completion. Results arrive in submission order.
+/// Map `f` over `items` and return the results in submission order.
 ///
-/// Uses the default [`cell_timeout`] budget; see [`try_par_map_with`] to
-/// set one explicitly.
-pub fn try_par_map<I, T, F>(cells: Vec<Cell<I>>, f: F) -> Vec<Result<T, CellError>>
-where
-    I: Send + Sync,
-    T: Send,
-    F: Fn(&Cell<I>) -> T + Sync,
-{
-    try_par_map_with(cells, cell_timeout(), f)
-}
-
-/// [`try_par_map`] with an explicit per-cell wall-clock budget.
-pub fn try_par_map_with<I, T, F>(
-    cells: Vec<Cell<I>>,
-    budget: Duration,
-    f: F,
-) -> Vec<Result<T, CellError>>
-where
-    I: Send + Sync,
-    T: Send,
-    F: Fn(&Cell<I>) -> T + Sync,
-{
-    supervise(cells, budget, true, f)
-}
-
-/// The supervised engine behind [`try_par_map`] and [`par_map`]. `retry`
-/// is off for [`par_map`], whose items are consumed by their first
-/// attempt and therefore cannot be replayed.
-fn supervise<I, T, F>(
-    cells: Vec<Cell<I>>,
-    budget: Duration,
-    retry: bool,
-    f: F,
-) -> Vec<Result<T, CellError>>
-where
-    I: Send + Sync,
-    T: Send,
-    F: Fn(&Cell<I>) -> T + Sync,
-{
-    let n = cells.len();
-    let workers = threads().min(n).max(1);
-    if workers == 1 {
-        // Inline path: identical supervision semantics minus the watchdog
-        // (one thread cannot watch itself without being preempted).
-        return cells.iter().map(|c| run_cell_inner(c, &f, retry)).collect();
-    }
-
-    let slots: Vec<Mutex<Slot<T>>> = (0..n).map(|_| Mutex::new(Slot::Pending)).collect();
-    // Start instant of the attempt currently running per cell (None when
-    // idle); the watchdog compares these against the budget.
-    let running: Vec<Mutex<Option<Instant>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
-
-    let cells = &cells;
-    let slots = &slots;
-    let running = &running;
-    let cursor = &cursor;
-    let done = &done;
-    let f = &f;
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cell = &cells[i];
-                let start = Instant::now();
-                trace_cell(TraceKind::CellStart, &cell.label, cell.seed, 0);
-                par_metrics().cells.inc();
-                *running[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(start);
-                let first = attempt(cell, f);
-                let outcome = match first {
-                    Ok(t) => Ok(t),
-                    Err(payload) if !retry => Err(CellError {
-                        label: cell.label.clone(),
-                        seed: cell.seed,
-                        elapsed: start.elapsed(),
-                        payload,
-                        kind: CellFailure::Panicked,
-                    }),
-                    Err(_) => {
-                        // Retry once with the identical input. Reset the
-                        // watchdog clock: the retry gets a fresh budget.
-                        *running[i].lock().unwrap_or_else(|e| e.into_inner()) =
-                            Some(Instant::now());
-                        // If the watchdog already quarantined this cell,
-                        // don't burn time retrying a timed-out attempt.
-                        let quarantined = matches!(
-                            *slots[i].lock().unwrap_or_else(|e| e.into_inner()),
-                            Slot::Failed(_)
-                        );
-                        if quarantined {
-                            *running[i].lock().unwrap_or_else(|e| e.into_inner()) = None;
-                            continue;
-                        }
-                        trace_cell(TraceKind::CellRetry, &cell.label, cell.seed, 0);
-                        par_metrics().retries.inc();
-                        attempt(cell, f).map_err(|payload| CellError {
-                            label: cell.label.clone(),
-                            seed: cell.seed,
-                            elapsed: start.elapsed(),
-                            payload,
-                            kind: CellFailure::Panicked,
-                        })
-                    }
-                };
-                *running[i].lock().unwrap_or_else(|e| e.into_inner()) = None;
-                par_metrics().cell_wall_ns.observe(start.elapsed().as_nanos() as u64);
-                let mut slot = slots[i].lock().unwrap_or_else(|e| e.into_inner());
-                // The watchdog may have quarantined the cell while it ran;
-                // a late result is discarded so reports stay consistent.
-                if matches!(*slot, Slot::Pending) {
-                    *slot = match outcome {
-                        Ok(t) => Slot::Done(t),
-                        Err(e) => {
-                            trace_cell(TraceKind::CellQuarantine, &cell.label, cell.seed, 0);
-                            par_metrics().quarantined.inc();
-                            Slot::Failed(e)
-                        }
-                    };
-                }
-            });
-        }
-        // Watchdog: flags cells whose current attempt overran the budget.
-        scope.spawn(move || {
-            while !done.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(10));
-                for i in 0..n {
-                    let started = *running[i].lock().unwrap_or_else(|e| e.into_inner());
-                    let Some(started) = started else { continue };
-                    let elapsed = started.elapsed();
-                    if elapsed <= budget {
-                        continue;
-                    }
-                    let mut slot = slots[i].lock().unwrap_or_else(|e| e.into_inner());
-                    if matches!(*slot, Slot::Pending) {
-                        trace_cell(TraceKind::CellQuarantine, &cells[i].label, cells[i].seed, 1);
-                        par_metrics().quarantined.inc();
-                        *slot = Slot::Failed(CellError {
-                            label: cells[i].label.clone(),
-                            seed: cells[i].seed,
-                            elapsed,
-                            payload: format!(
-                                "watchdog: exceeded {:.2}s wall-clock budget",
-                                budget.as_secs_f64()
-                            ),
-                            kind: CellFailure::TimedOut,
-                        });
-                    }
-                }
-            }
-        });
-        // Wait for the workers (spawned first) by observing the cursor;
-        // the scope itself joins everything. Signal the watchdog to exit
-        // once every slot has resolved.
-        while slots.iter().any(|s| {
-            matches!(
-                *s.lock().unwrap_or_else(|e| e.into_inner()),
-                Slot::Pending
-            )
-        }) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        done.store(true, Ordering::Relaxed);
-    });
-
-    slots
-        .iter()
-        .map(|s| {
-            let mut slot = s.lock().unwrap_or_else(|e| e.into_inner());
-            match std::mem::replace(&mut *slot, Slot::Pending) {
-                Slot::Done(t) => Ok(t),
-                Slot::Failed(e) => Err(e),
-                Slot::Pending => unreachable!("worker exited without resolving its slot"),
-            }
-        })
-        .collect()
-}
-
-/// Map `f` over `items` on a scoped thread pool, returning results in
-/// submission order.
-///
-/// A thin wrapper over the supervised engine: each item runs under the
-/// same `catch_unwind` + watchdog machinery as [`try_par_map`] (without
-/// the retry — the item is consumed by its first attempt), every other
-/// item still runs to completion, and the first quarantined error (in
-/// submission order) is then propagated as a panic.
+/// The calling thread and `threads().min(items.len()) − 1` scoped helpers
+/// each take the next unclaimed item and run it under `catch_unwind`; one
+/// worker spawns nothing. Helpers inherit the caller's sanitizer tag, so a
+/// violation inside an item names the enclosing [`run_cell`]. If any item
+/// panicked, every other item still runs, and then the lowest-index
+/// item's own payload resumes on the caller.
 pub fn par_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    let cells: Vec<Cell<Mutex<Option<I>>>> = items
-        .into_iter()
-        .enumerate()
-        .map(|(i, item)| Cell::new(format!("par_map/{i}"), 0, Mutex::new(Some(item))))
-        .collect();
-    let results = supervise(cells, cell_timeout(), false, |cell| {
-        let item = cell
-            .input
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("par_map item consumed by a failed first attempt");
-        f(item)
+    let m = par_metrics();
+    let helpers = threads().min(items.len()).saturating_sub(1);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // The guard drops inside this closure, before the claimed item runs;
+    // a `while let` over `queue.lock()` would hold it through the body.
+    let next = || queue.lock().unwrap_or_else(|e| e.into_inner()).next();
+    let work = || {
+        let mut done = Vec::new();
+        while let Some((i, item)) = next() {
+            let start = Instant::now();
+            m.cells.inc();
+            done.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+            m.cell_wall_ns.observe(start.elapsed().as_nanos() as u64);
+        }
+        done
+    };
+    let tag = sanitizer::context();
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers)
+            .map(|_| {
+                let tag = tag.clone();
+                scope.spawn(|| {
+                    sanitizer::set_context(tag);
+                    work()
+                })
+            })
+            .collect();
+        let mut done = work();
+        for h in handles {
+            done.extend(h.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        done
     });
-    results
-        .into_iter()
-        .map(|r| match r {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        })
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter()
+        .map(|(_, r)| r.unwrap_or_else(|p| resume_unwind(p)))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_arrive_in_submission_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let out = par_map(items, |i| i * 3);
-        assert_eq!(out, (0..257).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // Serialize against tests that flip the process-global thread
-        // override (`set_threads` has no scoping; see `override_guard`).
-        let _g = override_guard();
-        let items: Vec<u64> = (0..64).collect();
-        let work = |i: u64| {
-            let mut rng = crate::rng::SimRng::seed_from_u64(derive_seed(7, "test", i));
-            (0..100).map(|_| rng.uniform()).sum::<f64>()
-        };
-        let par = par_map(items.clone(), work);
-        let seq: Vec<f64> = items.into_iter().map(work).collect();
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let out: Vec<u32> = par_map(Vec::<u32>::new(), |x| x);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn derive_seed_separates_labels_and_indices() {
@@ -573,123 +287,5 @@ mod tests {
         assert_eq!(threads(), 3);
         set_threads(None);
         assert!(threads() >= 1);
-    }
-
-    fn supervised_cells(n: u64) -> Vec<Cell<u64>> {
-        (0..n)
-            .map(|i| Cell::new(format!("t/{i}"), derive_seed(9, "t", i), i))
-            .collect()
-    }
-
-    #[test]
-    fn panicking_cell_is_quarantined_while_others_complete() {
-        let _g = override_guard();
-        set_threads(Some(4));
-        let out = try_par_map(supervised_cells(12), |c| {
-            if c.input == 5 {
-                panic!("deliberate failure in cell five");
-            }
-            c.input * 2
-        });
-        set_threads(None);
-        assert_eq!(out.len(), 12);
-        for (i, r) in out.iter().enumerate() {
-            if i == 5 {
-                let e = r.as_ref().unwrap_err();
-                assert_eq!(e.label, "t/5");
-                assert_eq!(e.seed, derive_seed(9, "t", 5));
-                assert_eq!(e.kind, CellFailure::Panicked);
-                assert!(e.payload.contains("deliberate failure"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), (i as u64) * 2);
-            }
-        }
-    }
-
-    #[test]
-    fn transient_panic_is_retried_with_same_cell() {
-        use std::sync::atomic::AtomicU32;
-        let attempts = AtomicU32::new(0);
-        let out = try_par_map(supervised_cells(1), |c| {
-            if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            c.seed
-        });
-        assert_eq!(out.len(), 1);
-        // The retry ran the identical cell: same derived seed comes back.
-        assert_eq!(*out[0].as_ref().unwrap(), derive_seed(9, "t", 0));
-        assert_eq!(attempts.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn watchdog_quarantines_an_overrunning_cell() {
-        let _g = override_guard();
-        set_threads(Some(4));
-        let out = try_par_map_with(
-            supervised_cells(6),
-            Duration::from_millis(40),
-            |c| {
-                if c.input == 2 {
-                    // Overrun the budget; the watchdog flags it, the late
-                    // result is discarded, siblings are unaffected.
-                    std::thread::sleep(Duration::from_millis(400));
-                }
-                c.input
-            },
-        );
-        set_threads(None);
-        let e = out[2].as_ref().unwrap_err();
-        assert_eq!(e.kind, CellFailure::TimedOut);
-        assert!(e.payload.contains("watchdog"));
-        for (i, r) in out.iter().enumerate() {
-            if i != 2 {
-                assert_eq!(*r.as_ref().unwrap(), i as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn inline_path_supervises_too() {
-        let _g = override_guard();
-        set_threads(Some(1));
-        let out = try_par_map(supervised_cells(3), |c| {
-            if c.input == 1 {
-                panic!("inline failure");
-            }
-            c.input
-        });
-        set_threads(None);
-        assert!(out[0].is_ok() && out[2].is_ok());
-        assert!(out[1].as_ref().unwrap_err().payload.contains("inline failure"));
-    }
-
-    #[test]
-    fn par_map_propagates_first_quarantined_error() {
-        let _g = override_guard();
-        set_threads(Some(2));
-        let r = std::panic::catch_unwind(|| {
-            par_map(vec![0u64, 1, 2, 3], |i| {
-                if i >= 2 {
-                    panic!("boom at {i}");
-                }
-                i
-            })
-        });
-        set_threads(None);
-        let msg = payload_string(r.unwrap_err());
-        // First in submission order, regardless of scheduling.
-        assert!(msg.contains("boom at 2"), "got: {msg}");
-        assert!(msg.contains("par_map/2"), "got: {msg}");
-    }
-
-    #[test]
-    fn run_cell_reports_label_seed_and_payload() {
-        let cell = Cell::new("solo", 1234, ());
-        let err = run_cell(&cell, |_| -> () { panic!("solo cell failure") }).unwrap_err();
-        assert_eq!(err.label, "solo");
-        assert_eq!(err.seed, 1234);
-        assert!(err.payload.contains("solo cell failure"));
-        assert!(err.to_string().contains("seed 1234"));
     }
 }

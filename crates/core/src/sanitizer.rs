@@ -19,9 +19,11 @@
 //! downgrades its non-finite-sample panic to a report-and-reject, which
 //! only matters on runs that would otherwise have died.)
 //!
-//! Context: [`crate::par::try_par_map`] tags the current thread with the
-//! running cell's label and seed; violations raised underneath inherit
-//! that tag, which is how a report names the cell that tripped it.
+//! Context: [`crate::par::run_cell`] tags the current thread with the
+//! running cell's label and seed, and [`crate::par::par_map`]'s helper
+//! threads inherit the tag of the thread that called it; violations raised
+//! underneath carry that tag, which is how a report names the cell that
+//! tripped it.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -108,15 +110,16 @@ pub fn force(on: Option<bool>) {
     );
 }
 
-/// Tag the current thread with a supervised cell's identity; violations
-/// raised on this thread inherit it until [`clear_context`].
-pub fn set_context(label: &str, seed: u64) {
-    CONTEXT.with(|c| *c.borrow_mut() = Some((label.to_string(), seed)));
+/// Tag the current thread with a supervised cell's `(label, seed)`, or
+/// drop its tag with `None`; violations raised on this thread carry the
+/// tag.
+pub fn set_context(tag: Option<(String, u64)>) {
+    CONTEXT.with(|c| *c.borrow_mut() = tag);
 }
 
-/// Drop the current thread's cell tag.
-pub fn clear_context() {
-    CONTEXT.with(|c| *c.borrow_mut() = None);
+/// The current thread's cell tag, for handing to helper threads.
+pub fn context() -> Option<(String, u64)> {
+    CONTEXT.with(|c| c.borrow().clone())
 }
 
 /// Record a violation (no-op when the sanitizer is disabled).
@@ -183,9 +186,9 @@ mod tests {
         let _g = override_guard();
         force(Some(true));
         reset();
-        set_context("figure4/F*", 77);
+        set_context(Some(("figure4/F*".into(), 77)));
         report("test/site", "something drifted".into());
-        clear_context();
+        set_context(None);
         report("test/site", "untagged".into());
         let v = take();
         assert_eq!(v.len(), 2);

@@ -62,14 +62,13 @@ pub enum TraceKind {
     FaultRecovery = 5,
     /// The session reattached to a new SFU site. `site` names the site.
     SfuFailover = 6,
-    /// A supervised cell started an attempt. `site` = cell label,
-    /// `a` = derived seed.
+    /// A supervised cell started. `site` = cell label, `a` = seed.
     CellStart = 7,
-    /// A supervised cell is being retried after a failure. `site` = cell
-    /// label, `a` = derived seed.
+    /// A supervised cell is being retried after a panic. `site` = cell
+    /// label, `a` = seed.
     CellRetry = 8,
-    /// A supervised cell was quarantined. `site` = cell label,
-    /// `a` = derived seed, `b` = 0 panic / 1 timeout.
+    /// A supervised cell panicked twice and was quarantined. `site` = cell
+    /// label, `a` = seed.
     CellQuarantine = 9,
     /// A timing span opened. `site` = span label, `a` = seed.
     SpanEnter = 10,

@@ -7,9 +7,10 @@
 //!
 //! Each artifact runs in a panic-isolated cell and lands in
 //! `artifacts/<name>.txt` (atomic rename) with a checksummed
-//! `manifest.json` beside it. A panicking or hung artifact is quarantined
-//! — the rest still complete — and the process exits non-zero with a
-//! summary naming the failed cells and their seeds. `--resume` skips
+//! `manifest.json` beside it. An artifact that panics twice is
+//! quarantined — the rest still complete — and the process exits non-zero
+//! with a summary naming the failed cells and their seeds. Nothing
+//! detects a hung artifact: it blocks the run. `--resume` skips
 //! artifacts already on disk whose checksum verifies against a same-seed
 //! manifest, so a crashed or partially-failed run picks up where it left
 //! off.

@@ -76,15 +76,11 @@ fn render_line(ev: &TraceEvent, sites: &[String]) -> String {
             format!("participant={}", ev.a)
         }
         TraceKind::SfuFailover => format!("affected={}", ev.a),
-        TraceKind::CellStart | TraceKind::SpanEnter | TraceKind::SpanExit => {
-            format!("seed={}", ev.a)
-        }
-        TraceKind::CellRetry => format!("seed={} attempt={}", ev.a, ev.b),
-        TraceKind::CellQuarantine => format!(
-            "seed={}{}",
-            ev.a,
-            if ev.b == 1 { " (watchdog)" } else { "" }
-        ),
+        TraceKind::CellStart
+        | TraceKind::CellRetry
+        | TraceKind::CellQuarantine
+        | TraceKind::SpanEnter
+        | TraceKind::SpanExit => format!("seed={}", ev.a),
         TraceKind::QueueDrop => format!("seq={} link={} bytes={}", ev.a, ev.b, ev.c),
         TraceKind::RtcpReport => format!(
             "flow={} loss={}.{}% arrival={} kbps",

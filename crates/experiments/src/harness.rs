@@ -29,7 +29,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use visionsim_core::par::{run_cell, Cell, CellError};
+use visionsim_core::par::{run_cell, CellError};
 use visionsim_core::{metrics, trace};
 
 /// One registered paper artifact.
@@ -421,7 +421,7 @@ pub enum ArtifactStatus {
     Written,
     /// Skipped under `--resume`: file present and checksum-verified.
     Resumed,
-    /// Quarantined: the supervised cell failed twice (or timed out).
+    /// Quarantined: the supervised cell panicked twice.
     Failed(CellError),
 }
 
@@ -505,13 +505,12 @@ pub fn run_all(cfg: &HarnessConfig) -> Vec<ArtifactOutcome> {
         metrics::reset();
         trace::reset();
         let start = Instant::now();
-        let cell = Cell::new(spec.name, cfg.seed, ());
         let fail_this = inject.as_deref() == Some(spec.name);
         let span_label = format!("{}/cell", spec.name);
-        let result = run_cell(&cell, |c: &Cell<()>| {
+        let result = run_cell(spec.name, cfg.seed, || {
             let _span = visionsim_core::span!(span_label.as_str(), cfg.seed);
             if fail_this {
-                panic!("injected failure via VISIONSIM_FAIL_ARTIFACT={}", c.label);
+                panic!("injected failure via VISIONSIM_FAIL_ARTIFACT={}", spec.name);
             }
             (spec.run)(cfg.seed)
         });
@@ -598,18 +597,13 @@ pub fn summarize(outcomes: &[ArtifactOutcome]) -> (String, bool) {
     );
     if !failed.is_empty() {
         let _ = writeln!(out, "\nfailed artifacts:");
-        let _ = writeln!(out, "  {:<18} {:<9} seed        detail", "name", "kind");
+        let _ = writeln!(out, "  {:<18} seed        detail", "name");
         for o in &failed {
             if let ArtifactStatus::Failed(e) = &o.status {
-                let kind = match e.kind {
-                    visionsim_core::par::CellFailure::Panicked => "panic",
-                    visionsim_core::par::CellFailure::TimedOut => "timeout",
-                };
                 let _ = writeln!(
                     out,
-                    "  {:<18} {:<9} {:<11} {}",
+                    "  {:<18} {:<11} {}",
                     o.name,
-                    kind,
                     e.seed,
                     e.payload.lines().next().unwrap_or("")
                 );

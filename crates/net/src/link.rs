@@ -88,8 +88,6 @@ pub struct LinkState {
     pub to: usize,
     /// When the serializer frees up.
     pub busy_until: SimTime,
-    /// Bytes currently queued awaiting serialization.
-    pub backlog: ByteSize,
     /// Runtime state of the configured shaper, if any.
     pub shaper: Option<LinkShaper>,
     /// Counters.
@@ -168,7 +166,6 @@ impl LinkState {
             from,
             to,
             busy_until: SimTime::ZERO,
-            backlog: ByteSize::ZERO,
             shaper,
             stats: LinkStats::default(),
         }

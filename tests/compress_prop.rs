@@ -5,7 +5,6 @@
 //! must not depend on earlier calls on the thread. Cases are deterministic
 //! SimRng draws.
 
-use visionsim::compress::bitio::{BitReader, BitWriter};
 use visionsim::compress::lz77;
 use visionsim::compress::lzma_like::{compress, decompress};
 use visionsim::compress::range::{BitModel, RangeDecoder, RangeEncoder};
@@ -90,28 +89,6 @@ fn varint_read_never_panics() {
         let garbage = bytes(&mut rng, 20);
         let _ = varint::read_u64(&garbage);
         let _ = varint::read_i64(&garbage);
-    }
-}
-
-#[test]
-fn bitio_round_trips() {
-    for i in 0..CASES {
-        let mut rng = case_rng("bitio", i);
-        let count = rng.uniform_u64(0, 99) as usize;
-        let values: Vec<(u64, u8)> = (0..count)
-            .map(|_| (rng.next_u64(), rng.uniform_u64(1, 64) as u8))
-            .collect();
-        let mut w = BitWriter::new();
-        for &(v, n) in &values {
-            let masked = if n == 64 { v } else { v & ((1u64 << n) - 1) };
-            w.write_bits(masked, n);
-        }
-        let encoded = w.into_bytes();
-        let mut r = BitReader::new(&encoded);
-        for &(v, n) in &values {
-            let masked = if n == 64 { v } else { v & ((1u64 << n) - 1) };
-            assert_eq!(r.read_bits(n), Some(masked));
-        }
     }
 }
 

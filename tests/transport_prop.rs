@@ -2,12 +2,15 @@
 //! field values, and parser robustness on arbitrary bytes. Cases are
 //! deterministic SimRng draws.
 
-use visionsim_core::par::derive_seed;
-use visionsim_core::rng::SimRng;
-use visionsim_transport::cipher;
-use visionsim_transport::classify::classify;
-use visionsim_transport::quic::{read_varint, write_varint, QuicFrame, QuicPacket};
-use visionsim_transport::rtp::{PayloadType, RtpHeader, RtpPacket};
+use visionsim::core::par::derive_seed;
+use visionsim::core::rng::SimRng;
+use visionsim::transport::cipher;
+use visionsim::transport::classify::classify;
+use visionsim::transport::quic::{read_varint, write_varint, QuicFrame, QuicPacket};
+use visionsim::transport::rtcp::{
+    PliPacket, ReceiverReportPacket, XrPacket, FMT_PLI, PT_PSFB, PT_RECEIVER_REPORT, PT_XR,
+};
+use visionsim::transport::rtp::{PayloadType, RtpHeader, RtpPacket};
 
 const CASES: u64 = 128;
 
@@ -68,6 +71,32 @@ fn rtp_parse_never_panics() {
         let garbage = bytes(&mut rng, 0, 64);
         let _ = RtpHeader::parse(&garbage);
         let _ = RtpPacket::parse(&garbage);
+    }
+}
+
+/// Sessions parse every delivered RTCP payload as a receiver report, a
+/// PLI and an XR report. Three cases in four carry one of those headers
+/// (version 2 and the packet type), so each parser also reads bodies of
+/// every length around its minimum.
+#[test]
+fn rtcp_parse_never_panics() {
+    let headers = [
+        [0x80, PT_RECEIVER_REPORT],
+        [0x80 | FMT_PLI, PT_PSFB],
+        [0x80, PT_XR],
+    ];
+    for i in 0..CASES {
+        let mut rng = case_rng("rtcp_garbage", i);
+        for _ in 0..8 {
+            let mut garbage = bytes(&mut rng, 0, 32);
+            let pick = rng.index(4);
+            if pick < headers.len() && garbage.len() >= 2 {
+                garbage[..2].copy_from_slice(&headers[pick]);
+            }
+            let _ = ReceiverReportPacket::parse(&garbage);
+            let _ = PliPacket::parse(&garbage);
+            let _ = XrPacket::parse(&garbage);
+        }
     }
 }
 
