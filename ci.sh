@@ -22,11 +22,11 @@ VISIONSIM_THREADS=4 cargo test -q -p visionsim-experiments resilience
 echo "== sanitizer explicitly on and off =="
 # Debug tests default the sanitizer on; exercise both explicit settings on
 # the crates that carry check sites (core, net) and the hostile decoders
-# (the compress hostility and property suites and the semantic codec's
-# property suite live in the root package).
+# (the compress hostility and property suites and the mesh and semantic
+# codecs' property suites live in the root package).
 VISIONSIM_SANITIZE=1 cargo test -q -p visionsim-core -p visionsim-net -p visionsim-compress -p visionsim-mesh
 VISIONSIM_SANITIZE=1 cargo test -q --test compress_hostility
-VISIONSIM_SANITIZE=1 cargo test -q --test compress_prop --test semantic_prop
+VISIONSIM_SANITIZE=1 cargo test -q --test compress_prop --test mesh_prop --test semantic_prop
 VISIONSIM_SANITIZE=0 cargo test -q -p visionsim-core -p visionsim-net
 
 echo "== allocation gate: sanitizer on and off =="
@@ -162,6 +162,17 @@ test -f "$ARTDIR/manifest.json" || { echo "manifest missing after failure" >&2; 
 # --resume must complete only the missing artifact from the manifest.
 VISIONSIM_ARTIFACT_DIR="$ARTDIR" ./target/release/regenerate 2024 --resume > /dev/null
 test -f "$ARTDIR/figure5.txt" || { echo "resume did not regenerate the failed artifact" >&2; exit 1; }
+# The directory now holds every seed-2024 artifact (16 from the failed
+# run, figure5 from --resume); each must match the committed file byte
+# for byte.
+PINNED=0
+for committed in artifacts/*.txt; do
+  name=$(basename "$committed")
+  cmp "$committed" "$ARTDIR/$name" \
+    || { echo "$name differs from the committed artifact or is missing" >&2; exit 1; }
+  PINNED=$((PINNED + 1))
+done
+test "$PINNED" -eq 17 || { echo "expected 17 committed artifacts, found $PINNED" >&2; exit 1; }
 rm -rf "$ARTDIR"
 
 echo "== flight recorder smoke: trace + metrics sidecars and dump =="

@@ -203,7 +203,6 @@ mod tests {
                     wire_size: ByteSize::from_bytes(bytes_each),
                     header_snippet: visionsim_net::tap::HeaderSnippet::from_payload(&wire[..16]),
                     direction: TapDirection::Transit,
-                    corrupted: false,
                 }
             })
             .collect()

@@ -187,7 +187,6 @@ mod tests {
             wire_size: ByteSize::from_bytes(size),
             header_snippet: HeaderSnippet::from_payload(snippet),
             direction: TapDirection::Transit,
-            corrupted: false,
         }
     }
 

@@ -21,14 +21,13 @@ pub fn format_record(rec: &TapRecord) -> String {
         WireProtocol::Unknown => "?".to_string(),
     };
     format!(
-        "{:>12.3}ms {dir} {}:{} > {}:{} {:>6}B {proto}{}",
+        "{:>12.3}ms {dir} {}:{} > {}:{} {:>6}B {proto}",
         rec.at.as_millis_f64(),
         rec.src,
         rec.ports.src,
         rec.dst,
         rec.ports.dst,
         rec.wire_size.as_bytes(),
-        if rec.corrupted { " [corrupt]" } else { "" },
     )
 }
 
@@ -58,7 +57,6 @@ mod tests {
             wire_size: ByteSize::from_bytes(1_028),
             header_snippet: visionsim_net::tap::HeaderSnippet::from_payload(&[0x80, 96, 0, 0]),
             direction: TapDirection::Egress,
-            corrupted: false,
         }
     }
 
@@ -69,13 +67,6 @@ mod tests {
         assert!(line.contains("1028B"));
         assert!(line.contains("RTP(pt=96)"));
         assert!(line.contains("→"));
-    }
-
-    #[test]
-    fn corrupt_packets_are_marked() {
-        let mut r = rec();
-        r.corrupted = true;
-        assert!(format_record(&r).contains("[corrupt]"));
     }
 
     #[test]

@@ -230,7 +230,6 @@ mod tests {
             wire_size: ByteSize::from_bytes(size),
             header_snippet: HeaderSnippet::from_payload(&[0x40, 1, 2, 3, 4, 5, 6, 7]),
             direction: TapDirection::Transit,
-            corrupted: false,
         }
     }
 

@@ -121,7 +121,6 @@ mod tests {
             wire_size: ByteSize::from_bytes(900),
             header_snippet: Default::default(),
             direction: TapDirection::Transit,
-            corrupted: false,
         }
     }
 

@@ -15,7 +15,7 @@
 //! * [`event`] — a monotone event queue with deterministic FIFO tie-breaking.
 //! * [`stats`] — streaming summary statistics, exact percentiles, and the
 //!   boxplot summaries used by the paper's figures.
-//! * [`series`] — time-series recording (e.g. throughput over a session).
+//! * [`series`] — per-window throughput recording ([`series::RateSeries`]).
 //! * [`par`] — deterministic parallel execution ([`par::par_map`]),
 //!   collision-free per-cell seed derivation ([`par::derive_seed`]), and
 //!   the supervised harness cell ([`par::run_cell`]): `catch_unwind` +
@@ -51,7 +51,7 @@ pub use trace::{TraceEvent, TraceKind};
 pub use event::{EventQueue, ScheduledEvent};
 pub use par::{derive_seed, par_map, CellError};
 pub use rng::SimRng;
-pub use series::{RateSeries, TimeSeries};
+pub use series::RateSeries;
 pub use shard::{ConservativeEngine, Envelope, EngineReport, ShardWorld};
 pub use stats::{BoxplotSummary, Percentiles, StreamingStats};
 pub use time::{SimDuration, SimTime};

@@ -3,7 +3,7 @@
 //! An opt-in monitor that watches the simulation's load-bearing
 //! invariants while it runs: per-link byte conservation in `net`,
 //! virtual-time monotonicity and queue occupancy in [`crate::event`], and
-//! NaN/Inf guards in [`crate::stats`]/[`crate::series`]. A violated
+//! NaN/Inf guards in [`crate::stats`]. A violated
 //! invariant produces a structured [`Violation`] report carrying the
 //! offending cell's label and seed — **not** a panic — so one bad sample
 //! in a multi-hour sweep is diagnosable instead of fatal.

@@ -1,71 +1,11 @@
-//! Time-series recording.
+//! Throughput recording.
 //!
-//! Two recorders cover the workspace's needs:
-//!
-//! * [`TimeSeries`] — arbitrary `(SimTime, f64)` observations, e.g. per-frame
-//!   GPU time over a session.
-//! * [`RateSeries`] — byte-count events bucketed into fixed windows and read
-//!   back as a throughput series, which is how the paper's AP-side Wireshark
-//!   captures are reduced to Mbps figures.
+//! [`RateSeries`] buckets byte-count events into fixed windows and reads
+//! them back as a throughput series, which is how the paper's AP-side
+//! Wireshark captures are reduced to Mbps figures.
 
-use crate::sanitizer;
-use crate::stats::Percentiles;
 use crate::time::{SimDuration, SimTime};
 use crate::units::{ByteSize, DataRate};
-
-/// A sequence of timestamped scalar observations.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Record an observation. Timestamps must be non-decreasing.
-    ///
-    /// # Panics
-    /// If `at` precedes the last recorded timestamp.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(at >= last, "time series must be recorded in order");
-        }
-        sanitizer::check_finite("series/nonfinite", value);
-        self.points.push((at, value));
-    }
-
-    /// All points in recording order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of recorded points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Values restricted to the window `[from, to)`.
-    pub fn values_in(&self, from: SimTime, to: SimTime) -> Vec<f64> {
-        self.points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|&(_, v)| v)
-            .collect()
-    }
-
-    /// Percentile summary over all values.
-    pub fn percentiles(&self) -> Percentiles {
-        Percentiles::from_samples(self.points.iter().map(|&(_, v)| v).collect())
-    }
-}
 
 /// Byte arrivals bucketed into fixed windows, read back as throughput.
 #[derive(Clone, Debug)]
@@ -138,53 +78,11 @@ impl RateSeries {
         let span = SimTime::from_nanos(end_bucket).since(first);
         self.total.rate_over(span)
     }
-
-    /// Percentile summary of per-window throughput, in Mbps. The first and
-    /// last (possibly partial) windows are dropped, matching the common
-    /// measurement practice of trimming session ramp-up/teardown.
-    pub fn rate_percentiles_mbps(&self) -> Percentiles {
-        let rates = self.rates();
-        let trimmed: Vec<f64> = if rates.len() > 2 {
-            rates[1..rates.len() - 1]
-                .iter()
-                .map(|r| r.as_mbps_f64())
-                .collect()
-        } else {
-            rates.iter().map(|r| r.as_mbps_f64()).collect()
-        };
-        Percentiles::from_samples(trimmed)
-    }
-
-    /// The bucketing window.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_series_orders_and_filters() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_millis(1), 1.0);
-        ts.record(SimTime::from_millis(2), 2.0);
-        ts.record(SimTime::from_millis(5), 5.0);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(
-            ts.values_in(SimTime::from_millis(2), SimTime::from_millis(5)),
-            vec![2.0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "in order")]
-    fn time_series_rejects_backwards_time() {
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime::from_millis(5), 1.0);
-        ts.record(SimTime::from_millis(1), 2.0);
-    }
 
     #[test]
     fn rate_series_buckets_correctly() {
@@ -229,21 +127,5 @@ mod tests {
         assert_eq!(rates.len(), 4);
         assert_eq!(rates[1], DataRate::ZERO);
         assert_eq!(rates[2], DataRate::ZERO);
-    }
-
-    #[test]
-    fn percentile_trim_drops_edges() {
-        let mut rs = RateSeries::per_second();
-        for s in 0..10u64 {
-            // Partial first second (tiny) then steady.
-            let bytes = if s == 0 { 1_000 } else { 1_250_000 };
-            rs.record(
-                SimTime::from_millis(s * 1_000 + 10),
-                ByteSize::from_bytes(bytes),
-            );
-        }
-        let mut p = rs.rate_percentiles_mbps();
-        // After trimming the ramp-up window, everything is 10 Mbps.
-        assert!((p.median() - 10.0).abs() < 1e-9);
     }
 }

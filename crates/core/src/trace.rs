@@ -28,9 +28,10 @@
 //!
 //! # Ordering
 //!
-//! Every event carries a process-global `seq` stamp. Supervised cells run
-//! on multiple threads, so ring insertion order interleaves arbitrarily;
-//! consumers that want a stable timeline sort by `(time_ns, seq)` — the
+//! Every event carries a process-global `seq` stamp, taken under the ring
+//! lock, so seq order is ring insertion order. Supervised cells run on
+//! multiple threads, so that order interleaves arbitrarily; consumers
+//! that want a stable timeline sort by `(time_ns, seq)` — the
 //! `trace_dump` binary and [`snapshot_sorted`] do exactly that.
 
 use crate::error::SimError;
@@ -194,11 +195,6 @@ const TRACE_MAGIC: &[u8; 8] = b"VSTRACE1";
 /// site, and the single-load scheme keeps the disabled cost to one
 /// relaxed load plus a predictable branch.
 static STATE: AtomicU8 = AtomicU8::new(0);
-/// Process-global order stamp source.
-static SEQ: AtomicU64 = AtomicU64::new(0);
-/// Events recorded since process start / last [`reset`] (including any
-/// overwritten in the ring).
-static TOTAL: AtomicU64 = AtomicU64::new(0);
 
 struct Ring {
     buf: Vec<TraceEvent>,
@@ -206,15 +202,36 @@ struct Ring {
     head: usize,
     /// Live events (≤ `buf.capacity()` once warmed).
     len: usize,
-    /// Events overwritten because the ring was full.
-    overwritten: u64,
+    /// The next event's `seq`: the process-global order stamp. Taken
+    /// under the ring lock, so the ring always holds the contiguous seqs
+    /// `next_seq - len .. next_seq`; [`reset`] and [`take`] keep it.
+    next_seq: u64,
+}
+
+impl Ring {
+    /// The retained events, oldest first.
+    fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let start = if self.len < self.buf.capacity() {
+            0
+        } else {
+            self.head
+        };
+        (0..self.len).map(move |i| self.buf[(start + i) % self.buf.len()])
+    }
+
+    /// Drop every retained event; the seq stamp keeps counting.
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.len = 0;
+    }
 }
 
 static RING: Mutex<Ring> = Mutex::new(Ring {
     buf: Vec::new(),
     head: 0,
     len: 0,
-    overwritten: 0,
+    next_seq: 0,
 });
 
 /// Interned site labels; id 0 is the empty label. The `Vec` is the
@@ -386,19 +403,18 @@ pub fn record(kind: TraceKind, time_ns: u64, site: u32, a: u64, b: u64, c: u64) 
     if !enabled() {
         return;
     }
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    TOTAL.fetch_add(1, Ordering::Relaxed);
+    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
+    ensure_ring(&mut ring);
     let ev = TraceEvent {
         time_ns,
-        seq,
+        seq: ring.next_seq,
         kind,
         site,
         a,
         b,
         c,
     };
-    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
-    ensure_ring(&mut ring);
+    ring.next_seq += 1;
     let cap = ring.buf.capacity();
     if ring.len < cap {
         // `head` trails `len` until the first wrap, so this is a push.
@@ -409,72 +425,38 @@ pub fn record(kind: TraceKind, time_ns: u64, site: u32, a: u64, b: u64, c: u64) 
         let head = ring.head;
         ring.buf[head] = ev;
         ring.head = (head + 1) % cap;
-        ring.overwritten += 1;
     }
-}
-
-/// Events recorded since process start or the last [`reset`], including
-/// any the ring has already overwritten.
-pub fn recorded_total() -> u64 {
-    TOTAL.load(Ordering::Relaxed)
-}
-
-/// Events lost to ring overwrite so far.
-pub fn overwritten() -> u64 {
-    RING.lock().unwrap_or_else(|e| e.into_inner()).overwritten
 }
 
 /// Drain the ring, returning the retained events in insertion order
 /// (oldest surviving first).
 pub fn take() -> Vec<TraceEvent> {
     let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
-    let mut out = Vec::with_capacity(ring.len);
-    if ring.len > 0 {
-        let cap = ring.buf.capacity();
-        let start = if ring.len < cap { 0 } else { ring.head };
-        for i in 0..ring.len {
-            out.push(ring.buf[(start + i) % ring.buf.len()]);
-        }
-    }
-    ring.buf.clear();
-    ring.head = 0;
-    ring.len = 0;
+    let out = ring.events().collect();
+    ring.clear();
     out
 }
 
 /// Copy of the retained events sorted by `(time_ns, seq)` — the stable
 /// timeline order. The ring is left untouched.
 pub fn snapshot_sorted() -> Vec<TraceEvent> {
-    let mut events = {
-        let ring = RING.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = Vec::with_capacity(ring.len);
-        if ring.len > 0 {
-            let cap = ring.buf.capacity();
-            let start = if ring.len < cap { 0 } else { ring.head };
-            for i in 0..ring.len {
-                out.push(ring.buf[(start + i) % ring.buf.len()]);
-            }
-        }
-        out
-    };
+    let mut events: Vec<TraceEvent> = RING
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .events()
+        .collect();
     events.sort_by_key(|e| (e.time_ns, e.seq));
     events
 }
 
-/// Drop every retained event and reset the counters (tests and the
-/// per-artifact harness boundary). The site intern table is kept — ids
-/// stay stable for the life of the process — and the wall epoch is
-/// untouched; a service that wants a whole new recording era calls
-/// [`reset_epoch`] as well. The global `seq` stamp keeps counting across
-/// resets, so [`follow`] cursors from before a reset stay valid (the
-/// cleared events simply count as dropped).
+/// Drop every retained event (tests and the per-artifact harness
+/// boundary). The site intern table is kept — ids stay stable for the
+/// life of the process — and the wall epoch is untouched; a service that
+/// wants a whole new recording era calls [`reset_epoch`] as well. The
+/// global `seq` stamp keeps counting across resets, so [`follow`] cursors
+/// from before a reset stay valid (the cleared events count as dropped).
 pub fn reset() {
-    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
-    ring.buf.clear();
-    ring.head = 0;
-    ring.len = 0;
-    ring.overwritten = 0;
-    TOTAL.store(0, Ordering::Relaxed);
+    RING.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
 /// The wall-clock epoch [`wall_ns`] measures from. `None` until first
@@ -530,45 +512,20 @@ pub struct FollowChunk {
 /// --follow`, the service's sidecar flush) coexists with the harness's
 /// end-of-artifact [`take`].
 ///
-/// Concurrency caveat: the returned cursor is `max(seq) + 1` over the
-/// events this poll observed. `seq` is allocated atomically *before*
-/// the mutex-guarded ring store ([`record`]), so under concurrent
-/// recording an event whose `seq` was handed out before the poll but
-/// stored after it lands below the advanced cursor and is skipped
-/// **permanently**, not picked up later. Callers that need lossless
-/// tailing must ensure record and follow run on the same thread — the
-/// service's single-threaded pacing loop does exactly that.
+/// Lossless under concurrent recording: [`record`] takes each `seq` and
+/// stores its event under one lock, so every seq below the returned
+/// cursor is either in this chunk or counted in `dropped`.
 pub fn follow(cursor: u64) -> FollowChunk {
     let ring = RING.lock().unwrap_or_else(|e| e.into_inner());
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut min_retained = u64::MAX;
-    if ring.len > 0 {
-        let cap = ring.buf.capacity();
-        let start = if ring.len < cap { 0 } else { ring.head };
-        for i in 0..ring.len {
-            let ev = ring.buf[(start + i) % ring.buf.len()];
-            min_retained = min_retained.min(ev.seq);
-            if ev.seq >= cursor {
-                events.push(ev);
-            }
-        }
-    }
+    let first_retained = ring.next_seq - ring.len as u64;
+    let next = ring.next_seq.max(cursor);
+    let mut events: Vec<TraceEvent> = ring.events().filter(|e| e.seq >= cursor).collect();
     drop(ring);
-    let dropped = if min_retained != u64::MAX {
-        min_retained.saturating_sub(cursor)
-    } else {
-        0
-    };
     events.sort_by_key(|e| (e.time_ns, e.seq));
-    let next = events
-        .iter()
-        .map(|e| e.seq + 1)
-        .max()
-        .unwrap_or(cursor);
     FollowChunk {
         events,
         cursor: next,
-        dropped,
+        dropped: first_retained.saturating_sub(cursor),
     }
 }
 
@@ -756,8 +713,9 @@ mod tests {
         let _g = override_guard();
         force(Some(false));
         reset();
+        let before = follow(0).cursor;
         record(TraceKind::PacketSend, 1, 0, 1, 2, 3);
-        assert_eq!(recorded_total(), 0);
+        assert_eq!(follow(0).cursor, before, "a disabled record took a seq");
         assert!(take().is_empty());
         force(None);
     }
@@ -789,13 +747,9 @@ mod tests {
             record(TraceKind::PacketSend, i, 0, i, 0, 0);
         }
         let events = take();
-        let total = recorded_total();
-        let lost = overwritten();
         reset();
         force(None);
         assert_eq!(events.len(), cap);
-        assert_eq!(total, cap as u64 + 10);
-        assert_eq!(lost, 10);
         // Oldest surviving event is the 11th recorded.
         assert_eq!(events[0].a, 10);
         assert_eq!(events[cap - 1].a, cap as u64 + 9);

@@ -10,7 +10,9 @@
 //!   (good state ≈ clean, bad state ≈ heavy loss, geometric sojourn times),
 //! * [`FaultKind`]/[`FaultEvent`]/[`FaultPlan`] — a deterministic schedule
 //!   of timed fault events that the session layer replays against a link's
-//!   [`Netem`] as virtual time advances.
+//!   [`Netem`] as virtual time advances: link flaps, rate cliffs, delay
+//!   spikes and Gilbert–Elliott burst-loss episodes, plus SFU outages,
+//!   which the session layer handles itself.
 //!
 //! A plan is pure data: replaying the same plan over the same seeds yields
 //! a byte-identical run at any thread count, which is what makes the
@@ -131,19 +133,6 @@ pub enum FaultKind {
     BurstLossStart(GeConfig),
     /// End the burst-loss episode.
     BurstLossEnd,
-    /// Start delaying a fraction of packets by `extra` (packet reorder).
-    ReorderStart {
-        /// Fraction of packets held back.
-        prob: f64,
-        /// How long a held-back packet is delayed.
-        extra: SimDuration,
-    },
-    /// Stop reordering.
-    ReorderEnd,
-    /// Start duplicating a fraction of packets.
-    DuplicateStart(f64),
-    /// Stop duplicating.
-    DuplicateEnd,
     /// The session's SFU server dies. Handled by the *session* layer, not
     /// by [`Netem`]: clients blackhole for `detect`, then spend `reconnect`
     /// reattaching to the next-nearest live site.
@@ -167,10 +156,6 @@ impl FaultKind {
             FaultKind::DelayRestore => "delay_restore",
             FaultKind::BurstLossStart(_) => "burst_loss_start",
             FaultKind::BurstLossEnd => "burst_loss_end",
-            FaultKind::ReorderStart { .. } => "reorder_start",
-            FaultKind::ReorderEnd => "reorder_end",
-            FaultKind::DuplicateStart(_) => "duplicate_start",
-            FaultKind::DuplicateEnd => "duplicate_end",
             FaultKind::ServerDown { .. } => "server_down",
         }
     }
@@ -185,8 +170,6 @@ impl FaultKind {
                 | FaultKind::RateRestore
                 | FaultKind::DelayRestore
                 | FaultKind::BurstLossEnd
-                | FaultKind::ReorderEnd
-                | FaultKind::DuplicateEnd
         )
     }
 }
@@ -309,39 +292,6 @@ impl FaultPlan {
         ])
     }
 
-    /// A reorder episode: `prob` of packets held back by `extra` for `hold`.
-    pub fn reorder_episode(
-        at: SimTime,
-        prob: f64,
-        extra: SimDuration,
-        hold: SimDuration,
-    ) -> Self {
-        FaultPlan::new(vec![
-            FaultEvent {
-                at,
-                kind: FaultKind::ReorderStart { prob, extra },
-            },
-            FaultEvent {
-                at: at.saturating_add(hold),
-                kind: FaultKind::ReorderEnd,
-            },
-        ])
-    }
-
-    /// A duplication episode at probability `prob` for `hold`.
-    pub fn duplicate_episode(at: SimTime, prob: f64, hold: SimDuration) -> Self {
-        FaultPlan::new(vec![
-            FaultEvent {
-                at,
-                kind: FaultKind::DuplicateStart(prob),
-            },
-            FaultEvent {
-                at: at.saturating_add(hold),
-                kind: FaultKind::DuplicateEnd,
-            },
-        ])
-    }
-
     /// A server outage at `at` with the given detection and reconnection
     /// windows (session-layer failover drill).
     pub fn server_outage(at: SimTime, detect: SimDuration, reconnect: SimDuration) -> Self {
@@ -367,16 +317,6 @@ pub fn apply_to_netem(netem: &mut Netem, kind: &FaultKind) {
         FaultKind::DelayRestore => netem.extra_delay = SimDuration::ZERO,
         FaultKind::BurstLossStart(cfg) => netem.ge = Some(GilbertElliott::new(*cfg)),
         FaultKind::BurstLossEnd => netem.ge = None,
-        FaultKind::ReorderStart { prob, extra } => {
-            netem.reorder = *prob;
-            netem.reorder_extra = *extra;
-        }
-        FaultKind::ReorderEnd => {
-            netem.reorder = 0.0;
-            netem.reorder_extra = SimDuration::ZERO;
-        }
-        FaultKind::DuplicateStart(prob) => netem.duplicate = *prob,
-        FaultKind::DuplicateEnd => netem.duplicate = 0.0,
         FaultKind::ServerDown { .. } => {}
     }
 }
@@ -441,20 +381,6 @@ mod tests {
         assert!(n.ge.is_some());
         apply_to_netem(&mut n, &FaultKind::BurstLossEnd);
         assert!(n.ge.is_none());
-        apply_to_netem(
-            &mut n,
-            &FaultKind::ReorderStart {
-                prob: 0.2,
-                extra: SimDuration::from_millis(30),
-            },
-        );
-        assert_eq!(n.reorder, 0.2);
-        apply_to_netem(&mut n, &FaultKind::ReorderEnd);
-        assert_eq!(n.reorder, 0.0);
-        apply_to_netem(&mut n, &FaultKind::DuplicateStart(0.1));
-        assert_eq!(n.duplicate, 0.1);
-        apply_to_netem(&mut n, &FaultKind::DuplicateEnd);
-        assert_eq!(n.duplicate, 0.0);
         // Session-layer kinds leave netem untouched.
         let before = format!("{n:?}");
         apply_to_netem(

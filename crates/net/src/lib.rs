@@ -14,8 +14,8 @@
 //!   [`Network::run_until`].
 //! * Links are simplex, with serialization at a configurable rate, FIFO
 //!   drop-tail queues, propagation delay, and `tc netem`-style impairments
-//!   (extra delay, jitter, random loss, random corruption, token-bucket
-//!   shaping).
+//!   (extra delay, jitter, random and Gilbert–Elliott burst loss, link
+//!   down, token-bucket shaping).
 //! * Packets are source-routed along the lowest-latency path (Dijkstra) at
 //!   send time; topology changes invalidate the route cache.
 //! * Any node can host a *tap* — the AP-side Wireshark analogue — which
@@ -33,10 +33,10 @@ pub mod xshard;
 
 pub use fault::{apply_to_netem, FaultEvent, FaultKind, FaultPlan, GeConfig, GilbertElliott};
 pub use link::{LinkConfig, LinkId};
-pub use netem::{Netem, NetemVerdict, RateProfile, TokenBucket};
+pub use netem::{Netem, TokenBucket};
 pub use network::{Delivered, Network, NodeId};
 pub use packet::{Packet, PortPair, IP_UDP_OVERHEAD_BYTES};
 pub use probe::{AnycastProbe, RttProber};
 pub use shaper::{LinkShaper, QueueLimit, ShaperConfig, ShaperVerdict};
 pub use tap::{TapId, TapRecord};
-pub use xshard::{LinkMatrix, ShardIngress, SiteEgress};
+pub use xshard::{LinkMatrix, SiteEgress};

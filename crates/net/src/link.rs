@@ -102,12 +102,12 @@ pub struct LinkState {
 /// ```text
 /// offered       == sent  + queue_drops        + netem_drops
 /// offered_bytes == bytes + queue_dropped_bytes + netem_dropped_bytes
-/// sent  + duplicated == exited + in_flight
-/// bytes + dup_bytes  == exited_bytes + in_flight_bytes
+/// sent          == exited       + in_flight
+/// bytes         == exited_bytes + in_flight_bytes
 /// ```
 ///
 /// i.e. every packet presented for admission is accounted for (accepted
-/// or dropped at a named site), and every accepted copy is either still
+/// or dropped at a named site), and every accepted packet is either still
 /// propagating or has popped out at the tail — bytes are conserved per
 /// link even with finite shaper queues dropping under overload.
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,17 +126,13 @@ pub struct LinkStats {
     pub netem_drops: u64,
     /// Bytes dropped by impairments.
     pub netem_dropped_bytes: u64,
-    /// Extra copies emitted by the duplication impairment.
-    pub duplicated: u64,
     /// Total payload+encapsulation bytes accepted.
     pub bytes: u64,
-    /// Extra bytes emitted by the duplication impairment.
-    pub dup_bytes: u64,
-    /// Copies that finished traversing the link (reached its tail node).
+    /// Packets that finished traversing the link (reached its tail node).
     pub exited: u64,
     /// Bytes that finished traversing the link.
     pub exited_bytes: u64,
-    /// Copies currently on the wire (accepted, not yet exited).
+    /// Packets currently on the wire (accepted, not yet exited).
     pub in_flight: u64,
     /// Bytes currently on the wire.
     pub in_flight_bytes: u64,
@@ -149,8 +145,8 @@ impl LinkStats {
         self.offered == self.sent + self.queue_drops + self.netem_drops
             && self.offered_bytes
                 == self.bytes + self.queue_dropped_bytes + self.netem_dropped_bytes
-            && self.sent + self.duplicated == self.exited + self.in_flight
-            && self.bytes + self.dup_bytes == self.exited_bytes + self.in_flight_bytes
+            && self.sent == self.exited + self.in_flight
+            && self.bytes == self.exited_bytes + self.in_flight_bytes
     }
 }
 

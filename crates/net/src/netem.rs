@@ -3,11 +3,11 @@
 //! The paper uses Linux `tc` twice: to inject 0–1000 ms of extra delay for
 //! the display-latency experiment (§4.3) and to constrain uplink bandwidth
 //! for the rate-adaptation experiment (also §4.3, the 700 kbps cliff).
-//! [`Netem`] reproduces those knobs, plus the loss/corruption injection the
-//! session guides' reference stack exposes for robustness testing.
+//! [`Netem`] reproduces those knobs, plus jitter, random loss, and the
+//! chaos engine's link-down and Gilbert–Elliott burst-loss states
+//! ([`crate::fault`]).
 
 use crate::fault::GilbertElliott;
-use std::cell::Cell;
 use visionsim_core::rng::SimRng;
 use visionsim_core::time::{SimDuration, SimTime};
 use visionsim_core::units::{ByteSize, DataRate};
@@ -22,30 +22,15 @@ pub struct Netem {
     pub jitter: SimDuration,
     /// Independent per-packet drop probability in `[0, 1]`.
     pub loss: f64,
-    /// Independent per-packet corruption probability in `[0, 1]`; corrupted
-    /// packets are delivered but flagged.
-    pub corrupt: f64,
     /// Optional token-bucket shaper (the `tc tbf` knob). Packets exceeding
     /// the bucket are delayed until tokens accrue.
     pub shaper: Option<TokenBucket>,
-    /// Optional time-varying rate schedule driving the shaper (cellular /
-    /// congested-WiFi trace playback). When set, the shaper's rate is
-    /// updated from the profile before each packet; a shaper is created on
-    /// first use if absent.
-    pub profile: Option<RateProfile>,
     /// Link administratively/physically down: every packet dropped (the
     /// chaos engine's link-flap knob).
     pub down: bool,
     /// Optional Gilbert–Elliott bursty-loss channel, stepped per packet.
     /// Applied on top of (before) the independent `loss` probability.
     pub ge: Option<GilbertElliott>,
-    /// Fraction of packets held back by `reorder_extra` (the `tc netem
-    /// reorder` analogue: held packets arrive after later ones).
-    pub reorder: f64,
-    /// Extra delay applied to reordered packets.
-    pub reorder_extra: SimDuration,
-    /// Fraction of packets delivered twice (`tc netem duplicate`).
-    pub duplicate: f64,
 }
 
 impl Netem {
@@ -71,17 +56,9 @@ impl Netem {
         }
     }
 
-    /// A time-varying rate limit following `profile` (trace playback).
-    pub fn with_rate_profile(profile: RateProfile) -> Self {
-        Netem {
-            profile: Some(profile),
-            ..Netem::default()
-        }
-    }
-
-    /// True when no knob except `extra_delay` is active: the verdict is a
-    /// constant `Deliver` and zero randomness is drawn. This is the common
-    /// case on core links, and the netem half of
+    /// True when no knob except `extra_delay` is active: every packet gets
+    /// exactly `extra_delay` and zero randomness is drawn. This is the
+    /// common case on core links, and the netem half of
     /// [`crate::link::LinkState::is_passthrough`].
     #[inline]
     pub fn is_transparent(&self) -> bool {
@@ -89,176 +66,41 @@ impl Netem {
             && self.ge.is_none()
             && self.loss == 0.0
             && self.jitter.is_zero()
-            && self.profile.is_none()
             && self.shaper.is_none()
-            && self.reorder == 0.0
-            && self.corrupt == 0.0
-            && self.duplicate == 0.0
     }
 
-    /// Sample the impairment's verdict for one packet.
-    pub fn apply(&mut self, now: SimTime, size: ByteSize, rng: &mut SimRng) -> NetemVerdict {
-        // Fused transparent-config check: an unimpaired link takes one
-        // predictable branch and draws no randomness. The fall-through
-        // handles every knob in the same order as always, so RNG draw
-        // sequence — and therefore artifact determinism — is unchanged.
+    /// Sample the impairment for one packet: its extra delay, or `None`
+    /// when it is dropped. This is the one place that fixes impairment
+    /// order and RNG draw order.
+    pub fn apply(&mut self, now: SimTime, size: ByteSize, rng: &mut SimRng) -> Option<SimDuration> {
+        // An unimpaired link takes one predictable branch and draws no
+        // randomness.
         if self.is_transparent() {
-            return NetemVerdict::Deliver {
-                delay: self.extra_delay,
-                corrupt: false,
-            };
+            return Some(self.extra_delay);
         }
         if self.down {
-            return NetemVerdict::Drop;
+            return None;
         }
-        self.apply_impaired(now, size, rng)
-    }
-
-    /// The knob-by-knob verdict for a non-transparent, non-down config:
-    /// the one place that fixes impairment order and RNG draw order.
-    fn apply_impaired(&mut self, now: SimTime, size: ByteSize, rng: &mut SimRng) -> NetemVerdict {
         if let Some(ge) = &mut self.ge {
             if ge.sample_drop(rng) {
-                return NetemVerdict::Drop;
+                return None;
             }
         }
         if self.loss > 0.0 && rng.chance(self.loss) {
-            return NetemVerdict::Drop;
+            return None;
         }
         let mut delay = self.extra_delay;
         if !self.jitter.is_zero() {
             delay += SimDuration::from_nanos(rng.uniform_u64(0, self.jitter.as_nanos()));
         }
-        if let Some(profile) = &self.profile {
-            let rate = profile.rate_at(now);
-            match &mut self.shaper {
-                Some(shaper) => shaper.set_rate(rate),
-                None => self.shaper = Some(TokenBucket::new(rate, ByteSize::from_kb(32))),
-            }
-        }
         if let Some(shaper) = &mut self.shaper {
             match shaper.admit(now, size) {
                 Admission::Forward => {}
                 Admission::DelayUntil(t) => delay += t.since(now),
-                Admission::Drop => return NetemVerdict::Drop,
+                Admission::Drop => return None,
             }
         }
-        if self.reorder > 0.0 && rng.chance(self.reorder) {
-            // Held back: this packet will pop out behind packets sent
-            // after it — reordering without loss.
-            delay += self.reorder_extra;
-        }
-        let corrupt = self.corrupt > 0.0 && rng.chance(self.corrupt);
-        if self.duplicate > 0.0 && rng.chance(self.duplicate) {
-            // The duplicate trails the original by a wire-time-scale gap,
-            // the way a retransmitting link layer duplicates.
-            return NetemVerdict::Duplicate {
-                delay,
-                dup_delay: delay + SimDuration::from_micros(500),
-                corrupt,
-            };
-        }
-        NetemVerdict::Deliver { delay, corrupt }
-    }
-}
-
-/// Outcome of applying impairments to one packet.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum NetemVerdict {
-    /// Packet dropped.
-    Drop,
-    /// Packet delivered after `delay`, possibly corrupted.
-    Deliver {
-        /// Total extra delay to add.
-        delay: SimDuration,
-        /// Whether to flag the payload as corrupted.
-        corrupt: bool,
-    },
-    /// Packet delivered twice: the original after `delay`, a byte-identical
-    /// copy after `dup_delay`.
-    Duplicate {
-        /// Extra delay for the original.
-        delay: SimDuration,
-        /// Extra delay for the duplicate copy.
-        dup_delay: SimDuration,
-        /// Whether to flag both copies as corrupted.
-        corrupt: bool,
-    },
-}
-
-/// A piecewise-constant, cyclically repeating rate schedule — the shape
-/// of cellular/congested-WiFi bandwidth traces used to replay real network
-/// conditions against the shaper.
-#[derive(Clone, Debug)]
-pub struct RateProfile {
-    /// (segment duration, rate) pairs; the schedule repeats after the last
-    /// segment.
-    segments: Vec<(SimDuration, DataRate)>,
-    /// Cumulative end offset of each segment within the cycle, in
-    /// nanoseconds — the binary-search keys for `rate_at`. `bounds[i]` is
-    /// the exclusive end of segment `i`; the last entry equals the cycle.
-    bounds: Vec<u64>,
-    /// Total cycle length.
-    cycle: SimDuration,
-    /// Segment index the previous lookup landed in. Packet admission times
-    /// are near-monotone, so consecutive lookups overwhelmingly re-hit the
-    /// same segment; this is purely a cache — results are identical with
-    /// or without it.
-    last_hit: Cell<usize>,
-}
-
-impl RateProfile {
-    /// Build from `(duration, rate)` segments (all durations non-zero).
-    pub fn new(segments: Vec<(SimDuration, DataRate)>) -> Self {
-        assert!(!segments.is_empty(), "profile needs at least one segment");
-        assert!(
-            segments.iter().all(|(d, r)| !d.is_zero() && *r > DataRate::ZERO),
-            "segments need positive durations and rates"
-        );
-        let mut bounds = Vec::with_capacity(segments.len());
-        let mut acc = 0u64;
-        for (d, _) in &segments {
-            acc += d.as_nanos();
-            bounds.push(acc);
-        }
-        let cycle = SimDuration::from_nanos(acc);
-        RateProfile {
-            segments,
-            bounds,
-            cycle,
-            last_hit: Cell::new(0),
-        }
-    }
-
-    /// The rate in force at instant `t` (cyclic). O(1) when `t` lands in
-    /// the same segment as the previous call, O(log n) otherwise.
-    pub fn rate_at(&self, t: SimTime) -> DataRate {
-        let offset = t.as_nanos() % self.cycle.as_nanos();
-        let hit = self.last_hit.get();
-        let start = if hit == 0 { 0 } else { self.bounds[hit - 1] };
-        if start <= offset && offset < self.bounds[hit] {
-            return self.segments[hit].1;
-        }
-        // `offset < cycle == bounds.last()`, so the partition point is
-        // always a valid segment index.
-        let idx = self.bounds.partition_point(|&end| end <= offset);
-        self.last_hit.set(idx);
-        self.segments[idx].1
-    }
-
-    /// The cycle length.
-    pub fn cycle(&self) -> SimDuration {
-        self.cycle
-    }
-
-    /// Mean rate over one cycle.
-    pub fn mean_rate(&self) -> DataRate {
-        let weighted: f64 = self
-            .segments
-            .iter()
-            .map(|(d, r)| r.as_bps() as f64 * d.as_secs_f64())
-            .sum();
-        DataRate::from_bps_f64(weighted / self.cycle.as_secs_f64())
+        Some(delay)
     }
 }
 
@@ -303,19 +145,6 @@ impl TokenBucket {
         }
     }
 
-    /// The configured rate.
-    pub fn rate(&self) -> DataRate {
-        self.rate
-    }
-
-    /// Change the sustained rate in place (for trace-driven shaping).
-    /// Accrued tokens persist; the backlog horizon follows the new rate.
-    pub fn set_rate(&mut self, rate: DataRate) {
-        assert!(rate > DataRate::ZERO, "shaper needs a positive rate");
-        self.rate = rate;
-        self.backlog_limit = rate.as_bps() as f64 / 8.0 * 0.5;
-    }
-
     fn refill(&mut self, now: SimTime) {
         let dt = now.since(self.updated).as_secs_f64();
         self.tokens = (self.tokens + dt * self.rate.as_bps() as f64 / 8.0)
@@ -353,25 +182,17 @@ mod tests {
         let mut n = Netem::none();
         let mut rng = SimRng::seed_from_u64(1);
         let v = n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng);
-        assert_eq!(
-            v,
-            NetemVerdict::Deliver {
-                delay: SimDuration::ZERO,
-                corrupt: false
-            }
-        );
+        assert_eq!(v, Some(SimDuration::ZERO));
     }
 
     #[test]
     fn fixed_delay_is_applied_exactly() {
         let mut n = Netem::with_delay(SimDuration::from_millis(250));
         let mut rng = SimRng::seed_from_u64(2);
-        match n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng) {
-            NetemVerdict::Deliver { delay, .. } => {
-                assert_eq!(delay, SimDuration::from_millis(250))
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng),
+            Some(SimDuration::from_millis(250))
+        );
     }
 
     #[test]
@@ -383,23 +204,11 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(3);
         let drops = (0..10_000)
             .filter(|_| {
-                n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng) == NetemVerdict::Drop
+                n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng)
+                    .is_none()
             })
             .count();
         assert!((drops as f64 / 10_000.0 - 0.3).abs() < 0.02, "{drops}");
-    }
-
-    #[test]
-    fn corruption_flags_but_delivers() {
-        let mut n = Netem {
-            corrupt: 1.0,
-            ..Netem::default()
-        };
-        let mut rng = SimRng::seed_from_u64(4);
-        match n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng) {
-            NetemVerdict::Deliver { corrupt, .. } => assert!(corrupt),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]
@@ -411,160 +220,11 @@ mod tests {
         };
         let mut rng = SimRng::seed_from_u64(5);
         for _ in 0..1_000 {
-            if let NetemVerdict::Deliver { delay, .. } =
-                n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng)
-            {
+            if let Some(delay) = n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng) {
                 assert!(delay >= SimDuration::from_millis(10));
                 assert!(delay <= SimDuration::from_millis(15));
             }
         }
-    }
-
-    #[test]
-    fn rate_profile_schedule_and_cycle() {
-        let p = RateProfile::new(vec![
-            (SimDuration::from_secs(2), DataRate::from_mbps(4)),
-            (SimDuration::from_secs(1), DataRate::from_kbps(500)),
-        ]);
-        assert_eq!(p.cycle(), SimDuration::from_secs(3));
-        assert_eq!(p.rate_at(SimTime::from_millis(500)), DataRate::from_mbps(4));
-        assert_eq!(p.rate_at(SimTime::from_millis(2_500)), DataRate::from_kbps(500));
-        // Cyclic repetition.
-        assert_eq!(p.rate_at(SimTime::from_millis(3_500)), DataRate::from_mbps(4));
-        // Mean: (4e6*2 + 0.5e6*1)/3 = 2.833 Mbps.
-        assert!((p.mean_rate().as_mbps_f64() - 2.8333).abs() < 0.001);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive durations")]
-    fn rate_profile_rejects_zero_segments() {
-        RateProfile::new(vec![(SimDuration::ZERO, DataRate::from_mbps(1))]);
-    }
-
-    #[test]
-    fn rate_profile_exact_segment_boundaries() {
-        // Bounds are exclusive ends: the instant a segment ends belongs to
-        // the next segment, and the cycle end wraps to the first.
-        let a = DataRate::from_mbps(4);
-        let b = DataRate::from_kbps(500);
-        let c = DataRate::from_mbps(2);
-        let p = RateProfile::new(vec![
-            (SimDuration::from_secs(2), a),
-            (SimDuration::from_secs(1), b),
-            (SimDuration::from_secs(3), c),
-        ]);
-        assert_eq!(p.rate_at(SimTime::ZERO), a);
-        assert_eq!(p.rate_at(SimTime::from_secs(2)), b, "first boundary");
-        assert_eq!(p.rate_at(SimTime::from_secs(3)), c, "second boundary");
-        // The cycle end (t == cycle) is offset 0 again.
-        assert_eq!(p.rate_at(SimTime::from_secs(6)), a, "cycle wrap");
-        // One nanosecond either side of a boundary.
-        let ns = SimDuration::from_nanos(1);
-        assert_eq!(p.rate_at(SimTime::from_secs(2) - ns), a);
-        assert_eq!(p.rate_at(SimTime::from_secs(2) + ns), b);
-        assert_eq!(p.rate_at(SimTime::from_secs(6) - ns), c);
-        assert_eq!(p.rate_at(SimTime::from_secs(6) + ns), a);
-    }
-
-    #[test]
-    fn rate_profile_before_first_and_after_last_boundary() {
-        let a = DataRate::from_mbps(8);
-        let b = DataRate::from_kbps(160);
-        let p = RateProfile::new(vec![
-            (SimDuration::from_millis(10), a),
-            (SimDuration::from_millis(5), b),
-        ]);
-        // Strictly inside the first segment (before the first bound).
-        assert_eq!(p.rate_at(SimTime::from_millis(3)), a);
-        // Past the last bound: offsets reduce mod the 15 ms cycle, however
-        // many cycles out the query lands.
-        assert_eq!(p.rate_at(SimTime::from_millis(26)), b); // 26 % 15 = 11
-        // Huge t: 1000 s mod 15 ms is exactly the 10 ms bound — second
-        // segment (exclusive ends).
-        assert_eq!(p.rate_at(SimTime::from_secs(1_000)), b);
-        assert_eq!(
-            p.rate_at(SimTime::from_nanos(u64::MAX / 2)),
-            p.rate_at(SimTime::from_nanos((u64::MAX / 2) % 15_000_000))
-        );
-    }
-
-    #[test]
-    fn rate_profile_out_of_order_queries_do_not_stale_the_cache() {
-        // The cached segment index is an accelerator only: alternating
-        // lookups that bounce between segments (and wrap the cycle) must
-        // return exactly what a fresh binary search would.
-        let rates = [
-            DataRate::from_mbps(1),
-            DataRate::from_mbps(2),
-            DataRate::from_mbps(3),
-            DataRate::from_mbps(4),
-        ];
-        let p = RateProfile::new(
-            rates
-                .iter()
-                .map(|&r| (SimDuration::from_millis(100), r))
-                .collect(),
-        );
-        let fresh = |t: SimTime| {
-            // Reference: uncached lookup on a new profile.
-            let q = RateProfile::new(
-                rates
-                    .iter()
-                    .map(|&r| (SimDuration::from_millis(100), r))
-                    .collect(),
-            );
-            q.rate_at(t)
-        };
-        // A hostile query order: forward, backward, same-instant repeats,
-        // boundary hits, cycle wraps.
-        let times_ms = [
-            350u64, 50, 50, 399, 0, 250, 100, 99, 700, 300, 1_000_000, 150, 400, 401,
-        ];
-        for &ms in &times_ms {
-            let t = SimTime::from_millis(ms);
-            assert_eq!(p.rate_at(t), fresh(t), "stale cache at t={ms} ms");
-        }
-    }
-
-    #[test]
-    fn rate_profile_single_segment_is_constant() {
-        let p = RateProfile::new(vec![(SimDuration::from_millis(7), DataRate::from_mbps(6))]);
-        for ms in [0u64, 3, 7, 14, 20, 999] {
-            assert_eq!(p.rate_at(SimTime::from_millis(ms)), DataRate::from_mbps(6));
-        }
-    }
-
-    #[test]
-    fn profiled_netem_throttles_during_the_dip() {
-        // 2 s at 8 Mbps, 1 s at 160 kbps, cycling. Offer 1.6 Mbps steadily;
-        // during dips the shaper backlog fills and drops engage.
-        let profile = RateProfile::new(vec![
-            (SimDuration::from_secs(2), DataRate::from_mbps(8)),
-            (SimDuration::from_secs(1), DataRate::from_kbps(160)),
-        ]);
-        let mut n = Netem::with_rate_profile(profile);
-        let mut rng = SimRng::seed_from_u64(9);
-        let pkt = ByteSize::from_bytes(1_000);
-        let mut t = SimTime::ZERO;
-        let mut dropped_in_dip = 0u32;
-        let mut dropped_in_clear = 0u32;
-        for _ in 0..3_000 {
-            // one packet per 5 ms = 1.6 Mbps offered
-            let in_dip = t.as_nanos() % 3_000_000_000 >= 2_000_000_000;
-            if n.apply(t, pkt, &mut rng) == NetemVerdict::Drop {
-                if in_dip {
-                    dropped_in_dip += 1;
-                } else {
-                    dropped_in_clear += 1;
-                }
-            }
-            t += SimDuration::from_millis(5);
-        }
-        assert!(dropped_in_dip > 50, "dips never dropped: {dropped_in_dip}");
-        assert!(
-            dropped_in_clear < dropped_in_dip / 4,
-            "clear periods dropped too much: {dropped_in_clear} vs {dropped_in_dip}"
-        );
     }
 
     #[test]
@@ -631,7 +291,7 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(
                 n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng),
-                NetemVerdict::Drop
+                None
             );
         }
     }
@@ -651,7 +311,8 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(8);
         let verdicts: Vec<bool> = (0..5_000)
             .map(|_| {
-                n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng) == NetemVerdict::Drop
+                n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng)
+                    .is_none()
             })
             .collect();
         let drops = verdicts.iter().filter(|d| **d).count();
@@ -668,78 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn reorder_holds_back_a_subset() {
-        let mut n = Netem {
-            reorder: 0.25,
-            reorder_extra: SimDuration::from_millis(40),
-            ..Netem::default()
-        };
-        let mut rng = SimRng::seed_from_u64(9);
-        let mut held = 0u32;
-        for _ in 0..4_000 {
-            match n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng) {
-                NetemVerdict::Deliver { delay, .. } => {
-                    if delay == SimDuration::from_millis(40) {
-                        held += 1;
-                    } else {
-                        assert_eq!(delay, SimDuration::ZERO);
-                    }
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!((held as f64 / 4_000.0 - 0.25).abs() < 0.03, "{held}");
-    }
-
-    #[test]
-    fn duplicate_emits_trailing_copy() {
-        let mut n = Netem {
-            duplicate: 1.0,
-            ..Netem::default()
-        };
-        let mut rng = SimRng::seed_from_u64(10);
-        match n.apply(SimTime::ZERO, ByteSize::from_bytes(100), &mut rng) {
-            NetemVerdict::Duplicate {
-                delay, dup_delay, ..
-            } => {
-                assert!(dup_delay > delay);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rate_profile_lookup_is_cache_invariant() {
-        let segs = vec![
-            (SimDuration::from_millis(300), DataRate::from_mbps(8)),
-            (SimDuration::from_millis(150), DataRate::from_kbps(700)),
-            (SimDuration::from_millis(50), DataRate::from_mbps(2)),
-            (SimDuration::from_millis(500), DataRate::from_kbps(160)),
-        ];
-        let p = RateProfile::new(segs.clone());
-        // Reference linear scan, evaluated fresh each call.
-        let linear = |t: SimTime| {
-            let mut offset = SimDuration::from_nanos(t.as_nanos() % p.cycle().as_nanos());
-            for (d, r) in &segs {
-                if offset < *d {
-                    return *r;
-                }
-                offset -= *d;
-            }
-            unreachable!()
-        };
-        // Forward sweep, backward sweep, and boundary-adjacent jumps: the
-        // last-hit cache must never change an answer.
-        let mut probes: Vec<u64> = (0..4_000u64).map(|k| k * 777_777).collect();
-        probes.extend((0..4_000u64).rev().map(|k| k * 999_999));
-        probes.extend([0, 299_999_999, 300_000_000, 499_999_999, 500_000_000, 999_999_999, 1_000_000_000]);
-        for ns in probes {
-            let t = SimTime::from_nanos(ns);
-            assert_eq!(p.rate_at(t), linear(t), "diverged at {ns} ns");
-        }
-    }
-
-    #[test]
     fn shaped_netem_long_run_rate_matches_config() {
         // Push 2x the shaped rate for 10 s; delivered volume must match the
         // shaper rate, not the offered rate.
@@ -751,7 +340,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         // Offered: one packet every 5 ms = 1.4 Mbps.
         for _ in 0..2_000 {
-            if let NetemVerdict::Deliver { .. } = n.apply(t, pkt, &mut rng) {
+            if n.apply(t, pkt, &mut rng).is_some() {
                 delivered += pkt.as_bytes();
             }
             t += SimDuration::from_millis(5);

@@ -14,7 +14,7 @@
 //! immutable buffers and O(1)-per-hop bookkeeping:
 //!
 //! * payloads are `Arc<[u8]>`, allocated once when the frame is emitted
-//!   and shared by every copy (duplicates, retransmissions, SFU fan-out);
+//!   and shared by every copy (retransmissions, relays, SFU fan-out);
 //! * routes are resolved once into `Arc<[LinkId]>` handed out by the
 //!   route cache; a packet carries a `(route, hop)` cursor, never a
 //!   per-event clone of the link list;
@@ -28,16 +28,15 @@
 //!
 //! # One event per packet-hop
 //!
-//! Every admitted packet copy schedules one queue event, at the instant
-//! it leaves the link it is crossing; the event's payload is the copy's
-//! flight slot. Same-instant exits pop in schedule order, which is the
+//! Every admitted packet schedules one queue event, at the instant it
+//! leaves the link it is crossing; the event's payload is its flight
+//! slot. Same-instant exits pop in schedule order, which is the
 //! per-packet order. `run_until` drains one tick at a time (every event
 //! due at the earliest timestamp) and processes it in that order. The
 //! root `batch_equiv` test checks the result against a reference model
 //! that shares no admission, exit or queueing code with [`Network`].
 
 use crate::link::{LinkConfig, LinkId, LinkState};
-use crate::netem::NetemVerdict;
 use crate::packet::{Packet, PortPair};
 use crate::tap::{Tap, TapDirection, TapId, TapRecord};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -61,8 +60,8 @@ pub const PER_HOP_ALLOC_BUDGET: usize = 1;
 /// [`Network`] instance in the process. Counter sites mirror the
 /// [`crate::link::LinkStats`] bookkeeping exactly, so the process-wide
 /// totals satisfy the same conservation identity the sanitizer checks:
-/// `link_bytes_sent + link_dup_bytes == link_bytes_exited` once all
-/// traffic has drained (`net/in_flight_bytes` holds the residual).
+/// `link_bytes_sent == link_bytes_exited` once all traffic has drained
+/// (`net/in_flight_bytes` holds the residual).
 ///
 /// Everything here is [`Class::Sim`]: pure functions of the seeds, updated
 /// via commutative atomic adds, so the totals are identical at any worker
@@ -70,7 +69,6 @@ pub const PER_HOP_ALLOC_BUDGET: usize = 1;
 struct NetMetrics {
     link_packets_sent: metrics::Counter,
     link_bytes_sent: metrics::Counter,
-    link_dup_bytes: metrics::Counter,
     link_bytes_exited: metrics::Counter,
     packets_dropped: metrics::Counter,
     in_flight_bytes: metrics::Gauge,
@@ -89,7 +87,6 @@ fn net_metrics() -> &'static NetMetrics {
     M.get_or_init(|| NetMetrics {
         link_packets_sent: metrics::counter("net/link_packets_sent", Class::Sim),
         link_bytes_sent: metrics::counter("net/link_bytes_sent", Class::Sim),
-        link_dup_bytes: metrics::counter("net/link_dup_bytes", Class::Sim),
         link_bytes_exited: metrics::counter("net/link_bytes_exited", Class::Sim),
         packets_dropped: metrics::counter("net/packets_dropped", Class::Sim),
         // Scheduled-minus-drained event depth; deltas commute, so the
@@ -126,11 +123,11 @@ pub struct Delivered {
     pub at: SimTime,
 }
 
-/// One in-flight copy of a packet: the packet itself plus its route
-/// cursor. Lives in the network's flight slab; its queue event is the
-/// slot index. The route is an index into the network's interned route
-/// table, so creating, duplicating, and retiring a flight moves no
-/// refcount — only the payload `Arc` is shared state.
+/// One in-flight packet: the packet itself plus its route cursor. Lives
+/// in the network's flight slab; its queue event is the slot index. The
+/// route is an index into the network's interned route table, so
+/// creating and retiring a flight moves no refcount — only the payload
+/// `Arc` is shared state.
 #[derive(Clone, Debug)]
 struct Flight {
     packet: Packet,
@@ -191,7 +188,7 @@ pub struct Network {
     links: Vec<LinkState>,
     /// Outgoing link ids per node.
     adjacency: Vec<Vec<LinkId>>,
-    /// One pending link exit per in-flight copy; the payload is its
+    /// One pending link exit per in-flight packet; the payload is its
     /// flight slot.
     queue: EventQueue<u32>,
     route_cache: RouteCache,
@@ -538,7 +535,6 @@ impl Network {
             ports,
             payload: payload.into(),
             sent_at: now,
-            corrupted: false,
         };
         let size = packet.wire_size();
         // Park the flight first, then observe it from the slab: with no
@@ -606,9 +602,8 @@ impl Network {
 
     /// Admit the flight in `slot` (`size` on the wire) onto link `lid`,
     /// whose position its cursor already holds. The flight stays in its
-    /// slab slot for the link crossing; only the rare duplication and
-    /// drop outcomes touch the slab at all. Returns false (releasing the
-    /// slot) if the link dropped the packet.
+    /// slab slot for the link crossing; only a drop touches the slab.
+    /// Returns false (releasing the slot) if the link dropped the packet.
     #[inline]
     fn admit(&mut self, slot: u32, size: ByteSize, lid: LinkId) -> bool {
         // Unshaped, unimpaired links (the dominant core-link case) skip
@@ -617,41 +612,52 @@ impl Network {
         // stream, so the draw order is unchanged. Kept small (and the
         // general path out of line) so this arm inlines into `send` and
         // the exit handler.
-        let link = &self.links[lid.0];
-        if link.is_passthrough() {
-            let exit = self.now() + link.config.delay + link.config.netem.extra_delay;
-            self.count_passthrough(lid, size.as_bytes());
-            self.schedule_exit(exit, slot);
-            return true;
-        }
-        self.admit_impaired(slot, size, lid)
-    }
-
-    /// The serializing or impaired arm of [`Self::admit`].
-    fn admit_impaired(&mut self, slot: u32, size: ByteSize, lid: LinkId) -> bool {
         let now = self.now();
         let link = &mut self.links[lid.0];
         link.stats.offered += 1;
         link.stats.offered_bytes += size.as_bytes();
+        if link.is_passthrough() {
+            let exit = now + link.config.delay + link.config.netem.extra_delay;
+            self.count_sent(lid, size.as_bytes());
+            self.schedule_exit(exit, slot);
+            return true;
+        }
+        self.admit_impaired(now, slot, size, lid)
+    }
+
+    /// The serializing or impaired arm of [`Self::admit`], after the
+    /// offer is counted.
+    fn admit_impaired(&mut self, now: SimTime, slot: u32, size: ByteSize, lid: LinkId) -> bool {
+        let link = &mut self.links[lid.0];
         let Some(serialized) = link.serialize(now, size) else {
             self.drop_flight(TraceKind::QueueDrop, now, lid, slot, size.as_bytes());
             return false;
         };
-        let verdict = link.config.netem.apply(now, size, &mut self.rng);
-        self.apply_verdict(now, lid, slot, size, serialized, verdict)
+        match link.config.netem.apply(now, size, &mut self.rng) {
+            Some(delay) => {
+                let exit = serialized + link.config.delay + delay;
+                self.count_sent(lid, size.as_bytes());
+                self.schedule_exit(exit, slot);
+                true
+            }
+            None => {
+                let stats = &mut self.links[lid.0].stats;
+                stats.netem_drops += 1;
+                stats.netem_dropped_bytes += size.as_bytes();
+                self.drop_flight(TraceKind::PacketDrop, now, lid, slot, 0);
+                false
+            }
+        }
     }
 
-    /// Admission bookkeeping for one packet of `bytes` accepted onto
-    /// passthrough link `lid`.
+    /// Bookkeeping for one packet of `bytes` accepted onto link `lid`.
     #[inline]
-    fn count_passthrough(&mut self, lid: LinkId, bytes: u64) {
-        let link = &mut self.links[lid.0];
-        link.stats.offered += 1;
-        link.stats.offered_bytes += bytes;
-        link.stats.sent += 1;
-        link.stats.bytes += bytes;
-        link.stats.in_flight += 1;
-        link.stats.in_flight_bytes += bytes;
+    fn count_sent(&mut self, lid: LinkId, bytes: u64) {
+        let stats = &mut self.links[lid.0].stats;
+        stats.sent += 1;
+        stats.bytes += bytes;
+        stats.in_flight += 1;
+        stats.in_flight_bytes += bytes;
         // One capture-state load gates the whole block: the registry
         // lookup and per-counter checks are off the disabled path.
         if metrics::enabled() {
@@ -673,72 +679,6 @@ impl Network {
         if trace::enabled() {
             trace::record(kind, now.as_nanos(), 0, flight.packet.seq, lid.0 as u64, detail);
         }
-    }
-
-    /// Apply a netem verdict to the flight in `slot` that `lid` serialized
-    /// at `serialized`: count it, then drop it or schedule its exit —
-    /// preceded by its duplicate's, so same-instant FIFO tie-breaking is
-    /// stable. Returns false if the verdict dropped the packet.
-    fn apply_verdict(
-        &mut self,
-        now: SimTime,
-        lid: LinkId,
-        slot: u32,
-        size: ByteSize,
-        serialized: SimTime,
-        verdict: NetemVerdict,
-    ) -> bool {
-        let bytes = size.as_bytes();
-        let (delay, dup_delay, corrupt) = match verdict {
-            NetemVerdict::Drop => {
-                let stats = &mut self.links[lid.0].stats;
-                stats.netem_drops += 1;
-                stats.netem_dropped_bytes += bytes;
-                self.drop_flight(TraceKind::PacketDrop, now, lid, slot, 0);
-                return false;
-            }
-            NetemVerdict::Deliver { delay, corrupt } => (delay, None, corrupt),
-            NetemVerdict::Duplicate {
-                delay,
-                dup_delay,
-                corrupt,
-            } => (delay, Some(dup_delay), corrupt),
-        };
-        // Both copies of a duplicate are on the wire until their exits fire.
-        let copies = 1 + dup_delay.is_some() as u64;
-        let link = &mut self.links[lid.0];
-        link.stats.sent += 1;
-        link.stats.bytes += bytes;
-        link.stats.duplicated += copies - 1;
-        link.stats.dup_bytes += (copies - 1) * bytes;
-        link.stats.in_flight += copies;
-        link.stats.in_flight_bytes += copies * bytes;
-        let base = serialized + link.config.delay;
-        if metrics::enabled() {
-            let metrics = net_metrics();
-            metrics.link_packets_sent.inc();
-            metrics.link_bytes_sent.add(bytes);
-            metrics.link_dup_bytes.add((copies - 1) * bytes);
-            metrics.in_flight_bytes.add((copies * bytes) as i64);
-        }
-        if corrupt {
-            self.flights[slot as usize]
-                .as_mut()
-                .expect("corrupting an empty flight slot")
-                .packet
-                .corrupted = true;
-        }
-        if let Some(dup_delay) = dup_delay {
-            // The duplicate copy forwards independently from this hop on;
-            // the clone shares the payload `Arc` — no bytes are copied.
-            let dup = self.flights[slot as usize]
-                .clone()
-                .expect("duplicating an empty flight slot");
-            let dup = self.alloc_flight(dup);
-            self.schedule_exit(base + dup_delay, dup);
-        }
-        self.schedule_exit(base + delay, slot);
-        true
     }
 
     /// Schedule the exit of the flight in `slot` from the link it is
@@ -780,16 +720,16 @@ impl Network {
         if self.queue.now() < until {
             self.queue.advance_to(until);
         }
-        // Per-link byte conservation: every accepted copy is either still
-        // on the wire or has exited at the tail node (observe-only).
+        // Per-link byte conservation: every accepted packet is either
+        // still on the wire or has exited at the tail node (observe-only).
         if sanitizer::enabled() {
             for (i, link) in self.links.iter().enumerate() {
                 let s = link.stats;
                 sanitizer::check(s.conserved(), "net/conservation", || {
                     format!(
                         "link {i} ({}→{}): offered={} sent={} queue_drops={} netem_drops={} \
-                         duplicated={} exited={} in_flight={} offered_bytes={} bytes={} \
-                         queue_dropped_bytes={} netem_dropped_bytes={} dup_bytes={} \
+                         exited={} in_flight={} offered_bytes={} bytes={} \
+                         queue_dropped_bytes={} netem_dropped_bytes={} \
                          exited_bytes={} in_flight_bytes={}",
                         link.from,
                         link.to,
@@ -797,14 +737,12 @@ impl Network {
                         s.sent,
                         s.queue_drops,
                         s.netem_drops,
-                        s.duplicated,
                         s.exited,
                         s.in_flight,
                         s.offered_bytes,
                         s.bytes,
                         s.queue_dropped_bytes,
                         s.netem_dropped_bytes,
-                        s.dup_bytes,
                         s.exited_bytes,
                         s.in_flight_bytes
                     )
@@ -852,7 +790,7 @@ impl Network {
         }
     }
 
-    /// Exit bookkeeping for one copy of `bytes` leaving link `lid`.
+    /// Exit bookkeeping for one packet of `bytes` leaving link `lid`.
     #[inline]
     fn count_exit(&mut self, lid: LinkId, bytes: u64) {
         let link = &mut self.links[lid.0];
@@ -1045,22 +983,13 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_packets_are_flagged_at_delivery() {
-        let (mut net, a, b) = two_node_net(5);
-        net.netem_mut(LinkId(0)).corrupt = 1.0;
-        net.send(a, b, PortPair::new(1, 2), vec![0u8; 100]).unwrap();
-        net.run_until(SimTime::from_secs(1));
-        assert!(net.poll_delivered(b)[0].packet.corrupted);
-    }
-
-    #[test]
-    fn link_stats_conserve_bytes_under_duplication_and_loss() {
+    fn link_stats_conserve_bytes_under_jitter_and_loss() {
         let _g = visionsim_core::par::override_guard();
         sanitizer::force(Some(true));
         sanitizer::reset();
         let (mut net, a, b) = two_node_net(5);
         net.netem_mut(LinkId(0)).loss = 0.3;
-        net.netem_mut(LinkId(0)).duplicate = 0.3;
+        net.netem_mut(LinkId(0)).jitter = SimDuration::from_millis(3);
         for _ in 0..200 {
             net.send(a, b, PortPair::new(1, 2), vec![0u8; 100]);
         }
@@ -1068,7 +997,7 @@ mod tests {
         let s = net.link_stats(LinkId(0));
         assert!(s.conserved(), "conservation identity broken: {s:?}");
         assert_eq!(s.in_flight, 0, "everything should have drained");
-        assert!(s.duplicated > 0, "duplication never fired at 30%");
+        assert!(s.netem_drops > 0, "loss never fired at 30%");
         assert!(
             sanitizer::take()
                 .iter()

@@ -5,11 +5,11 @@
 //! size adds the IPv4+UDP encapsulation overhead the paper's Wireshark
 //! captures would count.
 //!
-//! The payload is a shared immutable buffer (`Arc<[u8]>`): duplication,
-//! multi-hop forwarding, retransmission, and SFU fan-out to N subscribers
-//! all reference one allocation made when the frame was emitted. Per-packet
-//! mutable state (`seq`, `sent_at`, `corrupted`) stays inline in the
-//! `Packet` value, so an impairment verdict never forces a payload copy.
+//! The payload is a shared immutable buffer (`Arc<[u8]>`): multi-hop
+//! forwarding, retransmission, and SFU fan-out to N subscribers all
+//! reference one allocation made when the frame was emitted. Per-packet
+//! state (`seq`, `sent_at`) stays inline in the `Packet` value, so
+//! forwarding never copies the payload.
 
 use std::sync::Arc;
 use visionsim_core::time::SimTime;
@@ -60,9 +60,6 @@ pub struct Packet {
     pub payload: Arc<[u8]>,
     /// When the packet entered the network.
     pub sent_at: SimTime,
-    /// Set by the corruption impairment; receivers treat the payload as
-    /// garbage, taps still count the bytes.
-    pub corrupted: bool,
 }
 
 impl Packet {
@@ -84,7 +81,6 @@ mod tests {
             ports: PortPair::new(5004, 5004),
             payload: vec![0u8; payload_len].into(),
             sent_at: SimTime::ZERO,
-            corrupted: false,
         }
     }
 

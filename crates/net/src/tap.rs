@@ -107,8 +107,6 @@ pub struct TapRecord {
     pub header_snippet: HeaderSnippet,
     /// Direction relative to the tapped node.
     pub direction: TapDirection,
-    /// Whether the packet was corrupted in flight.
-    pub corrupted: bool,
 }
 
 impl TapRecord {
@@ -122,7 +120,6 @@ impl TapRecord {
             wire_size: packet.wire_size(),
             header_snippet: HeaderSnippet::from_payload(&packet.payload),
             direction,
-            corrupted: packet.corrupted,
         }
     }
 }
@@ -149,7 +146,6 @@ mod tests {
             ports: PortPair::new(1000, 2000),
             payload: (0u8..64).collect::<Vec<u8>>().into(),
             sent_at: SimTime::ZERO,
-            corrupted: false,
         };
         let r = TapRecord::capture(SimTime::from_millis(3), &p, TapDirection::Egress);
         assert_eq!(r.header_snippet.len(), SNIPPET_LEN);
@@ -167,11 +163,9 @@ mod tests {
             ports: PortPair::new(1, 2),
             payload: vec![7, 8, 9].into(),
             sent_at: SimTime::ZERO,
-            corrupted: true,
         };
         let r = TapRecord::capture(SimTime::ZERO, &p, TapDirection::Ingress);
         assert_eq!(r.header_snippet, vec![7, 8, 9]);
-        assert!(r.corrupted);
     }
 
     #[test]

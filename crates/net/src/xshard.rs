@@ -11,10 +11,8 @@
 //! * [`SiteEgress`] — the per-site send half: stamps each outgoing message
 //!   with a monotone per-source sequence number and the matrix delivery
 //!   time. The `(deliver_at, src_site, src_seq)` triple is what keeps
-//!   ingress ordering deterministic at any shard count.
-//! * [`ShardIngress`] — the receive half: a staging buffer that accepts
-//!   envelope batches from the barrier exchange and drains them in the
-//!   canonical order.
+//!   ingress ordering deterministic at any shard count; the engine sorts
+//!   each shard's inbox by it before delivery.
 
 use visionsim_core::shard::Envelope;
 use visionsim_core::time::{SimDuration, SimTime};
@@ -118,44 +116,6 @@ impl SiteEgress {
     }
 }
 
-/// Per-shard ingress staging buffer: accepts envelope batches from the
-/// barrier exchange, hands them back in `(deliver_at, src_site, src_seq)`
-/// order.
-#[derive(Clone, Debug, Default)]
-pub struct ShardIngress<M> {
-    pending: Vec<Envelope<M>>,
-}
-
-impl<M> ShardIngress<M> {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        ShardIngress {
-            pending: Vec::new(),
-        }
-    }
-
-    /// Stage one envelope.
-    pub fn accept(&mut self, env: Envelope<M>) {
-        self.pending.push(env);
-    }
-
-    /// Envelopes currently staged.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Drain everything staged, in canonical delivery order.
-    pub fn drain_sorted(&mut self) -> impl Iterator<Item = Envelope<M>> + '_ {
-        self.pending.sort_by_key(Envelope::order_key);
-        self.pending.drain(..)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,28 +172,5 @@ mod tests {
         let m = matrix3();
         let mut out = Vec::new();
         SiteEgress::new(2).send(SimTime::ZERO, 2, &m, (), &mut out);
-    }
-
-    #[test]
-    fn ingress_drains_in_canonical_order() {
-        let mut ingress = ShardIngress::new();
-        let env = |deliver_ms: u64, src: u32, seq: u64| Envelope {
-            sent_at: SimTime::ZERO,
-            deliver_at: SimTime::from_millis(deliver_ms),
-            src_site: src,
-            dst_site: 9,
-            src_seq: seq,
-            msg: (),
-        };
-        ingress.accept(env(20, 1, 2));
-        ingress.accept(env(10, 2, 1));
-        ingress.accept(env(10, 1, 5));
-        ingress.accept(env(10, 1, 3));
-        let order: Vec<(u64, u32, u64)> = ingress
-            .drain_sorted()
-            .map(|e| (e.deliver_at.as_nanos() / 1_000_000, e.src_site, e.src_seq))
-            .collect();
-        assert_eq!(order, vec![(10, 1, 3), (10, 1, 5), (10, 2, 1), (20, 1, 2)]);
-        assert!(ingress.is_empty());
     }
 }

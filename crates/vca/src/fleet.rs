@@ -32,7 +32,7 @@ use visionsim_core::time::{SimDuration, SimTime};
 use visionsim_core::SimRng;
 use visionsim_geo::propagation::LatencyModel;
 use visionsim_geo::sites::{SiteCapacity, SiteRegistry};
-use visionsim_net::xshard::{LinkMatrix, ShardIngress, SiteEgress};
+use visionsim_net::xshard::{LinkMatrix, SiteEgress};
 
 /// Fleet workload parameters.
 #[derive(Clone, Debug)]
@@ -483,7 +483,6 @@ pub struct FleetShard {
     n_sites: u32,
     queue: EventQueue<FleetEvent>,
     scratch: ScratchBatch<FleetEvent>,
-    ingress: ShardIngress<FleetMsg>,
     end: SimTime,
 }
 
@@ -516,7 +515,6 @@ impl FleetShard {
             n_sites,
             queue,
             scratch: ScratchBatch::new(),
-            ingress: ShardIngress::new(),
             end: SimTime::from_nanos(cfg.duration.as_nanos()),
         }
     }
@@ -563,21 +561,21 @@ impl ShardWorld for FleetShard {
         self.queue.peek_time()
     }
 
+    /// Envelopes arrive in the engine's `(deliver_at, src_site, src_seq)`
+    /// order, so scheduling each on arrival keeps same-instant messages
+    /// in that order.
     fn deliver(&mut self, env: Envelope<FleetMsg>) {
-        self.ingress.accept(env);
+        self.queue.schedule(
+            env.deliver_at,
+            FleetEvent::Msg {
+                src: env.src_site,
+                dst: env.dst_site,
+                msg: env.msg,
+            },
+        );
     }
 
     fn advance(&mut self, horizon: SimTime, out: &mut Vec<Envelope<FleetMsg>>) {
-        for env in self.ingress.drain_sorted() {
-            self.queue.schedule(
-                env.deliver_at,
-                FleetEvent::Msg {
-                    src: env.src_site,
-                    dst: env.dst_site,
-                    msg: env.msg,
-                },
-            );
-        }
         while self.queue.drain_due_into(horizon, &mut self.scratch) > 0 {
             for k in 0..self.scratch.len() {
                 let at = self.scratch.at(k);

@@ -108,11 +108,6 @@ pub struct SessionConfig {
     /// `tc tbf` on each listed uplink. Any subset of participants may be
     /// shaped in the same session.
     pub uplink_limits: Vec<(usize, DataRate)>,
-    /// Optional time-varying uplink shaping: (participant index, profile)
-    /// — trace playback of a fluctuating access network.
-    pub uplink_profile: Option<(usize, visionsim_net::netem::RateProfile)>,
-    /// Optional extra one-way delay on a participant's uplink — `tc netem`.
-    pub extra_delay: Option<(usize, SimDuration)>,
     /// Seating layout for spatial rendering.
     pub layout: SeatingLayout,
     /// Visibility optimizations active on the headsets.
@@ -121,7 +116,10 @@ pub struct SessionConfig {
     /// events mutate that participant's access link as virtual time
     /// advances; `ServerDown` events take out the SFU site the participant
     /// is attached to (everyone stranded there reconnects through the
-    /// session's [`SiteDirectory`]).
+    /// session's [`SiteDirectory`]). Events due at a tick apply before
+    /// that tick's first send, so a [`FaultPlan::delay_spike`] at t = 0
+    /// held for the whole session is a static `tc netem delay` on the
+    /// uplink.
     pub fault_plans: Vec<(usize, FaultPlan)>,
     /// Close the congestion loop: receivers send RTCP XR reports
     /// (jitter + arrival rate) alongside their RRs, every sender runs a
@@ -159,8 +157,6 @@ impl SessionConfig {
             seed,
             policy: AssignmentPolicy::NearestToInitiator,
             uplink_limits: Vec::new(),
-            uplink_profile: None,
-            extra_delay: None,
             layout: SeatingLayout::Arc,
             visibility: VisibilityFlags::vision_pro(),
             fault_plans: Vec::new(),
@@ -186,8 +182,6 @@ impl SessionConfig {
             seed,
             policy: AssignmentPolicy::NearestToInitiator,
             uplink_limits: Vec::new(),
-            uplink_profile: None,
-            extra_delay: None,
             layout: SeatingLayout::Arc,
             visibility: VisibilityFlags::vision_pro(),
             fault_plans: Vec::new(),
@@ -617,16 +611,6 @@ impl SessionSim {
                     } else {
                         *net.netem_mut(up) = Netem::with_rate_limit(*rate);
                     }
-                }
-            }
-            if let Some((idx, profile)) = &cfg.uplink_profile {
-                if *idx == clients.len() {
-                    *net.netem_mut(up) = Netem::with_rate_profile(profile.clone());
-                }
-            }
-            if let Some((idx, delay)) = cfg.extra_delay {
-                if idx == clients.len() {
-                    net.netem_mut(up).extra_delay = delay;
                 }
             }
             tap_ids.push(net.add_tap(ap));
@@ -1373,9 +1357,6 @@ impl SessionSim {
                     // RTCP arriving here means *this* node's outgoing
                     // stream is being reported on: close the loop.
                     if kind == StreamKind::Feedback {
-                        if d.packet.corrupted {
-                            continue;
-                        }
                         // PLI: the remote receiver lost decode state and
                         // asks this sender for a fresh keyframe.
                         if let Some(pli) =
@@ -1455,9 +1436,6 @@ impl SessionSim {
                     peer.interval_bytes += d.packet.wire_size().as_bytes();
                     peer.on_arrival(d.at, d.packet.wire_size().as_bytes());
                     rx_bytes_since_frame[r] += d.packet.payload.len();
-                    if d.packet.corrupted {
-                        continue;
-                    }
                     if kind == StreamKind::Audio {
                         continue; // audio decodes out of band of this study
                     }
@@ -1501,9 +1479,9 @@ impl SessionSim {
                                                 // the payload and touches no codec state;
                                                 // sessions only build
                                                 // `SemanticConfig::default()`, which is
-                                                // absolute; and corrupted packets never
-                                                // reach the assembler, so every receiver
-                                                // reassembles the sender's exact bytes.
+                                                // absolute; and the network never alters a
+                                                // payload, so every receiver reassembles
+                                                // the sender's exact bytes.
                                                 if *decoded {
                                                     continue;
                                                 }
@@ -2180,39 +2158,6 @@ mod tests {
             .map(|r| r.wire_size.as_bytes())
             .sum();
         assert!(rtcp_bytes * 50 < media_bytes, "RTCP overhead too large");
-    }
-
-    #[test]
-    fn fluctuating_uplink_flaps_the_persona() {
-        // 6 s of plenty, 6 s starved, cycling: the persona must flap —
-        // down during dips, recovered during clear spells.
-        use visionsim_net::netem::RateProfile;
-        let mut cfg = SessionConfig::two_party(
-            Provider::FaceTime,
-            (DeviceKind::VisionPro, sf()),
-            (DeviceKind::VisionPro, nyc()),
-            77,
-        );
-        cfg.duration = SimDuration::from_secs(24);
-        cfg.uplink_profile = Some((
-            0,
-            RateProfile::new(vec![
-                (SimDuration::from_secs(6), DataRate::from_mbps(10)),
-                (SimDuration::from_secs(6), DataRate::from_kbps(200)),
-            ]),
-        ));
-        let out = SessionRunner::new(cfg).run();
-        let frac = out.availability_fraction(1);
-        assert!(
-            (0.15..0.85).contains(&frac),
-            "persona should flap, availability {frac}"
-        );
-        // The timeline actually transitions both ways.
-        let transitions = out.availability[1]
-            .windows(2)
-            .filter(|w| w[0].1 != w[1].1)
-            .count();
-        assert!(transitions >= 2, "only {transitions} transitions");
     }
 
     #[test]

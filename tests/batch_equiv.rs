@@ -3,14 +3,15 @@
 //! `Network` parks in-flight packets in a slab, schedules slot indices on
 //! its slab-backed event queue, drains whole ticks at once, and takes a
 //! fixed-delay shortcut across passthrough links. None of that may be
-//! visible: delivery order, per-packet verdicts (drops, corruption flags,
-//! duplication), per-link counters, tap captures, and the impairment RNG's
+//! visible: delivery order and times, per-packet verdicts (drops and
+//! delays), per-link counters, tap captures, and the impairment RNG's
 //! position in its stream must all match [`Reference`], a model that keeps
-//! one `BTreeMap` entry per packet copy per hop. This test replays 32
-//! randomized chaos scenarios (fault plans flipping links down, cliffing
-//! rates, spiking delay, injecting Gilbert–Elliott bursts, reordering and
-//! duplicating, shaping with finite queues) and 32 same-instant burst
-//! scenarios through both and requires bit-identical digests.
+//! one `BTreeMap` entry per packet per hop. This test replays 32
+//! randomized chaos scenarios (static loss, jitter and token buckets, fault
+//! plans flipping links down, cliffing rates, spiking delay and injecting
+//! Gilbert–Elliott bursts, link shapers with finite queues) and 32
+//! same-instant burst scenarios through both and requires bit-identical
+//! digests.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,7 +23,7 @@ use visionsim::geo::coords::GeoPoint;
 use visionsim::geo::geodb::{GeoDb, NetAddr};
 use visionsim::net::fault::{apply_to_netem, FaultPlan, GeConfig};
 use visionsim::net::link::{LinkConfig, LinkId, LinkState, LinkStats};
-use visionsim::net::netem::{Netem, NetemVerdict, RateProfile};
+use visionsim::net::netem::Netem;
 use visionsim::net::network::{Delivered, Network, NodeId};
 use visionsim::net::packet::{Packet, PortPair};
 use visionsim::net::shaper::{QueueLimit, ShaperConfig};
@@ -86,15 +87,14 @@ impl Datapath for Network {
     }
 }
 
-/// One packet copy crossing hop `hop` of `route` (link indices).
-#[derive(Clone)]
+/// One packet crossing hop `hop` of `route` (link indices).
 struct HopCopy {
     packet: Packet,
     route: Arc<[usize]>,
     hop: usize,
 }
 
-/// The scalar reference model: every packet copy on every hop is its own
+/// The scalar reference model: every packet on every hop is its own
 /// queue entry, keyed by (exit time, schedule order) so same-instant exits
 /// pop first-scheduled first. It is built only from public primitives —
 /// `LinkState::serialize`, `Netem::apply`, `TapRecord::capture`,
@@ -162,7 +162,7 @@ impl Reference {
     }
 
     /// Offer `copy` to the link its cursor points at.
-    fn admit(&mut self, mut copy: HopCopy) {
+    fn admit(&mut self, copy: HopCopy) {
         let link = &mut self.links[copy.route[copy.hop]];
         let size = copy.packet.wire_size();
         let bytes = size.as_bytes();
@@ -172,35 +172,18 @@ impl Reference {
             self.dropped += 1;
             return;
         };
-        let (delay, dup_delay, corrupt) =
-            match link.config.netem.apply(self.now, size, &mut self.rng) {
-                NetemVerdict::Drop => {
-                    link.stats.netem_drops += 1;
-                    link.stats.netem_dropped_bytes += bytes;
-                    self.dropped += 1;
-                    return;
-                }
-                NetemVerdict::Deliver { delay, corrupt } => (delay, None, corrupt),
-                NetemVerdict::Duplicate {
-                    delay,
-                    dup_delay,
-                    corrupt,
-                } => (delay, Some(dup_delay), corrupt),
-            };
+        let Some(delay) = link.config.netem.apply(self.now, size, &mut self.rng) else {
+            link.stats.netem_drops += 1;
+            link.stats.netem_dropped_bytes += bytes;
+            self.dropped += 1;
+            return;
+        };
         link.stats.sent += 1;
         link.stats.bytes += bytes;
         link.stats.in_flight += 1;
         link.stats.in_flight_bytes += bytes;
-        let base = serialized + link.config.delay;
-        copy.packet.corrupted |= corrupt;
-        if let Some(dup_delay) = dup_delay {
-            link.stats.duplicated += 1;
-            link.stats.dup_bytes += bytes;
-            link.stats.in_flight += 1;
-            link.stats.in_flight_bytes += bytes;
-            self.schedule(base + dup_delay, copy.clone());
-        }
-        self.schedule(base + delay, copy);
+        let exit = serialized + link.config.delay + delay;
+        self.schedule(exit, copy);
     }
 }
 
@@ -235,7 +218,6 @@ impl Datapath for Reference {
             ports,
             payload,
             sent_at: self.now,
-            corrupted: false,
         };
         self.next_seq += 1;
         self.capture(src.0, &packet, TapDirection::Egress);
@@ -293,15 +275,10 @@ impl Datapath for Reference {
     }
 }
 
-/// Append a digest line per delivered packet: seq, arrival, corruption.
+/// Append a digest line per delivered packet: seq and arrival.
 fn digest_deliveries(out: &mut String, tag: &str, delivered: &[Delivered]) {
     for d in delivered {
-        out.push_str(&format!(
-            "{tag}:{}@{}c{};",
-            d.packet.seq,
-            d.at.as_nanos(),
-            d.packet.corrupted as u8
-        ));
+        out.push_str(&format!("{tag}:{}@{};", d.packet.seq, d.at.as_nanos()));
     }
 }
 
@@ -314,33 +291,23 @@ fn digest_totals(out: &mut String, net: &impl Datapath, links: usize) {
 }
 
 /// Give `link` a random static impairment, or none: independent loss,
-/// jitter with corruption, reorder with duplication, a rate profile, or a
-/// shaper. Gilbert–Elliott loss comes from the scenarios' fault plans.
+/// jitter, both on one link, a netem token bucket (what `uplink_limits`
+/// installs), or a link shaper. Gilbert–Elliott loss comes from the
+/// scenarios' fault plans.
 fn impair_randomly(net: &mut impl Datapath, shape: &mut SimRng, link: LinkId) {
     match shape.uniform_u64(0, 8) {
         0 => net.netem_mut(link).loss = 0.02 + shape.uniform() * 0.2,
         1 => {
-            let netem = net.netem_mut(link);
-            netem.jitter = SimDuration::from_micros(shape.uniform_u64(10, 3_000));
-            netem.corrupt = shape.uniform() * 0.1;
+            net.netem_mut(link).jitter = SimDuration::from_micros(shape.uniform_u64(10, 3_000));
         }
         2 => {
             let netem = net.netem_mut(link);
-            netem.reorder = shape.uniform() * 0.3;
-            netem.reorder_extra = SimDuration::from_millis(shape.uniform_u64(1, 20));
-            netem.duplicate = shape.uniform() * 0.2;
+            netem.loss = shape.uniform() * 0.1;
+            netem.jitter = SimDuration::from_millis(shape.uniform_u64(1, 20));
         }
         3 => {
-            net.netem_mut(link).profile = Some(RateProfile::new(vec![
-                (
-                    SimDuration::from_millis(200 + shape.uniform_u64(0, 400)),
-                    DataRate::from_mbps(4 + shape.uniform_u64(0, 20)),
-                ),
-                (
-                    SimDuration::from_millis(50 + shape.uniform_u64(0, 200)),
-                    DataRate::from_kbps(300 + shape.uniform_u64(0, 700)),
-                ),
-            ]));
+            let rate = DataRate::from_kbps(300 + shape.uniform_u64(0, 3_700));
+            *net.netem_mut(link) = Netem::with_rate_limit(rate);
         }
         4 => {
             // Token-bucket link shaper with a finite FIFO queue: forces
@@ -421,15 +388,14 @@ fn scenario_digest(seed: u64, net: &mut impl Datapath) -> String {
             GeConfig::wifi_bursts(),
             SimDuration::from_millis(400),
         ),
-        FaultPlan::reorder_episode(
+        FaultPlan::delay_spike(
             SimTime::from_millis(2_300 + shape.uniform_u64(0, 200)),
-            0.2,
-            SimDuration::from_millis(10),
+            SimDuration::from_millis(shape.uniform_u64(1, 20)),
             SimDuration::from_millis(300),
         ),
-        FaultPlan::duplicate_episode(
+        FaultPlan::rate_cliff(
             SimTime::from_millis(2_700 + shape.uniform_u64(0, 200)),
-            0.3,
+            DataRate::from_kbps(200 + shape.uniform_u64(0, 400)),
             SimDuration::from_millis(300),
         ),
     ]);

@@ -69,16 +69,15 @@ fn metrics_are_identical_across_thread_counts_with_tracing_on() {
 
         // The per-link byte counters must satisfy the same conservation
         // identity the sanitizer checks on every drained network:
-        // accepted + duplicated bytes all either exited or are still in
-        // flight when the session ends.
+        // accepted bytes all either exited or are still in flight when
+        // the session ends.
         let sent = metrics::counter_value("net/link_bytes_sent").expect("counter registered");
-        let dup = metrics::counter_value("net/link_dup_bytes").expect("counter registered");
         let exited = metrics::counter_value("net/link_bytes_exited").expect("counter registered");
         let in_flight = metrics::gauge_value("net/in_flight_bytes").expect("gauge registered");
         assert!(sent > 0, "the suite must exercise the datapath");
         assert!(in_flight >= 0, "in-flight bytes can never go negative");
         assert_eq!(
-            sent + dup,
+            sent,
             exited + in_flight as u64,
             "{threads} threads: metrics counters broke the byte-conservation identity"
         );

@@ -1,5 +1,5 @@
-//! Fault injection across the stack: loss, corruption, shaping, and
-//! delay, pushed through the *full* session engine — the system must
+//! Fault injection across the stack: loss, shaping, delay, and SFU
+//! outages, pushed through the *full* session engine — the system must
 //! degrade, never panic, and its degradation must match the designed
 //! semantics (semantic streams fail hard, 2D streams adapt).
 
@@ -28,6 +28,13 @@ fn spatial_cfg(seed: u64) -> SessionConfig {
     );
     cfg.duration = SimDuration::from_secs(10);
     cfg
+}
+
+/// A `tc netem delay` of `ms` on an uplink for the whole session: faults
+/// due at a tick apply before that tick's first send, so a delay spike at
+/// t = 0 reaches every packet.
+fn whole_session_delay(cfg: &SessionConfig, ms: u64) -> FaultPlan {
+    FaultPlan::delay_spike(SimTime::ZERO, SimDuration::from_millis(ms), cfg.duration)
 }
 
 /// Extreme shaping (64 kbps) starves the stream completely; the session
@@ -71,7 +78,7 @@ fn mutual_starvation_takes_both_personas_down() {
 #[test]
 fn delay_does_not_starve_an_open_loop_stream() {
     let mut cfg = spatial_cfg(3);
-    cfg.extra_delay = Some((0, SimDuration::from_millis(800)));
+    cfg.fault_plans = vec![(0, whole_session_delay(&cfg, 800))];
     let out = SessionRunner::new(cfg).run();
     assert!(
         out.availability_fraction(1) > 0.8,
@@ -97,7 +104,7 @@ fn twod_session_survives_combined_impairments() {
     );
     cfg.duration = SimDuration::from_secs(12);
     cfg.uplink_limits = vec![(0, DataRate::from_kbps(900))];
-    cfg.extra_delay = Some((0, SimDuration::from_millis(200)));
+    cfg.fault_plans = vec![(0, whole_session_delay(&cfg, 200))];
     let out = SessionRunner::new(cfg).run();
     // Adapted down, still alive.
     assert!(out.final_quality[0] < 0.6, "q = {}", out.final_quality[0]);

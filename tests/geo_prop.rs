@@ -1,12 +1,12 @@
 //! Randomized property tests for geodesy and the latency model, driven by
 //! deterministic SimRng cases.
 
-use visionsim_core::par::derive_seed;
-use visionsim_core::rng::SimRng;
-use visionsim_geo::coords::{GeoPoint, EARTH_RADIUS_KM};
-use visionsim_geo::geodb::GeoDb;
-use visionsim_geo::propagation::LatencyModel;
-use visionsim_geo::regions::Region;
+use visionsim::core::par::derive_seed;
+use visionsim::core::rng::SimRng;
+use visionsim::geo::coords::{GeoPoint, EARTH_RADIUS_KM};
+use visionsim::geo::geodb::GeoDb;
+use visionsim::geo::propagation::LatencyModel;
+use visionsim::geo::regions::Region;
 
 const CASES: u64 = 256;
 

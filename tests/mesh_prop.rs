@@ -1,11 +1,11 @@
 //! Randomized property tests for mesh geometry, LOD, and the codec,
 //! driven by deterministic SimRng cases.
 
-use visionsim_core::par::derive_seed;
-use visionsim_core::rng::SimRng;
-use visionsim_mesh::codec::{decode_mesh, encode_mesh, MeshCodecConfig};
-use visionsim_mesh::geometry::{TriangleMesh, Vec3};
-use visionsim_mesh::lod::{cluster, decimate_to};
+use visionsim::core::par::derive_seed;
+use visionsim::core::rng::SimRng;
+use visionsim::mesh::codec::{decode_mesh, encode_mesh, MeshCodecConfig};
+use visionsim::mesh::geometry::{TriangleMesh, Vec3};
+use visionsim::mesh::lod::{cluster, decimate_to};
 
 const CASES: u64 = 96;
 
@@ -116,10 +116,10 @@ fn decode_length_lying_header_errors() {
         let enc = encode_mesh(&arb_mesh(&mut rng), &MeshCodecConfig::default());
         let mut lying = Vec::new();
         // Rebuild the header with absurd counts, keep the rest verbatim.
-        visionsim_compress::varint::write_u64(&mut lying, u64::MAX / 8);
-        visionsim_compress::varint::write_u64(&mut lying, u64::MAX / 8);
-        let (_, a) = visionsim_compress::varint::read_u64(&enc).expect("own header");
-        let (_, b) = visionsim_compress::varint::read_u64(&enc[a..]).expect("own header");
+        visionsim::compress::varint::write_u64(&mut lying, u64::MAX / 8);
+        visionsim::compress::varint::write_u64(&mut lying, u64::MAX / 8);
+        let (_, a) = visionsim::compress::varint::read_u64(&enc).expect("own header");
+        let (_, b) = visionsim::compress::varint::read_u64(&enc[a..]).expect("own header");
         lying.extend_from_slice(&enc[a + b..]);
         assert!(decode_mesh(&lying).is_err(), "lying header accepted (case {i})");
     }
@@ -168,7 +168,7 @@ fn decimation_stays_in_bounds() {
         let outer = mesh.bounds().expect("non-empty");
         let d = cluster(&mesh, 4);
         if let Some(inner) = d.bounds() {
-            assert!(visionsim_mesh::lod::bounds_contained(&inner, &outer, 1e-4));
+            assert!(visionsim::mesh::lod::bounds_contained(&inner, &outer, 1e-4));
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Randomized property tests for the visibility pipeline and cost model,
 //! driven by deterministic SimRng cases.
 
-use visionsim_core::par::derive_seed;
-use visionsim_core::rng::SimRng;
-use visionsim_mesh::geometry::Vec3;
-use visionsim_render::camera::Viewer;
-use visionsim_render::cost::CostModel;
-use visionsim_render::visibility::{LodClass, PersonaInstance, VisibilityFlags, VisibilityPipeline};
+use visionsim::core::par::derive_seed;
+use visionsim::core::rng::SimRng;
+use visionsim::mesh::geometry::Vec3;
+use visionsim::render::camera::Viewer;
+use visionsim::render::cost::CostModel;
+use visionsim::render::visibility::{LodClass, PersonaInstance, VisibilityFlags, VisibilityPipeline};
 
 const CASES: u64 = 256;
 
