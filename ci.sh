@@ -27,6 +27,10 @@ echo "== sanitizer explicitly on and off =="
 VISIONSIM_SANITIZE=1 cargo test -q -p visionsim-core -p visionsim-net -p visionsim-compress -p visionsim-mesh
 VISIONSIM_SANITIZE=1 cargo test -q --test compress_hostility
 VISIONSIM_SANITIZE=1 cargo test -q --test compress_prop --test mesh_prop --test semantic_prop
+# The event queue's oracle and the datapath suites in an optimized build,
+# whose sanitizer default is off, with the queue's monotonicity and
+# occupancy checks and the per-link conservation check on.
+VISIONSIM_SANITIZE=1 cargo test -q --release --test core_prop --test batch_equiv --test net_prop
 VISIONSIM_SANITIZE=0 cargo test -q -p visionsim-core -p visionsim-net
 
 echo "== allocation gate: sanitizer on and off =="

@@ -26,7 +26,7 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use visionsim_core::SimError;
-use visionsim_experiments::harness::write_atomic;
+use visionsim_experiments::harness::{bench_json_path, merge_bench_json};
 
 /// One measured benchmark, in the shape `BENCH.json` records.
 #[derive(Clone, Debug)]
@@ -49,16 +49,7 @@ pub struct BenchRecord {
 /// flushed to `BENCH.json` by [`criterion_main!`] via [`flush_json`].
 static RECORDS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
 
-/// Where the machine-readable results land: `$VISIONSIM_BENCH_JSON`, or
-/// `BENCH.json` at the workspace root.
-pub fn bench_json_path() -> std::path::PathBuf {
-    match std::env::var_os("VISIONSIM_BENCH_JSON") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json"),
-    }
-}
-
-fn record_line(r: &BenchRecord) -> String {
+fn record_object(r: &BenchRecord) -> String {
     let tp = match r.throughput {
         Some((unit, per_sec)) => {
             format!(", \"unit\": \"{unit}\", \"per_sec\": {per_sec:.1}")
@@ -66,31 +57,17 @@ fn record_line(r: &BenchRecord) -> String {
         None => String::new(),
     };
     format!(
-        "  \"{}\": {{\"min_ns\": {:.1}, \"mean_ns\": {:.1}, \"max_ns\": {:.1}{tp}}}",
-        r.name, r.min_ns, r.mean_ns, r.max_ns
+        "{{\"min_ns\": {:.1}, \"mean_ns\": {:.1}, \"max_ns\": {:.1}{tp}}}",
+        r.min_ns, r.mean_ns, r.max_ns
     )
 }
 
-/// The benchmark name a merged `BENCH.json` entry line carries, if any.
-fn line_name(line: &str) -> Option<&str> {
-    let rest = line.trim_start().strip_prefix('"')?;
-    let end = rest.find('"')?;
-    // Entry lines map a name to an object; the object braces distinguish
-    // them from the file's own delimiters.
-    rest[end..].contains(": {").then(|| &rest[..end])
-}
-
-/// Merge this process's records into `BENCH.json`: entries measured in this
-/// run replace same-named ones from earlier runs (each bench target is a
-/// separate process, so `cargo bench` accumulates across targets), all
-/// others are kept. One entry per line, sorted by name, so diffs against a
-/// committed baseline stay readable.
-///
+/// Merge this process's records into [`bench_json_path`] with
+/// [`merge_bench_json`]: entries measured in this run replace same-named
+/// ones from earlier runs (each bench target is a separate process, so
+/// `cargo bench` accumulates across targets), all others are kept.
 /// Errors (a `VISIONSIM_BENCH_JSON` pointing into a nonexistent directory,
-/// an unwritable target) come back as [`SimError::Io`]; the file on disk is
-/// either the previous contents or the full merged result, never a partial
-/// write (the merge goes through the harness's atomic temp-then-rename
-/// helper).
+/// an unwritable target) come back as [`SimError::Io`].
 pub fn try_flush_json() -> Result<(), SimError> {
     let fresh = std::mem::take(&mut *RECORDS.lock().unwrap_or_else(|e| e.into_inner()));
     if fresh.is_empty() {
@@ -101,40 +78,11 @@ pub fn try_flush_json() -> Result<(), SimError> {
 
 /// [`try_flush_json`] with an explicit target path (testable without env).
 fn merge_into(path: &Path, fresh: &[BenchRecord]) -> Result<(), SimError> {
-    // `write_atomic` creates missing parent directories as a convenience
-    // for artifacts; for bench results a missing directory means
-    // `VISIONSIM_BENCH_JSON` is misconfigured, so refuse instead of
-    // silently materializing the typo'd path.
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    if !dir.is_dir() {
-        return Err(SimError::Io {
-            what: "bench json dir",
-        });
-    }
-    let mut entries: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        for line in existing.lines() {
-            if let Some(name) = line_name(line) {
-                entries.insert(name.to_string(), line.trim_end_matches(',').to_string());
-            }
-        }
-    }
-    for r in fresh {
-        entries.insert(r.name.clone(), record_line(r));
-    }
-    let mut out = String::from("{\n");
-    let last = entries.len().saturating_sub(1);
-    for (i, line) in entries.values().enumerate() {
-        out.push_str(line);
-        out.push_str(if i == last { "\n" } else { ",\n" });
-    }
-    out.push_str("}\n");
-    write_atomic(path, out.as_bytes()).map_err(|_| SimError::Io {
-        what: "bench json write",
-    })
+    let entries: Vec<(String, String)> = fresh
+        .iter()
+        .map(|r| (r.name.clone(), record_object(r)))
+        .collect();
+    merge_bench_json(path, &entries)
 }
 
 /// [`try_flush_json`], downgrading failure to a stderr warning — bench

@@ -6,15 +6,18 @@
 //! packets arriving at a queue "simultaneously" must drain in a reproducible
 //! order for runs to replay bit-exactly.
 //!
-//! The queue is a slab-backed hole heap. A pending payload waits in a slab
-//! slot and never moves until it pops; the 4-ary min-heap holds only small
-//! `Copy` entries, the packed `(at, seq)` key and the payload's slot. Sifts
-//! move a hole instead of swapping: `schedule` moves the hole up from the
-//! new leaf, and `pop` walks it from the root down to a leaf along the
-//! smallest child, then drops the former last entry into it and moves that
-//! entry up (Floyd's bottom-up pop). Every key is unique, so neither the
-//! heap's shape nor which slot an event occupies can change the pop order:
-//! it is the total `(at, seq)` order.
+//! The queue is a 4-ary hole heap of `Copy` entries, each the packed
+//! `(at, seq)` key beside its payload. Callers schedule small values (the
+//! network a `u32` flight slot, the fleet a 24-byte event), so a sift moves
+//! 32- or 48-byte entries, never a packet. Sifts move a hole instead of
+//! swapping: `schedule` moves the hole up from the new leaf, and `pop`
+//! walks it from the root down to a leaf along the smallest child, then
+//! drops the former last entry into it and moves that entry up (Floyd's
+//! bottom-up pop). Every key is unique, so the heap's shape cannot change
+//! the pop order: it is the total `(at, seq)` order. Callers consume due
+//! events one at a time with [`EventQueue::pop_due`]; an event a handler
+//! schedules carries a later `seq` than everything pending, so it pops
+//! after every event already due at its instant.
 //!
 //! When the [`crate::sanitizer`] is enabled the queue also monitors two
 //! invariants observe-only: popped timestamps never regress (virtual-time
@@ -55,109 +58,22 @@ const fn key_time(key: u128) -> SimTime {
     SimTime::from_nanos((key >> 64) as u64)
 }
 
-/// A reusable structure-of-arrays buffer that [`EventQueue::drain_due_into`]
-/// fills with one *tick* of events: every pending event sharing the
-/// earliest due timestamp, in `(at, seq)` order. Timestamps, sequence
-/// numbers, and payloads live in parallel dense arrays so a batch consumer
-/// iterates three flat vectors instead of chasing per-event structures.
-///
-/// The buffer is meant to be allocated once and reused across ticks:
-/// `drain_due_into` clears it (keeping capacity), so after the first few
-/// ticks reach the steady-state batch width, draining allocates nothing.
-#[derive(Debug)]
-pub struct ScratchBatch<E> {
-    ats: Vec<SimTime>,
-    seqs: Vec<u64>,
-    payloads: Vec<E>,
-}
-
-// Manual impl: an empty buffer needs no `E: Default`.
-impl<E> Default for ScratchBatch<E> {
-    fn default() -> Self {
-        ScratchBatch::new()
-    }
-}
-
-impl<E> ScratchBatch<E> {
-    /// An empty scratch buffer.
-    pub fn new() -> Self {
-        ScratchBatch {
-            ats: Vec::new(),
-            seqs: Vec::new(),
-            payloads: Vec::new(),
-        }
-    }
-
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.payloads.len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
-    }
-
-    /// Drop buffered events, keeping allocated capacity for reuse.
-    pub fn clear(&mut self) {
-        self.ats.clear();
-        self.seqs.clear();
-        self.payloads.clear();
-    }
-
-    /// Timestamp of event `i` (drained events share one tick timestamp,
-    /// but the array is kept per-event so consumers need no side lookup).
-    #[inline]
-    pub fn at(&self, i: usize) -> SimTime {
-        self.ats[i]
-    }
-
-    /// Insertion sequence number of event `i`.
-    #[inline]
-    pub fn seq(&self, i: usize) -> u64 {
-        self.seqs[i]
-    }
-
-    /// Payload of event `i`.
-    #[inline]
-    pub fn payload(&self, i: usize) -> &E {
-        &self.payloads[i]
-    }
-
-    /// Iterate `(at, seq, payload)` in drain order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.ats
-            .iter()
-            .zip(&self.seqs)
-            .zip(&self.payloads)
-            .map(|((&at, &seq), p)| (at, seq, p))
-    }
-}
-
-/// One heap entry: an event's packed `(at, seq)` key and the slab slot
-/// that holds its payload.
+/// One heap entry: an event's packed `(at, seq)` key and its payload.
 #[derive(Clone, Copy, Debug)]
-struct Entry {
+struct Entry<E> {
     key: u128,
-    slot: u32,
+    payload: E,
 }
 
-/// A deterministic discrete-event queue: a 4-ary min-heap of small
-/// `(key, slot)` entries over a payload slab (see the module docs).
+/// A deterministic discrete-event queue: a 4-ary min-heap of
+/// `(key, payload)` entries (see the module docs).
 ///
-/// Payloads stay in their slot from `schedule` to `pop`, so a sift moves
-/// only the fixed-size entries, whatever `E` is. Vacated slots go on a LIFO
-/// free list and are reused first, so in steady state the slab stays as
-/// large as the most events ever pending at once and scheduling allocates
-/// nothing.
+/// The heap's buffer keeps its capacity, so once it has held the most
+/// events ever pending at once, scheduling allocates nothing.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Heap-ordered entries.
-    heap: Vec<Entry>,
-    /// Payload slab: `Some` while the event in that slot is pending.
-    slots: Vec<Option<E>>,
-    /// Vacant slots, most recently vacated last.
-    free: Vec<u32>,
+    heap: Vec<Entry<E>>,
     next_seq: u64,
     now: SimTime,
     /// One-shot flag so an occupancy breach reports once per queue, not
@@ -169,19 +85,17 @@ pub struct EventQueue<E> {
 /// heap; arity is a constant-factor choice only, since keys are unique.
 const HEAP_ARITY: usize = 4;
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// An empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             occupancy_reported: false,
@@ -192,7 +106,7 @@ impl<E> EventQueue<E> {
     /// write `entry` into it: each parent passed moves down one level, and
     /// `entry` is written once.
     #[inline]
-    fn fill_hole_up(&mut self, mut i: usize, entry: Entry) {
+    fn fill_hole_up(&mut self, mut i: usize, entry: Entry<E>) {
         while i > 0 {
             let parent = (i - 1) / HEAP_ARITY;
             let p = self.heap[parent];
@@ -210,7 +124,7 @@ impl<E> EventQueue<E> {
     /// fill the hole with the former last entry and move it up. The last
     /// entry came from the bottom, so it rarely rises far, and the walk
     /// down needs no compare against it.
-    fn pop_entry(&mut self) -> Option<Entry> {
+    fn pop_entry(&mut self) -> Option<Entry<E>> {
         let last = self.heap.pop()?;
         let n = self.heap.len();
         if n == 0 {
@@ -224,7 +138,7 @@ impl<E> EventQueue<E> {
                 // Four children: pick the smallest with pairwise selects,
                 // which compile to conditional moves rather than branches
                 // that mispredict on random keys.
-                let c: &[Entry; HEAP_ARITY] = self.heap[first..first + HEAP_ARITY]
+                let c: &[Entry<E>; HEAP_ARITY] = self.heap[first..first + HEAP_ARITY]
                     .try_into()
                     .expect("slice of HEAP_ARITY entries");
                 let lo = usize::from(c[1].key < c[0].key);
@@ -272,21 +186,9 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                let slot =
-                    u32::try_from(self.slots.len()).expect("more than u32::MAX pending events");
-                self.slots.push(Some(payload));
-                slot
-            }
-        };
         let entry = Entry {
             key: pack_key(at, seq),
-            slot,
+            payload,
         };
         let leaf = self.heap.len();
         self.heap.push(entry);
@@ -306,11 +208,7 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let Entry { key, slot } = self.pop_entry()?;
-        let payload = self.slots[slot as usize]
-            .take()
-            .expect("a pending entry's slot holds its payload");
-        self.free.push(slot);
+        let Entry { key, payload } = self.pop_entry()?;
         let at = key_time(key);
         sanitizer::check(at >= self.now, "event/monotonic", || {
             format!("popped event at {at:?} behind the clock at {:?}", self.now)
@@ -323,41 +221,21 @@ impl<E> EventQueue<E> {
         })
     }
 
+    /// Pop the earliest event if it is due at or before `until`; `None`
+    /// (and an unmoved clock) when nothing is. A loop of `pop_due` runs
+    /// every event up to `until` in `(at, seq)` order, including events
+    /// the loop's own handlers schedule at or before `until`.
+    #[inline]
+    pub fn pop_due(&mut self, until: SimTime) -> Option<ScheduledEvent<E>> {
+        if self.peek_time()? > until {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|e| key_time(e.key))
-    }
-
-    /// Drain one *tick* into `batch`: every pending event whose timestamp
-    /// equals the earliest due timestamp (≤ `until`), in `(at, seq)` order.
-    /// Returns the number of events drained (0 when nothing is due).
-    ///
-    /// A loop of `drain_due_into` observes exactly the order of a loop of
-    /// [`EventQueue::pop`] that stops at `until`, because an event scheduled
-    /// *while the drained tick is being processed* carries a later sequence
-    /// number than everything drained — it lands in a later tick, precisely
-    /// where the one-pop-per-event loop would have popped it. That
-    /// equal-timestamp cut is what makes batch processing safe for RNG
-    /// draw-order determinism: no handler-scheduled event can ever need to
-    /// interleave *between* two drained events.
-    ///
-    /// `batch` is cleared first (capacity retained), so a reused scratch
-    /// buffer makes steady-state draining allocation-free.
-    pub fn drain_due_into(&mut self, until: SimTime, batch: &mut ScratchBatch<E>) -> usize {
-        batch.clear();
-        let Some(tick) = self.peek_time() else {
-            return 0;
-        };
-        if tick > until {
-            return 0;
-        }
-        while self.peek_time() == Some(tick) {
-            let ev = self.pop().expect("peeked non-empty");
-            batch.ats.push(ev.at);
-            batch.seqs.push(ev.seq);
-            batch.payloads.push(ev.payload);
-        }
-        batch.len()
     }
 
     /// Number of pending events.
@@ -457,60 +335,45 @@ mod tests {
     }
 
     #[test]
-    fn drain_due_into_takes_one_timestamp_cohort_in_seq_order() {
+    fn pop_due_stops_at_the_horizon() {
         let mut q = EventQueue::new();
-        let t = SimTime::from_millis(5);
-        q.schedule(SimTime::from_millis(9), 99u32);
-        for i in 0..8 {
-            q.schedule(t, i);
-        }
-        let mut batch = ScratchBatch::new();
-        let n = q.drain_due_into(SimTime::from_millis(20), &mut batch);
-        assert_eq!(n, 8);
-        let got: Vec<u32> = batch.iter().map(|(_, _, &p)| p).collect();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
-        assert!(batch.iter().all(|(at, _, _)| at == t));
-        assert_eq!(q.now(), t);
-        // The 9 ms event is the next tick.
-        assert_eq!(q.drain_due_into(SimTime::from_millis(20), &mut batch), 1);
-        assert_eq!(*batch.payload(0), 99);
-        // Nothing further due: batch comes back empty.
-        assert_eq!(q.drain_due_into(SimTime::from_millis(20), &mut batch), 0);
-        assert!(batch.is_empty());
+        q.schedule(SimTime::from_millis(60), 2u32);
+        q.schedule(SimTime::from_millis(50), 1u32);
+        // Nothing due before 50 ms: no pop, and the clock stays put.
+        assert!(q.pop_due(SimTime::from_millis(49)).is_none());
+        assert_eq!(q.now(), SimTime::ZERO);
+        // The horizon is inclusive.
+        let ev = q.pop_due(SimTime::from_millis(50)).expect("due at 50 ms");
+        assert_eq!((ev.at, ev.payload), (SimTime::from_millis(50), 1));
+        assert_eq!(q.now(), SimTime::from_millis(50));
+        assert!(q.pop_due(SimTime::from_millis(59)).is_none());
+        // A same-instant reschedule pops after the event already due there.
+        q.schedule(SimTime::from_millis(60), 3);
+        let got: Vec<u32> = std::iter::from_fn(|| q.pop_due(SimTime::from_millis(60)))
+            .map(|ev| ev.payload)
+            .collect();
+        assert_eq!(got, [2, 3]);
+        assert!(q.is_empty() && q.pop_due(SimTime::MAX).is_none());
     }
 
     #[test]
-    fn drain_due_into_respects_the_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(50), ());
-        let mut batch = ScratchBatch::new();
-        assert_eq!(q.drain_due_into(SimTime::from_millis(49), &mut batch), 0);
-        assert_eq!(q.drain_due_into(SimTime::from_millis(50), &mut batch), 1);
-    }
-
-    #[test]
-    fn drain_due_into_takes_a_tick_at_the_end_of_time() {
+    fn pop_due_reaches_events_at_the_end_of_time() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::MAX, 1u8);
+        q.schedule(SimTime::from_millis(1), 0u8);
         q.schedule(SimTime::MAX, 2u8);
-        let mut batch = ScratchBatch::new();
-        assert_eq!(q.drain_due_into(SimTime::MAX, &mut batch), 2);
+        let got: Vec<(SimTime, u8)> = std::iter::from_fn(|| q.pop_due(SimTime::MAX))
+            .map(|ev| (ev.at, ev.payload))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (SimTime::from_millis(1), 0),
+                (SimTime::MAX, 1),
+                (SimTime::MAX, 2)
+            ]
+        );
+        assert_eq!(q.now(), SimTime::MAX);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn a_steady_hold_reuses_its_slots() {
-        // Pop one, schedule one: the slab never outgrows the pending depth.
-        let mut q = EventQueue::new();
-        for i in 0..16u64 {
-            q.schedule(SimTime::from_nanos(i), i);
-        }
-        for i in 16..1_000u64 {
-            let ev = q.pop().expect("pending");
-            q.schedule(ev.at + crate::time::SimDuration::from_nanos(i % 7), i);
-        }
-        assert_eq!(q.len(), 16);
-        assert_eq!(q.slots.len(), 16);
-        assert_eq!(q.free.len(), 0);
     }
 }

@@ -41,6 +41,7 @@ pub mod sanitizer;
 pub mod series;
 pub mod shard;
 pub mod stats;
+mod switch;
 pub mod time;
 pub mod trace;
 pub mod units;

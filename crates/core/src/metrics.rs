@@ -26,10 +26,11 @@
 //! `regenerate` writes).
 //!
 //! Enablement mirrors [`crate::sanitizer`]: a programmatic [`force`]
-//! override, else the `VISIONSIM_METRICS` environment variable. Disabled
-//! updates cost one relaxed atomic load.
+//! override, else the `VISIONSIM_METRICS` environment variable, else off.
+//! Disabled updates cost one relaxed atomic load.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use crate::switch::Switch;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of log2 histogram buckets: bucket `i` holds values whose
@@ -167,53 +168,21 @@ struct Entry {
 
 static REGISTRY: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
 
-/// Effective capture state: 0 = unresolved (consult the environment),
-/// 1 = off, 2 = on. A single cell — rather than a `FORCE` override
-/// checked in front of a lazily-read env default — keeps the disabled
-/// fast path at exactly one relaxed load and one predictable branch;
-/// `enabled()` sits in front of every per-packet update on the datapath,
-/// where the extra `OnceLock` probe of the two-cell scheme was measurable.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-fn env_default() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        matches!(
-            std::env::var("VISIONSIM_METRICS").as_deref().map(str::trim),
-            Ok("1") | Ok("on") | Ok("true")
-        )
-    })
-}
-
-#[cold]
-fn resolve_state() -> bool {
-    let on = env_default();
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
+/// Whether metric updates are captured: `VISIONSIM_METRICS`, default off.
+/// `enabled()` sits in front of every per-packet update on the datapath.
+static SWITCH: Switch = Switch::new("VISIONSIM_METRICS", false);
 
 /// Whether metric updates are being captured.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => resolve_state(),
-    }
+    SWITCH.enabled()
 }
 
 /// Force metrics on or off for this process (`None` restores the env
 /// default). Process-global; tests that flip it should hold
 /// [`crate::par::override_guard`].
 pub fn force(on: Option<bool>) {
-    STATE.store(
-        match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        },
-        Ordering::Relaxed,
-    );
+    SWITCH.force(on);
 }
 
 /// Register (or look up) a counter by name. Registration is idempotent:

@@ -177,19 +177,23 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `catch_unwind` with the sanitizer tagged `(label, seed)`, is retried
 /// once if it panics, and is quarantined into a [`CellError`] if the retry
 /// panics too.
+///
+/// `par/cells` and `par/retries` count after the attempts they describe,
+/// so an `f` that resets the metrics registry at the top of each attempt
+/// (the harness does, so a sidecar describes one attempt) keeps them.
 pub fn run_cell<T>(label: &str, seed: u64, f: impl Fn() -> T) -> Result<T, CellError> {
     let m = par_metrics();
     let start = Instant::now();
     trace_cell(TraceKind::CellStart, label, seed);
-    m.cells.inc();
     sanitizer::set_context(Some((label.to_string(), seed)));
     let mut outcome = catch_unwind(AssertUnwindSafe(&f));
     if outcome.is_err() {
         trace_cell(TraceKind::CellRetry, label, seed);
-        m.retries.inc();
         outcome = catch_unwind(AssertUnwindSafe(&f));
+        m.retries.inc();
     }
     sanitizer::set_context(None);
+    m.cells.inc();
     m.cell_wall_ns.observe(start.elapsed().as_nanos() as u64);
     outcome.map_err(|payload| {
         trace_cell(TraceKind::CellQuarantine, label, seed);

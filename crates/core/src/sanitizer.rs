@@ -10,7 +10,8 @@
 //!
 //! Enablement, highest priority first:
 //! 1. a programmatic override set with [`force`] (tests),
-//! 2. the `VISIONSIM_SANITIZE` environment variable (`1` on, `0` off),
+//! 2. the `VISIONSIM_SANITIZE` environment variable (`1`/`on`/`true` on,
+//!    `0`/`off`/`false` off),
 //! 3. always on in debug builds, off in release builds.
 //!
 //! Every check is **observe-only**: recording a violation never changes
@@ -25,13 +26,15 @@
 //! underneath carry that tag, which is how a report names the cell that
 //! tripped it.
 
+use crate::switch::Switch;
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-/// Programmatic override: 0 = unset, 1 = forced off, 2 = forced on.
-static FORCE: AtomicU8 = AtomicU8::new(0);
+/// Whether the sanitizer records: `VISIONSIM_SANITIZE`, default on in
+/// debug builds and off in release builds.
+static SWITCH: Switch = Switch::new("VISIONSIM_SANITIZE", cfg!(debug_assertions));
 
 /// Total violations observed since process start (or the last [`reset`]),
 /// including any dropped past the retention cap.
@@ -73,26 +76,10 @@ impl fmt::Display for Violation {
     }
 }
 
-fn env_default() -> Option<bool> {
-    static ENV: OnceLock<Option<bool>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("VISIONSIM_SANITIZE") {
-        Ok(v) => match v.trim() {
-            "1" | "on" | "true" => Some(true),
-            "0" | "off" | "false" => Some(false),
-            _ => None,
-        },
-        Err(_) => None,
-    })
-}
-
 /// Whether the sanitizer is currently recording.
+#[inline]
 pub fn enabled() -> bool {
-    match FORCE.load(Ordering::Relaxed) {
-        1 => return false,
-        2 => return true,
-        _ => {}
-    }
-    env_default().unwrap_or(cfg!(debug_assertions))
+    SWITCH.enabled()
 }
 
 /// Force the sanitizer on or off for this process (`None` restores the
@@ -100,14 +87,7 @@ pub fn enabled() -> bool {
 /// [`crate::par::set_threads`]; tests that flip it should hold
 /// [`crate::par::override_guard`].
 pub fn force(on: Option<bool>) {
-    FORCE.store(
-        match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        },
-        Ordering::Relaxed,
-    );
+    SWITCH.force(on);
 }
 
 /// Tag the current thread with a supervised cell's `(label, seed)`, or

@@ -163,11 +163,6 @@ impl<W: ShardWorld> ConservativeEngine<W> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Tear down and hand back the worlds, in shard order.
     pub fn into_worlds(self) -> Vec<W> {
         self.slots.into_iter().map(|slot| slot.world).collect()

@@ -12,7 +12,7 @@
 //!
 //! # Steady-state allocation discipline
 //!
-//! The ring is preallocated to [`capacity`] events the moment tracing is
+//! The ring is preallocated to [`CAPACITY`] events the moment tracing is
 //! enabled; [`record`] writes a [`TraceEvent`] (a `Copy` POD) into the
 //! next slot under a mutex and never allocates. Site labels are interned
 //! once into a side table ([`intern`]) — hot-path callers intern their
@@ -22,7 +22,9 @@
 //!
 //! Enablement, highest priority first:
 //! 1. a programmatic override set with [`force`] (tests),
-//! 2. the `VISIONSIM_TRACE` environment variable (`1` on, `0`/unset off).
+//! 2. the `VISIONSIM_TRACE` environment variable (`1`/`on`/`true` on,
+//!    `0`/`off`/`false` off),
+//! 3. off.
 //!
 //! Disabled tracing costs one relaxed atomic load per [`record`] call.
 //!
@@ -35,9 +37,10 @@
 //! `trace_dump` binary and [`snapshot_sorted`] do exactly that.
 
 use crate::error::SimError;
+use crate::switch::Switch;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// What a [`TraceEvent`] describes. The discriminant is the on-disk byte.
 #[repr(u8)]
@@ -189,12 +192,11 @@ const EVENT_WIRE_BYTES: usize = 45;
 /// Magic prefix of a `trace.bin` image.
 const TRACE_MAGIC: &[u8; 8] = b"VSTRACE1";
 
-/// Effective capture state: 0 = unresolved (consult the environment),
-/// 1 = off, 2 = on. One cell instead of a `FORCE` override in front of a
-/// lazily-read env default: `enabled()` guards every hot-path `record`
-/// site, and the single-load scheme keeps the disabled cost to one
-/// relaxed load plus a predictable branch.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// Whether the recorder captures: `VISIONSIM_TRACE`, default off.
+static SWITCH: Switch = Switch::new("VISIONSIM_TRACE", false);
+
+/// Ring capacity in events (about 3.4 MB resident when enabled).
+pub const CAPACITY: usize = 65_536;
 
 struct Ring {
     buf: Vec<TraceEvent>,
@@ -280,49 +282,15 @@ pub const INTERN_CAP: usize = 65_536;
 /// Labels refused by [`intern`] because the table was at [`INTERN_CAP`].
 static INTERN_OVERFLOW: AtomicU64 = AtomicU64::new(0);
 
-fn env_default() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        matches!(
-            std::env::var("VISIONSIM_TRACE").as_deref().map(str::trim),
-            Ok("1") | Ok("on") | Ok("true")
-        )
-    })
-}
-
-/// Ring capacity in events: `VISIONSIM_TRACE_CAP`, default 65 536
-/// (~3.4 MB resident when enabled).
-pub fn capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("VISIONSIM_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(65_536)
-    })
-}
-
-#[cold]
-fn resolve_state() -> bool {
-    let on = env_default();
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
 /// Whether the recorder is currently capturing.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => resolve_state(),
-    }
+    SWITCH.enabled()
 }
 
 fn ensure_ring(ring: &mut Ring) {
     if ring.buf.capacity() == 0 {
-        ring.buf.reserve_exact(capacity());
+        ring.buf.reserve_exact(CAPACITY);
     }
 }
 
@@ -332,14 +300,7 @@ fn ensure_ring(ring: &mut Ring) {
 /// [`crate::par::set_threads`]; tests that flip it should hold
 /// [`crate::par::override_guard`].
 pub fn force(on: Option<bool>) {
-    STATE.store(
-        match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        },
-        Ordering::Relaxed,
-    );
+    SWITCH.force(on);
     if on == Some(true) {
         ensure_ring(&mut RING.lock().unwrap_or_else(|e| e.into_inner()));
     }
@@ -540,8 +501,8 @@ pub fn encode(events: &[TraceEvent]) -> Vec<u8> {
     encode_with_sites(events, &sites)
 }
 
-/// [`encode`] with an explicit site table (decode → re-encode round trips).
-pub fn encode_with_sites(events: &[TraceEvent], sites: &[String]) -> Vec<u8> {
+/// [`encode`] with an explicit site table.
+fn encode_with_sites(events: &[TraceEvent], sites: &[String]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 8 + events.len() * EVENT_WIRE_BYTES);
     out.extend_from_slice(TRACE_MAGIC);
     out.extend_from_slice(&(sites.len() as u32).to_le_bytes());
@@ -742,7 +703,7 @@ mod tests {
         let _g = override_guard();
         force(Some(true));
         reset();
-        let cap = capacity();
+        let cap = CAPACITY;
         for i in 0..(cap as u64 + 10) {
             record(TraceKind::PacketSend, i, 0, i, 0, 0);
         }
@@ -916,7 +877,7 @@ mod tests {
         let _g = override_guard();
         force(Some(true));
         reset();
-        let cap = capacity() as u64;
+        let cap = CAPACITY as u64;
         // The global seq stamp is shared with every other test in this
         // binary; a probe event pins the watermark to "right here".
         record(TraceKind::PacketSend, 0, 0, u64::MAX, 0, 0);

@@ -30,7 +30,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use visionsim_core::par::{run_cell, CellError};
-use visionsim_core::{metrics, trace};
+use visionsim_core::{metrics, trace, SimError};
 
 /// One registered paper artifact.
 pub struct ArtifactSpec {
@@ -210,47 +210,79 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Merge one wall-clock timing entry into `BENCH.json` (the path in
-/// `VISIONSIM_BENCH_JSON`, else the repo-root file), preserving every
-/// other entry and the one-entry-per-line sorted layout the bench
-/// harness writes. The entry carries **no** `per_sec` field, which is
-/// what keeps it out of ci.sh's throughput regression gate — wall time
-/// of the whole run is a trajectory to watch, not a gated invariant.
+/// Where `BENCH.json` lives: `$VISIONSIM_BENCH_JSON`, else the file at
+/// the workspace root.
+pub fn bench_json_path() -> PathBuf {
+    match std::env::var_os("VISIONSIM_BENCH_JSON") {
+        Some(p) => PathBuf::from(p),
+        None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json"),
+    }
+}
+
+/// Merge `entries`, each a benchmark name and its JSON object, into the
+/// `BENCH.json` at `path`: they replace same-named entries, every other
+/// entry is kept, and the file holds one entry per line, sorted by name,
+/// so diffs against a committed baseline stay readable.
 ///
-/// Failure is downgraded to a stderr warning: timings are a byproduct
-/// and must never fail a regeneration.
-pub fn record_wall_bench(name: &str, secs: f64) {
-    let path = match std::env::var_os("VISIONSIM_BENCH_JSON") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::PathBuf::from("BENCH.json"),
+/// A missing directory means `VISIONSIM_BENCH_JSON` is misconfigured, so
+/// it is refused with [`SimError::Io`] rather than created. The file on
+/// disk is either its previous contents or the full merged result, never
+/// a partial write.
+pub fn merge_bench_json(path: &Path, entries: &[(String, String)]) -> Result<(), SimError> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
     };
+    if !dir.is_dir() {
+        return Err(SimError::Io {
+            what: "bench json dir",
+        });
+    }
+    // An entry line maps a name to an object; the object braces tell it
+    // apart from the file's own delimiters.
     let entry_name = |line: &str| -> Option<String> {
         let rest = line.trim_start().strip_prefix('"')?;
         let end = rest.find('"')?;
         rest[end..].contains(": {").then(|| rest[..end].to_string())
     };
-    let mut entries: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
+    let mut lines = std::collections::BTreeMap::new();
+    if let Ok(existing) = fs::read_to_string(path) {
         for line in existing.lines() {
-            if let Some(n) = entry_name(line) {
-                entries.insert(n, line.trim_end_matches(',').to_string());
+            if let Some(name) = entry_name(line) {
+                lines.insert(name, line.trim_end_matches(',').to_string());
             }
         }
     }
-    let ns = secs * 1e9;
-    entries.insert(
-        name.to_string(),
-        format!("  \"{name}\": {{\"min_ns\": {ns:.1}, \"mean_ns\": {ns:.1}, \"max_ns\": {ns:.1}, \"unit\": \"wall\"}}"),
-    );
+    for (name, object) in entries {
+        lines.insert(name.clone(), format!("  \"{name}\": {object}"));
+    }
     let mut out = String::from("{\n");
-    let last = entries.len().saturating_sub(1);
-    for (i, line) in entries.values().enumerate() {
+    let last = lines.len().saturating_sub(1);
+    for (i, line) in lines.values().enumerate() {
         out.push_str(line);
         out.push_str(if i == last { "\n" } else { ",\n" });
     }
     out.push_str("}\n");
-    if let Err(e) = write_atomic(&path, out.as_bytes()) {
-        eprintln!("warning: could not record wall time in {}: {e:?}", path.display());
+    write_atomic(path, out.as_bytes()).map_err(|_| SimError::Io {
+        what: "bench json write",
+    })
+}
+
+/// Merge one wall-clock timing entry into [`bench_json_path`]. The entry
+/// carries **no** `per_sec` field, which is what keeps it out of ci.sh's
+/// throughput regression gate — wall time of the whole run is a
+/// trajectory to watch, not a gated invariant.
+///
+/// Failure is downgraded to a stderr warning: timings are a byproduct
+/// and must never fail a regeneration.
+pub fn record_wall_bench(name: &str, secs: f64) {
+    let path = bench_json_path();
+    let ns = secs * 1e9;
+    let object = format!(
+        "{{\"min_ns\": {ns:.1}, \"mean_ns\": {ns:.1}, \"max_ns\": {ns:.1}, \"unit\": \"wall\"}}"
+    );
+    if let Err(e) = merge_bench_json(&path, &[(name.to_string(), object)]) {
+        eprintln!("warning: could not record wall time in {}: {e}", path.display());
     }
 }
 
@@ -499,15 +531,18 @@ pub fn run_all(cfg: &HarnessConfig) -> Vec<ArtifactOutcome> {
             }
         }
 
-        // Observability boundary: each artifact gets a clean registry and
-        // ring, so its `metrics.json`/`trace.bin` describe that artifact
-        // alone. No-ops (beyond zeroing) when the layer is disabled.
-        metrics::reset();
+        // Observability boundary: each attempt starts from a clean
+        // registry, so `metrics.json` describes the attempt that produced
+        // the artifact (`run_cell` counts the cell and its retry after
+        // the attempts). The ring resets once per artifact, so a retry
+        // stays visible in `trace.bin`. No-ops (beyond zeroing) when the
+        // layer is disabled.
         trace::reset();
         let start = Instant::now();
         let fail_this = inject.as_deref() == Some(spec.name);
         let span_label = format!("{}/cell", spec.name);
         let result = run_cell(spec.name, cfg.seed, || {
+            metrics::reset();
             let _span = visionsim_core::span!(span_label.as_str(), cfg.seed);
             if fail_this {
                 panic!("injected failure via VISIONSIM_FAIL_ARTIFACT={}", spec.name);

@@ -19,8 +19,8 @@
 //!   route cache; a packet carries a `(route, hop)` cursor, never a
 //!   per-event clone of the link list;
 //! * in-flight packets live in a slab (`flights` + LIFO free list) and an
-//!   [`EventQueue`] event is just a slot index, so scheduling and popping
-//!   move a few words instead of owning payload vectors.
+//!   [`EventQueue`] event's payload is just the `u32` slot index, so a heap
+//!   entry is 32 bytes and a sift never moves a packet.
 //!
 //! Forwarding a warmed-up packet one hop performs no heap allocation (the
 //! `alloc_gate` integration test pins this with a counting allocator, and
@@ -31,17 +31,17 @@
 //! Every admitted packet schedules one queue event, at the instant it
 //! leaves the link it is crossing; the event's payload is its flight
 //! slot. Same-instant exits pop in schedule order, which is the
-//! per-packet order. `run_until` drains one tick at a time (every event
-//! due at the earliest timestamp) and processes it in that order. The
-//! root `batch_equiv` test checks the result against a reference model
-//! that shares no admission, exit or queueing code with [`Network`].
+//! per-packet order. `run_until` pops one due exit at a time and
+//! processes it before popping the next. The root `batch_equiv` test
+//! checks the result against a reference model that shares no admission,
+//! exit or queueing code with [`Network`].
 
 use crate::link::{LinkConfig, LinkId, LinkState};
 use crate::packet::{Packet, PortPair};
 use crate::tap::{Tap, TapDirection, TapId, TapRecord};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
-use visionsim_core::event::{EventQueue, ScratchBatch};
+use visionsim_core::event::EventQueue;
 use visionsim_core::metrics::{self, Class};
 use visionsim_core::sanitizer;
 use visionsim_core::trace::{self, TraceKind};
@@ -72,13 +72,13 @@ struct NetMetrics {
     link_bytes_exited: metrics::Counter,
     packets_dropped: metrics::Counter,
     in_flight_bytes: metrics::Gauge,
-    /// Pending link exits: up by one per scheduled exit, down by each
-    /// drained tick's width.
+    /// Pending link exits: up by one per scheduled exit, down by the
+    /// exits each `run_until` call moved, once per call.
     queue_depth: metrics::Gauge,
-    /// Non-empty tick drains performed by `run_until`.
+    /// `run_until` calls that moved at least one link exit.
     batch_drains: metrics::Counter,
-    /// Log2 histogram of tick widths: link exits per non-empty
-    /// `drain_due_into` call, so its mean is events per drain.
+    /// Log2 histogram of link exits per `run_until` call that moved at
+    /// least one, so its mean is exits per such call.
     batch_size: metrics::Histogram,
 }
 
@@ -209,8 +209,6 @@ pub struct Network {
     rng: SimRng,
     next_seq: u64,
     dropped: u64,
-    /// Reusable tick-drain buffer.
-    scratch: ScratchBatch<u32>,
 }
 
 impl Network {
@@ -231,7 +229,6 @@ impl Network {
             rng: SimRng::seed_from_u64(seed),
             next_seq: 0,
             dropped: 0,
-            scratch: ScratchBatch::new(),
         }
     }
 
@@ -693,29 +690,21 @@ impl Network {
 
     /// Advance the simulation to `until`, processing all traffic events.
     ///
-    /// Each pass drains the whole due tick into the scratch buffer, then
-    /// processes it in sequence order. Any event a handler schedules
-    /// carries a later sequence number and a timestamp at or after the
-    /// tick, so it lands in a later drain exactly where a one-pop-per-event
-    /// loop would have placed it.
+    /// Exits pop one at a time in `(at, seq)` order. An exit a handler
+    /// schedules carries a later sequence number than every pending one,
+    /// so it pops after every exit already due at its instant.
     pub fn run_until(&mut self, until: SimTime) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        loop {
-            let n = self.queue.drain_due_into(until, &mut scratch);
-            if n == 0 {
-                break;
-            }
-            if metrics::enabled() {
-                let metrics = net_metrics();
-                metrics.batch_drains.inc();
-                metrics.batch_size.observe(n as u64);
-                metrics.queue_depth.add(-(n as i64));
-            }
-            for i in 0..n {
-                self.process_exit(scratch.at(i), *scratch.payload(i));
-            }
+        let mut exits = 0u64;
+        while let Some(ev) = self.queue.pop_due(until) {
+            self.process_exit(ev.at, ev.payload);
+            exits += 1;
         }
-        self.scratch = scratch;
+        if exits > 0 && metrics::enabled() {
+            let metrics = net_metrics();
+            metrics.batch_drains.inc();
+            metrics.batch_size.observe(exits);
+            metrics.queue_depth.add(-(exits as i64));
+        }
         // Advance the clock even if idle: a bare clock move.
         if self.queue.now() < until {
             self.queue.advance_to(until);

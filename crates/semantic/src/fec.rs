@@ -26,11 +26,6 @@ pub struct FecShard {
 }
 
 impl FecShard {
-    /// True if this is the parity shard.
-    pub fn is_parity(&self) -> bool {
-        self.index == self.data_shards
-    }
-
     /// Serialize.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.body.len());

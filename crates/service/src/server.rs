@@ -229,7 +229,7 @@ fn flush_trace(
         return Ok(()); // nothing new; keep the file as-is
     }
     tail.extend(chunk.events);
-    let cap = trace::capacity();
+    let cap = trace::CAPACITY;
     if tail.len() > cap {
         let excess = tail.len() - cap;
         tail.drain(..excess);

@@ -121,10 +121,10 @@ fn soak_seventy_simulated_seconds() {
     assert_eq!(trace::intern_overflow(), 0);
     for s in &samples {
         assert!(
-            s.ring_events <= trace::capacity(),
+            s.ring_events <= trace::CAPACITY,
             "ring exceeded capacity: {} > {}",
             s.ring_events,
-            trace::capacity()
+            trace::CAPACITY
         );
     }
 

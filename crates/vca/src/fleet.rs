@@ -20,10 +20,14 @@
 //! site owns its RNG stream, its egress sequence counters, and its
 //! counters; cross-site effects ride the engine's deterministic exchange
 //! between rounds.
+//!
+//! Each shard's queue holds 24-byte `Copy` events, and
+//! [`ShardWorld::advance`] pops one due event at a time
+//! ([`EventQueue::pop_due`]) and handles it before the next pop.
 
 use std::collections::BTreeMap;
 
-use visionsim_core::event::{EventQueue, ScratchBatch};
+use visionsim_core::event::EventQueue;
 use visionsim_core::par::derive_seed;
 use visionsim_core::sanitizer;
 use visionsim_core::shard::{ConservativeEngine, Envelope, ShardWorld};
@@ -107,7 +111,7 @@ impl FleetConfig {
 }
 
 /// Signaling messages crossing the backbone between sites.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum FleetMsg {
     /// Home site asks a regional site to attach `count` remote roster
     /// members of `session`.
@@ -123,7 +127,7 @@ pub enum FleetMsg {
 }
 
 /// Per-shard event payloads. Every event names its global site.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum FleetEvent {
     /// A new session arrives at `site`.
     Arrival { site: u32 },
@@ -482,7 +486,6 @@ pub struct FleetShard {
     matrix: LinkMatrix,
     n_sites: u32,
     queue: EventQueue<FleetEvent>,
-    scratch: ScratchBatch<FleetEvent>,
     end: SimTime,
 }
 
@@ -514,7 +517,6 @@ impl FleetShard {
             matrix,
             n_sites,
             queue,
-            scratch: ScratchBatch::new(),
             end: SimTime::from_nanos(cfg.duration.as_nanos()),
         }
     }
@@ -576,12 +578,8 @@ impl ShardWorld for FleetShard {
     }
 
     fn advance(&mut self, horizon: SimTime, out: &mut Vec<Envelope<FleetMsg>>) {
-        while self.queue.drain_due_into(horizon, &mut self.scratch) > 0 {
-            for k in 0..self.scratch.len() {
-                let at = self.scratch.at(k);
-                let ev = self.scratch.payload(k).clone();
-                self.handle(at, ev, out);
-            }
+        while let Some(ev) = self.queue.pop_due(horizon) {
+            self.handle(ev.at, ev.payload, out);
         }
     }
 }

@@ -918,11 +918,6 @@ impl SessionSim {
         SimTime::from_nanos(self.t * self.tick.as_nanos())
     }
 
-    /// Display-tick period (the step quantum).
-    pub fn tick_duration(&self) -> SimDuration {
-        self.tick
-    }
-
     /// Ticks stepped so far and the configured total.
     pub fn progress(&self) -> (u64, u64) {
         (self.t, self.total_ticks)

@@ -6,7 +6,7 @@
 //! `SimRng`-generated inputs instead of proptest).
 
 use std::collections::BTreeMap;
-use visionsim::core::event::{EventQueue, ScratchBatch};
+use visionsim::core::event::EventQueue;
 use visionsim::core::par::derive_seed;
 use visionsim::core::rng::SimRng;
 use visionsim::core::stats::{Percentiles, StreamingStats};
@@ -114,16 +114,12 @@ impl QueueModel {
         self.pending.keys().next().map(|&(at, _)| at)
     }
 
-    /// Every pending event at the earliest instant, if that is `<= until`.
-    fn drain_due(&mut self, until: SimTime) -> Vec<(SimTime, u64, u64)> {
-        let mut tick = Vec::new();
-        let Some(first) = self.peek_time().filter(|&t| t <= until) else {
-            return tick;
-        };
-        while self.peek_time() == Some(first) {
-            tick.push(self.pop().expect("peeked"));
+    /// The earliest pending event, if it is due at or before `until`.
+    fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, u64, u64)> {
+        if self.peek_time()? > until {
+            return None;
         }
-        tick
+        self.pop()
     }
 }
 
@@ -148,23 +144,24 @@ fn instant(rng: &mut SimRng, now: SimTime) -> SimTime {
 
 /// The event queue matches its `BTreeMap` reference model: interleaved
 /// `schedule` (same-instant bursts, `at == now`, far-future and end-of-time
-/// events), `pop`, `drain_due_into` (with same-instant rescheduling from
-/// inside the drained tick, which must land in a later tick), `peek_time`,
-/// `advance_to` and `len`, with every popped or drained `(at, seq,
-/// payload)` compared. Payloads are unique, so a payload handed back from
-/// the wrong slot shows, and pop order among same-instant events must be
-/// the FIFO `seq` order whatever slots the events occupy.
+/// events), `pop`, loops of `pop_due` (horizons below, at and above the
+/// next event and at the end of time, with handlers rescheduling at their
+/// own instant, which must pop after every event already pending there),
+/// `peek_time`, `advance_to` and `len`, with every popped `(at, seq,
+/// payload)` compared. Payloads are unique and unordered with respect to
+/// `seq`, so pop order among same-instant events must be the FIFO `seq`
+/// order, not an order of payloads.
 #[test]
 fn event_queue_matches_the_reference_model() {
     for i in 0..CASES {
         let mut rng = case_rng("event_queue_oracle", i);
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut m = QueueModel::default();
-        let mut batch = ScratchBatch::new();
-        let mut next_payload = 0u64;
+        let mut scheduled = 0u64;
+        // An odd multiplier is a bijection on u64: unique, scrambled payloads.
         let mut payload = || {
-            next_payload += 1;
-            next_payload
+            scheduled += 1;
+            scheduled.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         };
         for _ in 0..rng.uniform_u64(50, 800) {
             match rng.uniform_u64(0, 9) {
@@ -184,19 +181,26 @@ fn event_queue_matches_the_reference_model() {
                     assert_eq!(got, m.pop(), "case {i}: pop");
                 }
                 5 | 6 => {
-                    let until = m
-                        .now
-                        .saturating_add(SimDuration::from_nanos(rng.uniform_u64(0, 60_000)));
-                    let n = q.drain_due_into(until, &mut batch);
-                    let want = m.drain_due(until);
-                    assert_eq!(n, want.len(), "case {i}: drained count");
-                    let got: Vec<_> = batch.iter().map(|(at, seq, &p)| (at, seq, p)).collect();
-                    assert_eq!(got, want, "case {i}: drained tick");
-                    for (k, &event) in want.iter().enumerate() {
-                        assert_eq!((batch.at(k), batch.seq(k), *batch.payload(k)), event);
+                    let next = m.peek_time();
+                    let until = match rng.uniform_u64(0, 15) {
+                        0 => SimTime::MAX,
+                        // Just below the next event (at it if that is now).
+                        1..=4 => next
+                            .filter(|&t| t > m.now)
+                            .map_or(m.now, |t| SimTime::from_nanos(t.as_nanos() - 1)),
+                        5..=8 => next.unwrap_or(m.now),
+                        _ => m
+                            .now
+                            .saturating_add(SimDuration::from_nanos(rng.uniform_u64(0, 60_000))),
+                    };
+                    loop {
+                        let got = q.pop_due(until).map(|ev| (ev.at, ev.seq, ev.payload));
+                        let want = m.pop_due(until);
+                        assert_eq!(got, want, "case {i}: pop_due until {until:?}");
+                        let Some((at, _, _)) = want else { break };
                         if rng.chance(0.25) {
                             // A handler rescheduling at its own instant.
-                            schedule_both(&mut q, &mut m, batch.at(k), payload());
+                            schedule_both(&mut q, &mut m, at, payload());
                         }
                     }
                 }
@@ -219,13 +223,14 @@ fn event_queue_matches_the_reference_model() {
             assert_eq!(q.is_empty(), m.pending.is_empty(), "case {i}: is_empty");
             assert_eq!(q.now(), m.now, "case {i}: now");
         }
-        // Run out the rest, one tick at a time, through the end of time.
+        // Run out the rest through the end of time.
         loop {
-            let n = q.drain_due_into(SimTime::MAX, &mut batch);
-            let want = m.drain_due(SimTime::MAX);
-            let got: Vec<_> = batch.iter().map(|(at, seq, &p)| (at, seq, p)).collect();
-            assert_eq!(got, want, "case {i}: final drain");
-            if n == 0 {
+            let got = q
+                .pop_due(SimTime::MAX)
+                .map(|ev| (ev.at, ev.seq, ev.payload));
+            let want = m.pop_due(SimTime::MAX);
+            assert_eq!(got, want, "case {i}: final run-out");
+            if want.is_none() {
                 break;
             }
         }

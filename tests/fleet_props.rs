@@ -20,7 +20,7 @@
 //! raced within this binary.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use visionsim::core::event::{EventQueue, ScratchBatch};
+use visionsim::core::event::EventQueue;
 use visionsim::core::shard::{ConservativeEngine, EngineReport, Envelope, ShardWorld};
 use visionsim::core::time::{SimDuration, SimTime};
 use visionsim::core::{par, sanitizer};
@@ -90,7 +90,6 @@ struct RingShard {
     seq: Vec<u64>,                 // per-site egress sequence, indexed by local pos
     log: Vec<(u64, u32, u64)>,     // (time_ns, site, hops)
     max_hops: u64,
-    scratch: ScratchBatch<(u32, u64)>,
 }
 
 impl RingShard {
@@ -103,7 +102,6 @@ impl RingShard {
             seq: Vec::new(),
             log: Vec::new(),
             max_hops,
-            scratch: ScratchBatch::new(),
         }
     }
 }
@@ -124,29 +122,26 @@ impl ShardWorld for RingShard {
     }
 
     fn advance(&mut self, horizon: SimTime, out: &mut Vec<Envelope<u64>>) {
-        while self.queue.drain_due_into(horizon, &mut self.scratch) > 0 {
-            for k in 0..self.scratch.len() {
-                let at = self.scratch.at(k);
-                let (site, hops) = *self.scratch.payload(k);
-                self.log.push((at.as_nanos(), site, hops));
-                if hops >= self.max_hops {
-                    continue;
-                }
-                let local = self.sites.iter().position(|&s| s == site).unwrap();
-                if self.seq.len() <= local {
-                    self.seq.resize(local + 1, 0);
-                }
-                let dst = (site + 1) % self.n_sites;
-                self.seq[local] += 1;
-                out.push(Envelope {
-                    sent_at: at,
-                    deliver_at: at.saturating_add(self.latency),
-                    src_site: site,
-                    dst_site: dst,
-                    src_seq: self.seq[local],
-                    msg: hops + 1,
-                });
+        while let Some(ev) = self.queue.pop_due(horizon) {
+            let (at, (site, hops)) = (ev.at, ev.payload);
+            self.log.push((at.as_nanos(), site, hops));
+            if hops >= self.max_hops {
+                continue;
             }
+            let local = self.sites.iter().position(|&s| s == site).unwrap();
+            if self.seq.len() <= local {
+                self.seq.resize(local + 1, 0);
+            }
+            let dst = (site + 1) % self.n_sites;
+            self.seq[local] += 1;
+            out.push(Envelope {
+                sent_at: at,
+                deliver_at: at.saturating_add(self.latency),
+                src_site: site,
+                dst_site: dst,
+                src_seq: self.seq[local],
+                msg: hops + 1,
+            });
         }
     }
 }
@@ -188,7 +183,7 @@ fn ring_token_visits_every_site_in_order() {
 }
 
 #[test]
-fn shard_count_does_not_change_the_event_order() {
+fn the_shard_partition_does_not_change_the_event_order() {
     let baseline = run_ring(7, 1, 250_000, 40);
     for shards in [2usize, 3, 7] {
         let log = run_ring(7, shards, 250_000, 40);

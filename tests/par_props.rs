@@ -1,15 +1,18 @@
 //! `core::par` at 1 and 4 workers: `par_map` returns results in
 //! submission order, runs every item even when some panic and then hands
 //! the caller the lowest-index item's own payload; `run_cell` retries a
-//! panicking cell once with the same label and seed, then quarantines it;
-//! and a sanitizer report raised anywhere inside a cell, `par_map` items
+//! panicking cell once with the same label and seed, then quarantines it,
+//! and counts the cell and its retry after the attempts, so a cell that
+//! resets the metrics registry per attempt keeps both counts; and a
+//! sanitizer report raised anywhere inside a cell, `par_map` items
 //! included, names that cell.
 //!
 //! Every test holds `par::override_guard`: the worker count and the
-//! sanitizer switch are process-global.
+//! sanitizer and metrics switches are process-global.
 
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use visionsim::core::metrics::{self, Class};
 use visionsim::core::par::{self, derive_seed, par_map, run_cell};
 use visionsim::core::rng::SimRng;
 use visionsim::core::sanitizer;
@@ -157,4 +160,35 @@ fn sanitizer_reports_before_inside_and_after_par_map_name_the_enclosing_cell() {
             );
         }
     });
+}
+
+#[test]
+fn a_retried_cell_that_resets_the_registry_counts_one_attempt_and_its_retry() {
+    let _guard = par::override_guard();
+    metrics::force(Some(true));
+    metrics::reset();
+    let work = metrics::counter("test/cell_work", Class::Sim);
+    let attempts = AtomicUsize::new(0);
+    let out = run_cell("figure6", 2024, || {
+        // What the harness does at the top of every attempt.
+        metrics::reset();
+        work.inc();
+        if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("transient failure");
+        }
+    });
+    let read = |name| metrics::counter_value(name).unwrap_or(0);
+    let counts = [
+        read("test/cell_work"),
+        read("par/cells"),
+        read("par/retries"),
+    ];
+    metrics::force(None);
+    metrics::reset();
+    out.expect("the retry succeeds");
+    assert_eq!(
+        counts,
+        [1, 1, 1],
+        "the retry's work alone, one cell and one retry"
+    );
 }

@@ -47,22 +47,6 @@ fn absolute_mode_round_trips() {
     }
 }
 
-/// Absolute mode with confidence channel still round-trips coordinates.
-#[test]
-fn confidence_channel_round_trips() {
-    for i in 0..CASES {
-        let mut rng = case_rng("confidence", i);
-        let frame = arb_frame(&mut rng, 32);
-        let cfg = SemanticConfig {
-            with_confidence: true,
-            ..SemanticConfig::default()
-        };
-        let mut enc = SemanticCodec::new(cfg);
-        let mut dec = SemanticCodec::new(cfg);
-        assert_eq!(dec.decode(&enc.encode(&frame)).expect("own output"), frame);
-    }
-}
-
 /// Delta mode is lossy only to quantization, for any frame sequence.
 #[test]
 fn delta_mode_error_is_bounded() {
@@ -77,7 +61,6 @@ fn delta_mode_error_is_bounded() {
                 keyframe_every: 7,
                 step_m,
             },
-            with_confidence: false,
             fps: 90.0,
         };
         let mut enc = SemanticCodec::new(cfg);
@@ -103,7 +86,6 @@ fn decode_never_panics() {
                 keyframe_every: 5,
                 step_m: 0.001,
             },
-            with_confidence: false,
             fps: 90.0,
         });
         let _ = dec.decode(&garbage);
