@@ -7,8 +7,8 @@
 //! session does. Repeating one frame would let the branch predictor learn
 //! that frame's coded bits and read about half the per-frame cost.
 
-use visionsim_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use visionsim_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use visionsim_compress::{compress, decompress, rans};
 use visionsim_core::rng::SimRng;
 use visionsim_mesh::codec::{decode_mesh, encode_mesh, MeshCodecConfig};

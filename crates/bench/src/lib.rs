@@ -198,17 +198,20 @@ impl BenchmarkGroup<'_> {
             }
             None => String::new(),
         };
-        RECORDS.lock().unwrap_or_else(|e| e.into_inner()).push(BenchRecord {
-            name: format!("{}/{}", self.name, id),
-            min_ns: min * 1e9,
-            mean_ns: mean * 1e9,
-            max_ns: max * 1e9,
-            throughput: match self.throughput {
-                Some(Throughput::Bytes(n)) => Some(("bytes", n as f64 / min)),
-                Some(Throughput::Elements(n)) => Some(("elements", n as f64 / min)),
-                None => None,
-            },
-        });
+        RECORDS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(BenchRecord {
+                name: format!("{}/{}", self.name, id),
+                min_ns: min * 1e9,
+                mean_ns: mean * 1e9,
+                max_ns: max * 1e9,
+                throughput: match self.throughput {
+                    Some(Throughput::Bytes(n)) => Some(("bytes", n as f64 / min)),
+                    Some(Throughput::Elements(n)) => Some(("elements", n as f64 / min)),
+                    None => None,
+                },
+            });
         println!(
             "{}/{:<32} time: [{} {} {}]{}  ({} samples × {} iters)",
             self.name,

@@ -226,10 +226,7 @@ mod tests {
             t.ingest(&record(1, 2, i, 128, &wire[..16]));
         }
         let (_, stats) = t.flows().next().unwrap();
-        assert_eq!(
-            stats.protocol(),
-            WireProtocol::Rtp(PayloadType::H264Video)
-        );
+        assert_eq!(stats.protocol(), WireProtocol::Rtp(PayloadType::H264Video));
     }
 
     #[test]

@@ -235,8 +235,10 @@ mod tests {
 
     #[test]
     fn round_trips_through_pcap() {
-        let records = [rec(100, 0x0d000001, 0x22000002, 900),
-            rec(111, 0x22000002, 0x0d000001, 120)];
+        let records = [
+            rec(100, 0x0d000001, 0x22000002, 900),
+            rec(111, 0x22000002, 0x0d000001, 120),
+        ];
         let image = to_pcap(records.iter());
         let parsed = parse_pcap(&image).expect("own output parses");
         assert_eq!(parsed.len(), 2);
@@ -253,7 +255,10 @@ mod tests {
     fn global_header_is_wireshark_compatible() {
         let image = to_pcap(std::iter::empty());
         assert_eq!(image.len(), 24);
-        assert_eq!(u32::from_le_bytes(image[0..4].try_into().unwrap()), PCAP_MAGIC);
+        assert_eq!(
+            u32::from_le_bytes(image[0..4].try_into().unwrap()),
+            PCAP_MAGIC
+        );
         assert_eq!(u16::from_le_bytes(image[4..6].try_into().unwrap()), 2);
         assert_eq!(u16::from_le_bytes(image[6..8].try_into().unwrap()), 4);
         assert_eq!(

@@ -283,7 +283,10 @@ mod tests {
             inc.record(SimTime::from_millis(ms), h);
         }
         let batch = timeline(&[(0, true), (500, false), (1_000, true)]);
-        assert_eq!(inc.report(SimTime::from_millis(0)), batch.report(SimTime::from_millis(0)));
+        assert_eq!(
+            inc.report(SimTime::from_millis(0)),
+            batch.report(SimTime::from_millis(0))
+        );
         assert_eq!(inc.len(), 3);
     }
 }

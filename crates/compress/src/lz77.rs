@@ -56,12 +56,7 @@ fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 }
 
 /// Find the best match for position `i` using the hash chains.
-fn best_match(
-    data: &[u8],
-    i: usize,
-    head: &[u32],
-    prev: &[u32],
-) -> Option<(usize, usize)> {
+fn best_match(data: &[u8], i: usize, head: &[u32], prev: &[u32]) -> Option<(usize, usize)> {
     if i + MIN_MATCH > data.len() {
         return None;
     }

@@ -185,7 +185,9 @@ pub fn decode(input: &[u8]) -> Result<Vec<u8>, SimError> {
         let start = cum[sym as usize];
         state = f * (state >> SCALE_BITS) + slot - start;
         while state < RANS_L {
-            let b = *feed.next().ok_or(SimError::Truncated { what: "rans body" })?;
+            let b = *feed
+                .next()
+                .ok_or(SimError::Truncated { what: "rans body" })?;
             state = (state << 8) | b as u32;
         }
         out.push(sym);
@@ -223,7 +225,9 @@ mod tests {
 
     #[test]
     fn two_symbol_skew() {
-        let data: Vec<u8> = (0..8_192).map(|i| if i % 16 == 0 { 1 } else { 0 }).collect();
+        let data: Vec<u8> = (0..8_192)
+            .map(|i| if i % 16 == 0 { 1 } else { 0 })
+            .collect();
         let size = round_trip(&data);
         // Entropy ≈ 0.337 bits/symbol → ~345 bytes + header.
         assert!(size < 500, "size = {size}");

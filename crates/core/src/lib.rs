@@ -47,13 +47,13 @@ pub mod trace;
 pub mod units;
 
 pub use error::SimError;
-pub use metrics::{Counter, Gauge, Histogram};
-pub use trace::{TraceEvent, TraceKind};
 pub use event::{EventQueue, ScheduledEvent};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use par::{derive_seed, par_map, CellError};
 pub use rng::SimRng;
 pub use series::RateSeries;
-pub use shard::{ConservativeEngine, Envelope, EngineReport, ShardWorld};
+pub use shard::{ConservativeEngine, EngineReport, Envelope, ShardWorld};
 pub use stats::{BoxplotSummary, Percentiles, StreamingStats};
 pub use time::{SimDuration, SimTime};
+pub use trace::{TraceEvent, TraceKind};
 pub use units::{ByteSize, DataRate};

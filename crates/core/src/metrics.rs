@@ -246,7 +246,8 @@ pub fn histogram(name: &'static str, class: Class) -> Histogram {
 /// The span wall-time histogram [`crate::trace::Span`] observes into.
 pub fn span_wall_ns() -> Histogram {
     static H: OnceLock<Histogram> = OnceLock::new();
-    H.get_or_init(|| histogram("span/wall_ns", Class::Wall)).clone()
+    H.get_or_init(|| histogram("span/wall_ns", Class::Wall))
+        .clone()
 }
 
 /// Zero every registered value, keeping registrations (and thus the
@@ -273,20 +274,24 @@ pub fn reset() {
 /// against external totals). `None` if no counter has that name.
 pub fn counter_value(name: &str) -> Option<u64> {
     let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    reg.iter().find(|e| e.name == name).and_then(|e| match &e.value {
-        Value::Counter(c) => Some(c.load(Ordering::Relaxed)),
-        _ => None,
-    })
+    reg.iter()
+        .find(|e| e.name == name)
+        .and_then(|e| match &e.value {
+            Value::Counter(c) => Some(c.load(Ordering::Relaxed)),
+            _ => None,
+        })
 }
 
 /// Read one registered gauge's current value by name. `None` if no gauge
 /// has that name.
 pub fn gauge_value(name: &str) -> Option<i64> {
     let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    reg.iter().find(|e| e.name == name).and_then(|e| match &e.value {
-        Value::Gauge(g) => Some(g.load(Ordering::Relaxed)),
-        _ => None,
-    })
+    reg.iter()
+        .find(|e| e.name == name)
+        .and_then(|e| match &e.value {
+            Value::Gauge(g) => Some(g.load(Ordering::Relaxed)),
+            _ => None,
+        })
 }
 
 fn push_json_str(out: &mut String, s: &str) {
@@ -432,9 +437,7 @@ pub fn prometheus_text() -> String {
                         (1u64 << bit_len.min(63)).wrapping_sub(1).max(1)
                     };
                     let le = if bit_len >= 64 { u64::MAX } else { le };
-                    out.push_str(&format!(
-                        "{name}_bucket{{le=\"{le}\"}} {cumulative}\n"
-                    ));
+                    out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
                 }
                 let count = h.count.load(Ordering::Relaxed);
                 out.push_str(&format!(
@@ -594,7 +597,10 @@ mod tests {
             prometheus_name("net/link_bytes_sent"),
             "visionsim_net_link_bytes_sent"
         );
-        assert_eq!(prometheus_name("metrics-test/x.y"), "visionsim_metrics_test_x_y");
+        assert_eq!(
+            prometheus_name("metrics-test/x.y"),
+            "visionsim_metrics_test_x_y"
+        );
     }
 
     #[test]

@@ -102,10 +102,7 @@ mod tests {
         let mut rs = RateSeries::per_second();
         // 125 KB every 100 ms = 10 Mbps for 10 seconds.
         for i in 0..100u64 {
-            rs.record(
-                SimTime::from_millis(i * 100),
-                ByteSize::from_bytes(125_000),
-            );
+            rs.record(SimTime::from_millis(i * 100), ByteSize::from_bytes(125_000));
         }
         let mean = rs.mean_rate().as_mbps_f64();
         assert!((mean - 10.0).abs() < 0.2, "mean {mean}");

@@ -263,13 +263,12 @@ impl SiteTable {
     }
 }
 
-static SITES: std::sync::LazyLock<Mutex<SiteTable>> =
-    std::sync::LazyLock::new(|| {
-        Mutex::new(SiteTable {
-            by_id: Vec::new(),
-            index: HashMap::new(),
-        })
-    });
+static SITES: std::sync::LazyLock<Mutex<SiteTable>> = std::sync::LazyLock::new(|| {
+    Mutex::new(SiteTable {
+        by_id: Vec::new(),
+        index: HashMap::new(),
+    })
+});
 
 /// Distinct labels the intern table will hold before refusing new ones.
 /// A long-running service that interns per-entity strings (a bug, but a
@@ -524,7 +523,12 @@ fn encode_with_sites(events: &[TraceEvent], sites: &[String]) -> Vec<u8> {
     out
 }
 
-fn take_bytes<'a>(bytes: &'a [u8], pos: &mut usize, n: usize, what: &'static str) -> Result<&'a [u8], SimError> {
+fn take_bytes<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    n: usize,
+    what: &'static str,
+) -> Result<&'a [u8], SimError> {
     let end = pos.checked_add(n).ok_or(SimError::Truncated { what })?;
     let slice = bytes.get(*pos..end).ok_or(SimError::Truncated { what })?;
     *pos = end;
@@ -650,7 +654,14 @@ impl Drop for Span {
         }
         let spent = self.started.elapsed().as_nanos() as u64;
         if enabled() {
-            record(TraceKind::SpanExit, wall_ns(), self.site, self.seed, 0, spent);
+            record(
+                TraceKind::SpanExit,
+                wall_ns(),
+                self.site,
+                self.seed,
+                0,
+                spent,
+            );
         }
         crate::metrics::span_wall_ns().observe(spent);
     }

@@ -146,8 +146,7 @@ mod tests {
     #[test]
     fn only_downward_and_internal_feed_live_persona() {
         for c in CameraSuite::vision_pro().cameras() {
-            let expected =
-                matches!(c, CameraKind::Downward | CameraKind::Internal);
+            let expected = matches!(c, CameraKind::Downward | CameraKind::Internal);
             assert_eq!(c.feeds_live_persona(), expected, "{c:?}");
         }
     }

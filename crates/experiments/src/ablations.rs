@@ -18,7 +18,9 @@ use visionsim_core::rng::SimRng;
 use visionsim_geo::propagation::LatencyModel;
 use visionsim_geo::sites::{Provider, SiteRegistry};
 use visionsim_mesh::geometry::Vec3;
-use visionsim_render::visibility::{LodClass, PersonaInstance, VisibilityFlags, VisibilityPipeline};
+use visionsim_render::visibility::{
+    LodClass, PersonaInstance, VisibilityFlags, VisibilityPipeline,
+};
 use visionsim_semantic::codec::{CodecMode, SemanticCodec, SemanticConfig};
 use visionsim_sensor::capture::RgbdCapture;
 use visionsim_vca::scene::{GazeDynamics, SeatingLayout};
@@ -255,7 +257,11 @@ mod tests {
         let a = placement();
         // Intercontinental roster through a single US-East server: the
         // Tokyo participant eats >100 ms.
-        assert!(a.initiator_worst_rtt_ms > 100.0, "{}", a.initiator_worst_rtt_ms);
+        assert!(
+            a.initiator_worst_rtt_ms > 100.0,
+            "{}",
+            a.initiator_worst_rtt_ms
+        );
         // With local attachment everyone is near a site.
         assert!(a.geo_worst_rtt_ms < 40.0, "{}", a.geo_worst_rtt_ms);
     }

@@ -42,9 +42,11 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 };
                 if !harness::registry().iter().any(|s| s.name == name) {
-                    let valid: Vec<&str> =
-                        harness::registry().iter().map(|s| s.name).collect();
-                    eprintln!("unknown artifact {name:?}; valid names: {}", valid.join(", "));
+                    let valid: Vec<&str> = harness::registry().iter().map(|s| s.name).collect();
+                    eprintln!(
+                        "unknown artifact {name:?}; valid names: {}",
+                        valid.join(", ")
+                    );
                     return ExitCode::from(2);
                 }
                 only = Some(name);

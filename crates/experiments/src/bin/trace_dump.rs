@@ -258,9 +258,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            other if path.is_none() && !other.starts_with('-') => {
-                path = Some(other.to_string())
-            }
+            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
             other => {
                 eprintln!("trace_dump: unexpected argument {other:?}");
                 return ExitCode::from(2);
@@ -336,10 +334,7 @@ mod tests {
         // The writer appended two events (and the ring dropped ev(10,0)).
         let grown = vec![ev(10, 1), ev(20, 2), ev(30, 3), ev(30, 4), ev(40, 5)];
         let (fresh, cursor) = beyond_watermark(&grown, cursor);
-        assert_eq!(
-            fresh.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![4, 5]
-        );
+        assert_eq!(fresh.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![4, 5]);
         assert_eq!(cursor, 6);
     }
 
@@ -386,10 +381,8 @@ mod tests {
         trace::reset();
         assert!(!events.is_empty(), "storm recorded no events");
 
-        let path = std::env::temp_dir().join(format!(
-            "visionsim_storm_trace_{}.bin",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("visionsim_storm_trace_{}.bin", std::process::id()));
         std::fs::write(&path, &image).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -404,7 +397,12 @@ mod tests {
             rendered.push_str(&render_line(ev, &sites));
             rendered.push('\n');
         }
-        for needle in ["admission_reject", "reconnect_attempt", "reason=", "verdict="] {
+        for needle in [
+            "admission_reject",
+            "reconnect_attempt",
+            "reason=",
+            "verdict=",
+        ] {
             assert!(rendered.contains(needle), "missing {needle:?} in dump");
         }
         // The herd hammers a capacity-limited survivor: rejects must show

@@ -543,7 +543,10 @@ pub fn handover(secs: u64, seed: u64) -> ScenarioOutcome {
             rate: cap,
         }],
         vec![
-            (SimTime::from_secs(10), LinkEvent::Rate(DataRate::from_mbps(1))),
+            (
+                SimTime::from_secs(10),
+                LinkEvent::Rate(DataRate::from_mbps(1)),
+            ),
             (
                 SimTime::from_secs(10),
                 LinkEvent::ExtraDelay(SimDuration::from_millis(30)),

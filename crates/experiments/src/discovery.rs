@@ -65,8 +65,11 @@ pub fn run(sessions_per_provider: usize, secs: u64, seed: u64) -> Discovery {
         .flat_map(|p| (0..sessions_per_provider).map(move |s| (p, s)))
         .collect();
     let sessions = par_map(cells, |(provider, s)| {
-        let mut rng =
-            SimRng::seed_from_u64(derive_seed(seed, &format!("discovery/{provider}"), s as u64));
+        let mut rng = SimRng::seed_from_u64(derive_seed(
+            seed,
+            &format!("discovery/{provider}"),
+            s as u64,
+        ));
         // Random roster: 2-4 participants at random vantages, random
         // device mix (at least one Vision Pro), random initiator =
         // participant 0.
@@ -126,9 +129,7 @@ pub fn run(sessions_per_provider: usize, secs: u64, seed: u64) -> Discovery {
             // Regions where this provider demonstrably has a site, learned
             // *during* discovery (used for the assignment-rule check).
             let mut known_regions: BTreeSet<Region> = BTreeSet::new();
-            for (_, initiator_region, seen) in
-                sessions.iter().filter(|(p, _, _)| *p == provider)
-            {
+            for (_, initiator_region, seen) in sessions.iter().filter(|(p, _, _)| *p == provider) {
                 for (city, region) in seen {
                     servers.insert(city.clone(), *region);
                     known_regions.insert(*region);
@@ -180,8 +181,7 @@ impl std::fmt::Display for Discovery {
             .fleets
             .iter()
             .map(|fl| {
-                let mut regions: Vec<&str> =
-                    fl.servers.values().map(|r| r.abbrev()).collect();
+                let mut regions: Vec<&str> = fl.servers.values().map(|r| r.abbrev()).collect();
                 regions.sort_unstable();
                 vec![
                     format!("{}", fl.provider),
@@ -219,9 +219,8 @@ mod tests {
     #[test]
     fn discovered_regions_match_the_paper() {
         let d = run(24, 4, 302);
-        let regions = |p: Provider| -> Vec<Region> {
-            d.fleet(p).servers.values().copied().collect()
-        };
+        let regions =
+            |p: Provider| -> Vec<Region> { d.fleet(p).servers.values().copied().collect() };
         // FaceTime: W, M, M, E.
         let ft = regions(Provider::FaceTime);
         assert_eq!(ft.iter().filter(|r| **r == Region::UsMiddle).count(), 2);
@@ -245,10 +244,7 @@ mod tests {
         let d = run(24, 4, 304);
         for p in [Provider::FaceTime, Provider::Webex] {
             let fl = d.fleet(p);
-            assert!(
-                fl.initiator_checkable > 0,
-                "{p}: no checkable sessions"
-            );
+            assert!(fl.initiator_checkable > 0, "{p}: no checkable sessions");
             assert_eq!(
                 fl.initiator_matches, fl.initiator_checkable,
                 "{p}: server did not follow the initiator"

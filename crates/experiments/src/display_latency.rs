@@ -39,37 +39,26 @@ pub fn run(trials: usize, seed: u64) -> DisplayLatency {
     // derived measurement-noise stream (previously all points shared one
     // sequential RNG).
     let points = par_map(vec![0u64, 100, 250, 500, 1_000], |injected_ms| {
-        {
-            let mut rng =
-                SimRng::seed_from_u64(derive_seed(seed, "display_latency", injected_ms));
-            let delay = SimDuration::from_millis(injected_ms);
-            let mut local_diff_ms = StreamingStats::new();
-            let mut remote_diff_ms = StreamingStats::new();
-            for _ in 0..trials {
-                local_diff_ms.push(
-                    model
-                        .display_latency_difference(
-                            DeliveryMode::LocalReconstruction,
-                            delay,
-                            &mut rng,
-                        )
-                        .as_millis_f64(),
-                );
-                remote_diff_ms.push(
-                    model
-                        .display_latency_difference(
-                            DeliveryMode::RemotePreRendered,
-                            delay,
-                            &mut rng,
-                        )
-                        .as_millis_f64(),
-                );
-            }
-            DelayPoint {
-                injected_ms,
-                local_diff_ms,
-                remote_diff_ms,
-            }
+        let mut rng = SimRng::seed_from_u64(derive_seed(seed, "display_latency", injected_ms));
+        let delay = SimDuration::from_millis(injected_ms);
+        let mut local_diff_ms = StreamingStats::new();
+        let mut remote_diff_ms = StreamingStats::new();
+        for _ in 0..trials {
+            local_diff_ms.push(
+                model
+                    .display_latency_difference(DeliveryMode::LocalReconstruction, delay, &mut rng)
+                    .as_millis_f64(),
+            );
+            remote_diff_ms.push(
+                model
+                    .display_latency_difference(DeliveryMode::RemotePreRendered, delay, &mut rng)
+                    .as_millis_f64(),
+            );
+        }
+        DelayPoint {
+            injected_ms,
+            local_diff_ms,
+            remote_diff_ms,
         }
     });
     DisplayLatency { points }
@@ -98,7 +87,11 @@ impl std::fmt::Display for DisplayLatency {
             .map(|p| {
                 vec![
                     p.injected_ms.to_string(),
-                    format!("{:.1} (max {:.1})", p.local_diff_ms.mean(), p.local_diff_ms.max()),
+                    format!(
+                        "{:.1} (max {:.1})",
+                        p.local_diff_ms.mean(),
+                        p.local_diff_ms.max()
+                    ),
                     format!("{:.0}", p.remote_diff_ms.mean()),
                 ]
             })

@@ -35,7 +35,7 @@ pub struct FecPoint {
 /// through an i.i.d.-loss channel, with and without FEC.
 pub fn fec_under_loss(frames: usize, payload_len: usize, seed: u64) -> Vec<FecPoint> {
     const MTU: usize = 600; // forces multi-shard frames for realistic k
-    // Each loss point is an independent cell with its own derived stream.
+                            // Each loss point is an independent cell with its own derived stream.
     let losses: Vec<(usize, f64)> = [0.0f64, 0.01, 0.03, 0.05, 0.10, 0.20]
         .into_iter()
         .enumerate()
@@ -218,7 +218,10 @@ mod tests {
     #[test]
     fn fec_rescues_frames_at_moderate_loss() {
         let points = fec_under_loss(400, 2_000, 91);
-        let at5 = points.iter().find(|p| (p.loss - 0.05).abs() < 1e-9).unwrap();
+        let at5 = points
+            .iter()
+            .find(|p| (p.loss - 0.05).abs() < 1e-9)
+            .unwrap();
         // Plain 2-fragment frames at 5% i.i.d. loss: (0.95)^2 ≈ 0.90.
         assert!(at5.plain_delivery < 0.93, "plain {}", at5.plain_delivery);
         // FEC (k=4 shards of 600 B + parity) recovers single losses:

@@ -52,9 +52,24 @@ pub fn run(repeats: usize, secs: u64, seed: u64) -> Figure4 {
             Provider::FaceTime,
             DeviceKind::MacBook,
         ),
-        ("Z", "Zoom (AVP↔MacBook)", Provider::Zoom, DeviceKind::MacBook),
-        ("W", "Webex (AVP↔MacBook)", Provider::Webex, DeviceKind::MacBook),
-        ("T", "Teams (AVP↔MacBook)", Provider::Teams, DeviceKind::MacBook),
+        (
+            "Z",
+            "Zoom (AVP↔MacBook)",
+            Provider::Zoom,
+            DeviceKind::MacBook,
+        ),
+        (
+            "W",
+            "Webex (AVP↔MacBook)",
+            Provider::Webex,
+            DeviceKind::MacBook,
+        ),
+        (
+            "T",
+            "Teams (AVP↔MacBook)",
+            Provider::Teams,
+            DeviceKind::MacBook,
+        ),
     ];
     // Every (configuration, repeat) pair is an independent session: fan
     // them all out as cells, each on its own derived seed stream.
@@ -147,7 +162,10 @@ mod tests {
         let w = fig.mean_of("W");
         let t = fig.mean_of("T");
         // Spatial persona is the *lowest* despite being 3D — the headline.
-        assert!(f < f2d && f < z && f < w && f < t, "spatial not lowest: F={f}");
+        assert!(
+            f < f2d && f < z && f < w && f < t,
+            "spatial not lowest: F={f}"
+        );
         // Paper bands: F ≈ 0.67, F* ≈ 2, Z ≈ 1.5, W > 4.
         assert!((0.3..1.1).contains(&f), "F = {f}");
         assert!((1.2..3.0).contains(&f2d), "F* = {f2d}");

@@ -48,13 +48,22 @@ pub struct Figure5 {
 fn scenario(label: &'static str) -> (Viewer, PersonaInstance) {
     let center = Viewer::looking(Vec3::ZERO, Vec3::new(0.0, 0.0, -1.0));
     match label {
-        "BL" => (center, PersonaInstance::paper_ladder(Vec3::new(0.0, 0.0, -1.0))),
-        "V" => (center, PersonaInstance::paper_ladder(Vec3::new(0.0, 0.0, 2.0))),
+        "BL" => (
+            center,
+            PersonaInstance::paper_ladder(Vec3::new(0.0, 0.0, -1.0)),
+        ),
+        "V" => (
+            center,
+            PersonaInstance::paper_ladder(Vec3::new(0.0, 0.0, 2.0)),
+        ),
         "F" => (
             center.with_gaze(Vec3::new(0.7, 0.0, -1.0)),
             PersonaInstance::paper_ladder(Vec3::new(-0.8, 0.0, -1.0)),
         ),
-        "D" => (center, PersonaInstance::paper_ladder(Vec3::new(0.0, 0.0, -4.0))),
+        "D" => (
+            center,
+            PersonaInstance::paper_ladder(Vec3::new(0.0, 0.0, -4.0)),
+        ),
         _ => unreachable!("unknown scenario"),
     }
 }

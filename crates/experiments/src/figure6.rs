@@ -116,7 +116,11 @@ impl std::fmt::Display for Figure6 {
         write!(
             f,
             "{}",
-            render_table("Figure 6: scalability with 2-5 Vision Pro users", &header, &rows)
+            render_table(
+                "Figure 6: scalability with 2-5 Vision Pro users",
+                &header,
+                &rows
+            )
         )
     }
 }
@@ -161,10 +165,7 @@ mod tests {
         let c2 = fig.row(2).cpu_ms.mean;
         let c5 = fig.row(5).cpu_ms.mean;
         assert!(c5 > c2, "CPU did not grow");
-        assert!(
-            (c5 - c2) / c2 < (g5 - g2) / g2,
-            "CPU grew faster than GPU"
-        );
+        assert!((c5 - c2) / c2 < (g5 - g2) / g2, "CPU grew faster than GPU");
 
         // (c) Downlink ~linear in remote personas.
         let d2 = fig.row(2).downlink.mean;

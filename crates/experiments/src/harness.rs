@@ -282,7 +282,10 @@ pub fn record_wall_bench(name: &str, secs: f64) {
         "{{\"min_ns\": {ns:.1}, \"mean_ns\": {ns:.1}, \"max_ns\": {ns:.1}, \"unit\": \"wall\"}}"
     );
     if let Err(e) = merge_bench_json(&path, &[(name.to_string(), object)]) {
-        eprintln!("warning: could not record wall time in {}: {e}", path.display());
+        eprintln!(
+            "warning: could not record wall time in {}: {e}",
+            path.display()
+        );
     }
 }
 
@@ -405,7 +408,9 @@ pub fn write_atomic(path: &Path, content: &[u8]) -> std::io::Result<()> {
     fs::create_dir_all(dir)?;
     let tmp = dir.join(format!(
         ".{}.tmp",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("artifact")
+        path.file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or("artifact")
     ));
     {
         let mut f = fs::File::create(&tmp)?;
@@ -563,8 +568,7 @@ pub fn run_all(cfg: &HarnessConfig) -> Vec<ArtifactOutcome> {
                 // (time, seq) at dump time instead.
                 if metrics::enabled() {
                     let mpath = cfg.dir.join(format!("{}.metrics.json", spec.name));
-                    if let Err(e) = write_atomic(&mpath, metrics::snapshot_json(false).as_bytes())
-                    {
+                    if let Err(e) = write_atomic(&mpath, metrics::snapshot_json(false).as_bytes()) {
                         eprintln!("[{}: metrics write failed: {e}]", spec.name);
                     }
                 }

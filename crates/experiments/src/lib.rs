@@ -29,13 +29,13 @@
 pub mod ablations;
 pub mod congestion;
 pub mod discovery;
-pub mod harness;
 pub mod display_latency;
 pub mod extensions;
 pub mod figure4;
 pub mod figure5;
 pub mod figure6;
 pub mod fleet;
+pub mod harness;
 pub mod keypoint_rate;
 pub mod mesh_streaming;
 pub mod motion_to_photon;

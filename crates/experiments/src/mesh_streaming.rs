@@ -36,8 +36,7 @@ pub fn run(frames: usize, seed: u64) -> MeshStreaming {
     // head animates on its own derived deformation stream.
     let per_head = par_map(targets.into_iter().enumerate().collect(), |(i, t)| {
         let mesh = visionsim_mesh::cache::head(t, derive_seed(seed, "mesh_streaming", i as u64));
-        let mut rng =
-            SimRng::seed_from_u64(derive_seed(seed, "mesh_streaming/deform", i as u64));
+        let mut rng = SimRng::seed_from_u64(derive_seed(seed, "mesh_streaming/deform", i as u64));
         let rate = streamer.experiment(std::slice::from_ref(&mesh), frames, &mut rng);
         (mesh.triangle_count(), mesh.vertex_count(), rate.mean())
     });
@@ -101,7 +100,11 @@ mod tests {
         assert!(r.rate_mbps.mean() > 30.0, "rate {}", r.rate_mbps.mean());
         assert!(r.gap_factor() > 50.0, "gap {}", r.gap_factor());
         // Texture would add tens of Mbps on top.
-        assert!(r.texture_overhead_mbps > 90.0, "{}", r.texture_overhead_mbps);
+        assert!(
+            r.texture_overhead_mbps > 90.0,
+            "{}",
+            r.texture_overhead_mbps
+        );
     }
 
     #[test]

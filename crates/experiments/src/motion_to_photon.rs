@@ -76,11 +76,8 @@ pub fn run(secs: u64, seed: u64) -> MotionToPhoton {
         .collect();
     let rows = par_map(cells, |((roster, cities), policy)| {
         {
-            let mut cfg = SessionConfig::facetime_avp(
-                cities.len(),
-                &cities,
-                derive_seed(seed, roster, 0),
-            );
+            let mut cfg =
+                SessionConfig::facetime_avp(cities.len(), &cities, derive_seed(seed, roster, 0));
             cfg.duration = SimDuration::from_secs(secs);
             cfg.policy = policy;
             let out = SessionRunner::new(cfg).run();

@@ -17,8 +17,8 @@ use visionsim_core::time::SimDuration;
 use visionsim_device::device::DeviceKind;
 use visionsim_geo::cities;
 use visionsim_geo::sites::{Provider, SiteRegistry};
-use visionsim_net::probe::AnycastProbe;
 use visionsim_net::network::NodeId;
+use visionsim_net::probe::AnycastProbe;
 use visionsim_transport::classify::WireProtocol;
 use visionsim_vca::profile::Topology;
 use visionsim_vca::session::{SessionConfig, SessionRunner};
@@ -63,11 +63,7 @@ pub fn run(secs: u64, seed: u64) -> Protocols {
             provider,
             (DeviceKind::VisionPro, sf),
             (peer_device, nyc),
-            derive_seed(
-                seed,
-                &format!("protocols/{provider}"),
-                peer_device as u64,
-            ),
+            derive_seed(seed, &format!("protocols/{provider}"), peer_device as u64),
         );
         cfg.duration = SimDuration::from_secs(secs);
         let out = SessionRunner::new(cfg).run();
@@ -142,7 +138,11 @@ impl std::fmt::Display for Protocols {
         writeln!(
             f,
             "{}",
-            render_table("Protocol findings (§4.1), two-party sessions", &header, &rows)
+            render_table(
+                "Protocol findings (§4.1), two-party sessions",
+                &header,
+                &rows
+            )
         )?;
         writeln!(f, "Anycast detected: {}", self.any_anycast)
     }

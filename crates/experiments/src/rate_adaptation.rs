@@ -149,10 +149,7 @@ mod tests {
         // The transition happens in the 500–1500 kbps band around the
         // paper's ~700 kbps.
         let cliff = r.cliff_kbps().expect("persona recovers somewhere");
-        assert!(
-            (500..=1_500).contains(&cliff),
-            "cliff at {cliff} kbps"
-        );
+        assert!((500..=1_500).contains(&cliff), "cliff at {cliff} kbps");
     }
 
     #[test]

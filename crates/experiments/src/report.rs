@@ -56,10 +56,7 @@ mod tests {
         let t = render_table(
             "T",
             &["a".into(), "bbbb".into()],
-            &[
-                vec!["1".into(), "2".into()],
-                vec!["333".into(), "4".into()],
-            ],
+            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines[0], "T");

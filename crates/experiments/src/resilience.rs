@@ -283,7 +283,12 @@ impl std::fmt::Display for Resilience {
                 vec![
                     c.fault.label().to_string(),
                     c.severity.label().to_string(),
-                    if c.spatial { "facetime spatial" } else { "webex 2d" }.to_string(),
+                    if c.spatial {
+                        "facetime spatial"
+                    } else {
+                        "webex 2d"
+                    }
+                    .to_string(),
                     format!("{:.0}%", c.healthy_fraction * 100.0),
                     fmt_opt_ms(c.detect_ms),
                     fmt_opt_ms(c.recover_ms),
@@ -313,7 +318,10 @@ mod tests {
     #[test]
     fn every_cell_completes_without_aborting() {
         let r = run(14, 77);
-        assert_eq!(r.cells.len(), DrillFault::ALL.len() * Severity::ALL.len() * 2);
+        assert_eq!(
+            r.cells.len(),
+            DrillFault::ALL.len() * Severity::ALL.len() * 2
+        );
         for c in &r.cells {
             assert!(
                 (0.0..=1.0).contains(&c.healthy_fraction),
@@ -346,11 +354,19 @@ mod tests {
     #[test]
     fn server_failover_reattaches_to_a_live_site() {
         let r = run(14, 79);
-        for c in r.cells.iter().filter(|c| c.fault == DrillFault::ServerFailover) {
+        for c in r
+            .cells
+            .iter()
+            .filter(|c| c.fault == DrillFault::ServerFailover)
+        {
             assert_eq!(c.failovers, 1, "expected exactly one failover: {c:?}");
         }
         // Non-server faults never trigger failover.
-        for c in r.cells.iter().filter(|c| c.fault != DrillFault::ServerFailover) {
+        for c in r
+            .cells
+            .iter()
+            .filter(|c| c.fault != DrillFault::ServerFailover)
+        {
             assert_eq!(c.failovers, 0, "{c:?}");
         }
     }

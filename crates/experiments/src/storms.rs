@@ -273,10 +273,7 @@ fn run_scenario(
             }
             site_load.push((
                 now.as_nanos() / 1_000_000_000,
-                dir.labels()
-                    .into_iter()
-                    .map(|l| (l, by_site[l]))
-                    .collect(),
+                dir.labels().into_iter().map(|l| (l, by_site[l])).collect(),
             ));
             next_load_sample = now + LOAD_SAMPLE_EVERY;
         }
@@ -313,10 +310,26 @@ pub fn regional_outage(secs: u64, seed: u64) -> StormOutcome {
         POPULATION,
         None,
         vec![
-            SiteEvent { at: SimTime::from_secs(2), label: "W", up: false },
-            SiteEvent { at: SimTime::from_secs(2), label: "M", up: false },
-            SiteEvent { at: SimTime::from_secs(20), label: "W", up: true },
-            SiteEvent { at: SimTime::from_secs(20), label: "M", up: true },
+            SiteEvent {
+                at: SimTime::from_secs(2),
+                label: "W",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(2),
+                label: "M",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(20),
+                label: "W",
+                up: true,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(20),
+                label: "M",
+                up: true,
+            },
         ],
         seed,
     )
@@ -360,11 +373,31 @@ pub fn thundering_herd(secs: u64, seed: u64) -> StormOutcome {
             degraded_admit_frac: 0.95,
         }),
         vec![
-            SiteEvent { at: SimTime::from_secs(2), label: "W", up: false },
-            SiteEvent { at: SimTime::from_secs(2), label: "M", up: false },
-            SiteEvent { at: SimTime::from_secs(2), label: "EU", up: false },
-            SiteEvent { at: SimTime::from_secs(2), label: "AS", up: false },
-            SiteEvent { at: SimTime::from_secs(12), label: "M", up: true },
+            SiteEvent {
+                at: SimTime::from_secs(2),
+                label: "W",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(2),
+                label: "M",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(2),
+                label: "EU",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(2),
+                label: "AS",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(12),
+                label: "M",
+                up: true,
+            },
         ],
         seed,
     )
@@ -378,12 +411,36 @@ pub fn rolling_maintenance(secs: u64, seed: u64) -> StormOutcome {
         POPULATION,
         None,
         vec![
-            SiteEvent { at: SimTime::from_secs(2), label: "W", up: false },
-            SiteEvent { at: SimTime::from_secs(8), label: "W", up: true },
-            SiteEvent { at: SimTime::from_secs(8), label: "M", up: false },
-            SiteEvent { at: SimTime::from_secs(14), label: "M", up: true },
-            SiteEvent { at: SimTime::from_secs(14), label: "E", up: false },
-            SiteEvent { at: SimTime::from_secs(20), label: "E", up: true },
+            SiteEvent {
+                at: SimTime::from_secs(2),
+                label: "W",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(8),
+                label: "W",
+                up: true,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(8),
+                label: "M",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(14),
+                label: "M",
+                up: true,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(14),
+                label: "E",
+                up: false,
+            },
+            SiteEvent {
+                at: SimTime::from_secs(20),
+                label: "E",
+                up: true,
+            },
         ],
         seed,
     )
@@ -434,7 +491,10 @@ impl fmt::Display for Storms {
                     sc.attempts.to_string(),
                     sc.rejects.to_string(),
                     sc.breaker_opens.to_string(),
-                    format!("{}/{}/{}", sc.attached_end, sc.reconnecting_end, sc.abandoned),
+                    format!(
+                        "{}/{}/{}",
+                        sc.attached_end, sc.reconnecting_end, sc.abandoned
+                    ),
                     format!("{}/{}", sc.rejoin_p50_ms, sc.rejoin_p99_ms),
                     format!(
                         "{:.1}/{:.1}/{:.1}",
@@ -491,7 +551,12 @@ mod tests {
             .iter()
             .find(|(sec, _)| *sec >= 8)
             .expect("load samples");
-        let east: u32 = mid.1.iter().filter(|(l, _)| *l == "E").map(|(_, n)| n).sum();
+        let east: u32 = mid
+            .1
+            .iter()
+            .filter(|(l, _)| *l == "E")
+            .map(|(_, n)| n)
+            .sum();
         assert!(east > 25, "east load {east} at t={}s", mid.0);
     }
 

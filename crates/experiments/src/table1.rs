@@ -48,11 +48,7 @@ pub fn run(probes: usize, seed: u64) -> Table1 {
     let flat = par_map(cells, |(ui, si)| {
         let user = &users[ui];
         let site = &sites[si];
-        let mut net = Network::new(derive_seed(
-            seed,
-            "table1",
-            (ui * sites.len() + si) as u64,
-        ));
+        let mut net = Network::new(derive_seed(seed, "table1", (ui * sites.len() + si) as u64));
         let un = net.add_node(user.name, "vantage", user.location);
         let sn = net.add_node(
             &format!("{} {}", site.provider, site.label),
@@ -118,11 +114,7 @@ impl std::fmt::Display for Table1 {
             .enumerate()
             .map(|(ui, u)| {
                 let mut row = vec![u.region().abbrev().to_string()];
-                row.extend(
-                    self.rtts[ui]
-                        .iter()
-                        .map(|s| format!("{:.1}", s.mean())),
-                );
+                row.extend(self.rtts[ui].iter().map(|s| format!("{:.1}", s.mean())));
                 row
             })
             .collect();

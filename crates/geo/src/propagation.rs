@@ -154,7 +154,9 @@ mod tests {
     fn coast_to_coast_rtt_lands_in_table1_band() {
         // Table 1's W↔E entries are ~71-79 ms.
         let m = model();
-        let rtt = m.path(&loc("San Francisco, CA"), &loc("New York, NY"), 2.0).base_rtt_ms;
+        let rtt = m
+            .path(&loc("San Francisco, CA"), &loc("New York, NY"), 2.0)
+            .base_rtt_ms;
         assert!((50.0..95.0).contains(&rtt), "rtt = {rtt}");
     }
 

@@ -108,7 +108,8 @@ mod tests {
     #[test]
     fn classifies_continental_cities() {
         assert_eq!(Region::of(&GeoPoint::new(48.85, 2.35)), Region::Europe); // Paris
-        assert_eq!(Region::of(&GeoPoint::new(35.68, 139.69)), Region::AsiaEast); // Tokyo
+        assert_eq!(Region::of(&GeoPoint::new(35.68, 139.69)), Region::AsiaEast);
+        // Tokyo
     }
 
     #[test]

@@ -142,7 +142,13 @@ impl Default for SiteCapacity {
     }
 }
 
-const fn site(provider: Provider, label: &'static str, name: &'static str, lat: f64, lon: f64) -> ServerSite {
+const fn site(
+    provider: Provider,
+    label: &'static str,
+    name: &'static str,
+    lat: f64,
+    lon: f64,
+) -> ServerSite {
     ServerSite {
         provider,
         label,
@@ -174,7 +180,13 @@ impl SiteRegistry {
     pub fn us_fleet() -> Self {
         let sites = vec![
             site(Provider::FaceTime, "W", "San Jose, CA", 37.3382, -121.8863),
-            site(Provider::FaceTime, "M1", "Elk Grove Village, IL", 42.0040, -87.9703),
+            site(
+                Provider::FaceTime,
+                "M1",
+                "Elk Grove Village, IL",
+                42.0040,
+                -87.9703,
+            ),
             site(Provider::FaceTime, "M2", "Columbus, OH", 39.9612, -82.9988),
             site(Provider::FaceTime, "E", "Ashburn, VA", 39.0438, -77.4874),
             site(Provider::Zoom, "W", "San Jose, CA", 37.3382, -121.8863),
@@ -208,20 +220,62 @@ impl SiteRegistry {
     /// milliseconds, keeping barrier rounds coarse enough to parallelize.
     pub fn global_fleet() -> Self {
         let sites = vec![
-            site(Provider::FaceTime, "US-W", "San Jose, CA", 37.3382, -121.8863),
-            site(Provider::FaceTime, "US-NW", "Seattle, WA", 47.6062, -122.3321),
+            site(
+                Provider::FaceTime,
+                "US-W",
+                "San Jose, CA",
+                37.3382,
+                -121.8863,
+            ),
+            site(
+                Provider::FaceTime,
+                "US-NW",
+                "Seattle, WA",
+                47.6062,
+                -122.3321,
+            ),
             site(Provider::FaceTime, "US-S", "Dallas, TX", 32.7767, -96.7970),
             site(Provider::FaceTime, "US-M", "Chicago, IL", 41.8500, -87.6500),
             site(Provider::FaceTime, "US-E", "Ashburn, VA", 39.0438, -77.4874),
             site(Provider::FaceTime, "US-SE", "Miami, FL", 25.7617, -80.1918),
-            site(Provider::FaceTime, "MX", "Mexico City, MX", 19.4326, -99.1332),
-            site(Provider::FaceTime, "SA", "Sao Paulo, BR", -23.5505, -46.6333),
+            site(
+                Provider::FaceTime,
+                "MX",
+                "Mexico City, MX",
+                19.4326,
+                -99.1332,
+            ),
+            site(
+                Provider::FaceTime,
+                "SA",
+                "Sao Paulo, BR",
+                -23.5505,
+                -46.6333,
+            ),
             site(Provider::FaceTime, "EU-W", "London, UK", 51.5074, -0.1278),
             site(Provider::FaceTime, "EU-S", "Madrid, ES", 40.4168, -3.7038),
-            site(Provider::FaceTime, "EU-N", "Stockholm, SE", 59.3293, 18.0686),
-            site(Provider::FaceTime, "AF", "Johannesburg, ZA", -26.2041, 28.0473),
+            site(
+                Provider::FaceTime,
+                "EU-N",
+                "Stockholm, SE",
+                59.3293,
+                18.0686,
+            ),
+            site(
+                Provider::FaceTime,
+                "AF",
+                "Johannesburg, ZA",
+                -26.2041,
+                28.0473,
+            ),
             site(Provider::FaceTime, "AS-S", "Mumbai, IN", 19.0760, 72.8777),
-            site(Provider::FaceTime, "AS-SE", "Singapore, SG", 1.3521, 103.8198),
+            site(
+                Provider::FaceTime,
+                "AS-SE",
+                "Singapore, SG",
+                1.3521,
+                103.8198,
+            ),
             site(Provider::FaceTime, "AS-E", "Tokyo, JP", 35.6762, 139.6503),
             site(Provider::FaceTime, "OC", "Sydney, AU", -33.8688, 151.2093),
         ];
@@ -246,13 +300,11 @@ impl SiteRegistry {
     /// the assignment the paper observed: "all platforms consistently assign
     /// a server that is closest to the initiating user."
     pub fn nearest(&self, provider: Provider, point: &GeoPoint) -> Option<ServerSite> {
-        self.for_provider(provider)
-            .into_iter()
-            .min_by(|a, b| {
-                let da = a.location().distance_km(point);
-                let db = b.location().distance_km(point);
-                da.partial_cmp(&db).expect("finite distances")
-            })
+        self.for_provider(provider).into_iter().min_by(|a, b| {
+            let da = a.location().distance_km(point);
+            let db = b.location().distance_km(point);
+            da.partial_cmp(&db).expect("finite distances")
+        })
     }
 }
 

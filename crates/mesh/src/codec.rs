@@ -61,7 +61,13 @@ pub fn encode_mesh(mesh: &TriangleMesh, config: &MeshCodecConfig) -> Vec<u8> {
     }
     let levels = (1u32 << config.quantization_bits) - 1;
     let ext = bb.extent();
-    let scale = |e: f32| if e <= f32::EPSILON { 0.0 } else { levels as f32 / e };
+    let scale = |e: f32| {
+        if e <= f32::EPSILON {
+            0.0
+        } else {
+            levels as f32 / e
+        }
+    };
     let (sx, sy, sz) = (scale(ext.x), scale(ext.y), scale(ext.z));
     // Quantize and delta-code positions into a varint byte stream.
     let mut pos_stream = Vec::new();
@@ -147,7 +153,13 @@ pub fn decode_mesh(bytes: &[u8]) -> Result<TriangleMesh, SimError> {
 
     let levels = (1u32 << qbits) - 1;
     let ext = max - min;
-    let step = |e: f32| if e <= f32::EPSILON { 0.0 } else { e / levels as f32 };
+    let step = |e: f32| {
+        if e <= f32::EPSILON {
+            0.0
+        } else {
+            e / levels as f32
+        }
+    };
     let (dx, dy, dz) = (step(ext.x), step(ext.y), step(ext.z));
     let mut positions = Vec::with_capacity((nv as usize).min(1 << 20));
     let mut cursor = 0usize;

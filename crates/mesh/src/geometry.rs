@@ -195,10 +195,7 @@ impl TriangleMesh {
         if self.positions.is_empty() {
             return Vec3::ZERO;
         }
-        let sum = self
-            .positions
-            .iter()
-            .fold(Vec3::ZERO, |acc, &p| acc + p);
+        let sum = self.positions.iter().fold(Vec3::ZERO, |acc, &p| acc + p);
         sum * (1.0 / self.positions.len() as f32)
     }
 

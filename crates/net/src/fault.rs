@@ -358,7 +358,11 @@ mod tests {
             SimDuration::from_secs(1),
         );
         let m = FaultPlan::merged([a, b]);
-        let times: Vec<u64> = m.events().iter().map(|e| e.at.as_nanos() / 1_000_000_000).collect();
+        let times: Vec<u64> = m
+            .events()
+            .iter()
+            .map(|e| e.at.as_nanos() / 1_000_000_000)
+            .collect();
         assert_eq!(times, vec![1, 2, 3, 6]);
     }
 
@@ -373,7 +377,10 @@ mod tests {
         assert!(n.shaper.is_some());
         apply_to_netem(&mut n, &FaultKind::RateRestore);
         assert!(n.shaper.is_none());
-        apply_to_netem(&mut n, &FaultKind::DelaySpike(SimDuration::from_millis(300)));
+        apply_to_netem(
+            &mut n,
+            &FaultKind::DelaySpike(SimDuration::from_millis(300)),
+        );
         assert_eq!(n.extra_delay, SimDuration::from_millis(300));
         apply_to_netem(&mut n, &FaultKind::DelayRestore);
         assert!(n.extra_delay.is_zero());

@@ -147,8 +147,8 @@ impl TokenBucket {
 
     fn refill(&mut self, now: SimTime) {
         let dt = now.since(self.updated).as_secs_f64();
-        self.tokens = (self.tokens + dt * self.rate.as_bps() as f64 / 8.0)
-            .min(self.burst.as_bytes() as f64);
+        self.tokens =
+            (self.tokens + dt * self.rate.as_bps() as f64 / 8.0).min(self.burst.as_bytes() as f64);
         self.updated = now;
     }
 

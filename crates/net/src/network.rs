@@ -43,10 +43,10 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use visionsim_core::event::EventQueue;
 use visionsim_core::metrics::{self, Class};
-use visionsim_core::sanitizer;
-use visionsim_core::trace::{self, TraceKind};
 use visionsim_core::rng::SimRng;
+use visionsim_core::sanitizer;
 use visionsim_core::time::{SimDuration, SimTime};
+use visionsim_core::trace::{self, TraceKind};
 use visionsim_core::units::ByteSize;
 use visionsim_geo::coords::GeoPoint;
 use visionsim_geo::geodb::{GeoDb, NetAddr};
@@ -275,10 +275,7 @@ impl Network {
 
     /// The node owning an address, if any.
     pub fn node_of_addr(&self, addr: NetAddr) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.addr == addr)
-            .map(NodeId)
+        self.nodes.iter().position(|n| n.addr == addr).map(NodeId)
     }
 
     /// The node's display name.
@@ -426,7 +423,8 @@ impl Network {
     /// what flights carry, so the per-send fast path moves no refcount.
     fn route_id(&mut self, src: NodeId, dst: NodeId) -> Option<u32> {
         let key = ((src.0 as u64) << 32) | dst.0 as u64;
-        let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize & (ROUTE_MEMO_SLOTS - 1);
+        let slot =
+            (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize & (ROUTE_MEMO_SLOTS - 1);
         let (memo_key, memo_rid) = self.route_memo[slot];
         if memo_key == key {
             return Some(memo_rid);
@@ -674,7 +672,14 @@ impl Network {
         net_metrics().packets_dropped.inc();
         let flight = self.free_flight(slot);
         if trace::enabled() {
-            trace::record(kind, now.as_nanos(), 0, flight.packet.seq, lid.0 as u64, detail);
+            trace::record(
+                kind,
+                now.as_nanos(),
+                0,
+                flight.packet.seq,
+                lid.0 as u64,
+                detail,
+            );
         }
     }
 
@@ -837,8 +842,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use visionsim_core::units::DataRate;
     use visionsim_core::units::ByteSize;
+    use visionsim_core::units::DataRate;
 
     fn two_node_net(delay_ms: u64) -> (Network, NodeId, NodeId) {
         let mut net = Network::new(1);
@@ -966,9 +971,7 @@ mod tests {
         let records = net.tap_records(tap);
         // AP transits both packets.
         assert_eq!(records.len(), 2);
-        assert!(records
-            .iter()
-            .all(|r| r.direction == TapDirection::Transit));
+        assert!(records.iter().all(|r| r.direction == TapDirection::Transit));
     }
 
     #[test]

@@ -55,7 +55,9 @@ pub(crate) fn count_queue_drop(bytes: u64) {
 /// Observe one packet's queuing delay (admission → dequeue) in µs.
 fn observe_queue_delay(delay: SimDuration) {
     if metrics::enabled() {
-        shaper_metrics().queue_delay_us.observe(delay.as_micros_f64() as u64);
+        shaper_metrics()
+            .queue_delay_us
+            .observe(delay.as_micros_f64() as u64);
     }
 }
 

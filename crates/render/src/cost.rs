@@ -80,12 +80,7 @@ pub struct FrameCost {
 impl CostModel {
     /// Compute a frame's cost from the visibility pipeline's per-persona
     /// decisions and the bytes received since the previous frame.
-    pub fn frame(
-        &self,
-        renders: &[PersonaRender],
-        rx_bytes: usize,
-        rng: &mut SimRng,
-    ) -> FrameCost {
+    pub fn frame(&self, renders: &[PersonaRender], rx_bytes: usize, rng: &mut SimRng) -> FrameCost {
         let mut gpu = self.gpu_base_ms;
         let mut triangles = 0usize;
         for r in renders {
@@ -242,11 +237,12 @@ mod tests {
         let m = CostModel::default();
         let mut rng = SimRng::seed_from_u64(3);
         let renders = render_one(0.0, -1.0, None);
-        let samples: Vec<f64> = (0..500).map(|_| m.frame(&renders, 930, &mut rng).gpu_ms).collect();
+        let samples: Vec<f64> = (0..500)
+            .map(|_| m.frame(&renders, 930, &mut rng).gpu_ms)
+            .collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let sd = (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-            / samples.len() as f64)
-            .sqrt();
+        let sd =
+            (samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64).sqrt();
         // Paper reports ±0.11 ms on the 6.55 ms baseline.
         assert!(sd < 0.25, "sd = {sd}");
         assert!(sd > 0.01, "noise missing");

@@ -126,10 +126,7 @@ mod tests {
     fn records_and_counts() {
         let mut s = SessionCounters::new();
         for i in 0..10 {
-            s.record(
-                SimTime::from_millis(i * 11),
-                &cost(6.0, 5.0, 78_030),
-            );
+            s.record(SimTime::from_millis(i * 11), &cost(6.0, 5.0, 78_030));
         }
         assert_eq!(s.frame_count(), 10);
         assert_eq!(s.miss_rate(), 0.0);

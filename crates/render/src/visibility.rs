@@ -198,8 +198,7 @@ impl VisibilityPipeline {
                 let distance_m = viewer.distance_to(&p.position);
                 let eccentricity_deg = viewer.eccentricity_deg(&p.position);
                 let visible = viewer.sees(&p.position, p.radius);
-                let occluded = self.flags.occlusion
-                    && Self::is_occluded(viewer, p, personas);
+                let occluded = self.flags.occlusion && Self::is_occluded(viewer, p, personas);
 
                 let mut class = LodClass::Full;
                 if self.flags.distance && distance_m > self.distance_m {
@@ -300,7 +299,11 @@ mod tests {
         let pipe = VisibilityPipeline::new(VisibilityFlags::none());
         let v = viewer().with_gaze(Vec3::new(0.9, 0.0, -0.4));
         // Far, peripheral, even behind: still Full with everything off.
-        for p in [persona_at(0.0, -8.0), persona_at(-3.0, -1.0), persona_at(0.0, 3.0)] {
+        for p in [
+            persona_at(0.0, -8.0),
+            persona_at(-3.0, -1.0),
+            persona_at(0.0, 3.0),
+        ] {
             let r = pipe.evaluate(&v, &[p]);
             assert_eq!(r[0].class, LodClass::Full);
         }
@@ -311,8 +314,7 @@ mod tests {
         // §4.4: U2..U5 in a line; U1 in front. Without occlusion culling
         // the hidden personas still render at full class.
         let pipe = VisibilityPipeline::new(VisibilityFlags::vision_pro());
-        let line: Vec<PersonaInstance> =
-            (1..=4).map(|i| persona_at(0.0, -(i as f32))).collect();
+        let line: Vec<PersonaInstance> = (1..=4).map(|i| persona_at(0.0, -(i as f32))).collect();
         let r = pipe.evaluate(&viewer(), &line);
         let total = VisibilityPipeline::total_triangles(&r);
         // All four render (U2 near-full; the rest behind it still counted).
@@ -325,12 +327,13 @@ mod tests {
         let mut flags = VisibilityFlags::vision_pro();
         flags.occlusion = true;
         let pipe = VisibilityPipeline::new(flags);
-        let line: Vec<PersonaInstance> =
-            (1..=4).map(|i| persona_at(0.0, -(i as f32))).collect();
+        let line: Vec<PersonaInstance> = (1..=4).map(|i| persona_at(0.0, -(i as f32))).collect();
         let r = pipe.evaluate(&viewer(), &line);
         // The nearest persona renders; the ones behind it collapse to proxy.
         assert_eq!(r[0].class, LodClass::Full);
-        assert!(r[1..].iter().all(|x| x.occluded && x.class == LodClass::Proxy));
+        assert!(r[1..]
+            .iter()
+            .all(|x| x.occluded && x.class == LodClass::Proxy));
     }
 
     #[test]

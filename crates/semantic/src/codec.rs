@@ -164,9 +164,7 @@ impl SemanticCodec {
 
     /// Decode one payload back into a keypoint frame.
     pub fn decode(&mut self, payload: &[u8]) -> Result<KeypointFrame, SemanticDecodeError> {
-        let (&tag, body) = payload
-            .split_first()
-            .ok_or(SemanticDecodeError::Corrupt)?;
+        let (&tag, body) = payload.split_first().ok_or(SemanticDecodeError::Corrupt)?;
         let raw = decompress(body).map_err(|_| SemanticDecodeError::Corrupt)?;
         match tag {
             TAG_ABSOLUTE => {
@@ -366,10 +364,7 @@ mod tests {
     fn min_required_rate_equals_stream_rate() {
         let enc = SemanticCodec::new(SemanticConfig::default());
         let sizes = vec![900usize; 10];
-        assert_eq!(
-            enc.min_required_rate(&sizes),
-            enc.stream_rate(&sizes)
-        );
+        assert_eq!(enc.min_required_rate(&sizes), enc.stream_rate(&sizes));
         // ~900 B at 90 FPS ≈ 0.648 Mbps: the 700 kbps cliff's origin.
         assert!((enc.stream_rate(&sizes).as_mbps_f64() - 0.648).abs() < 0.01);
     }

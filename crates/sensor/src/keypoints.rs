@@ -78,7 +78,10 @@ impl KeypointFrame {
     /// Concatenate frames (e.g. face subset ‖ left hand ‖ right hand).
     pub fn concat(frames: &[&KeypointFrame]) -> KeypointFrame {
         KeypointFrame {
-            points: frames.iter().flat_map(|f| f.points.iter().copied()).collect(),
+            points: frames
+                .iter()
+                .flat_map(|f| f.points.iter().copied())
+                .collect(),
         }
     }
 

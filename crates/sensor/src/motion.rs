@@ -157,7 +157,8 @@ impl FaceMotion {
         let dt = 1.0 / self.config.fps;
         // Head pose: damped random walk (spring toward neutral).
         for a in 0..3 {
-            self.pose_vel[a] += rng.normal(0.0, 0.002) * dt.sqrt() - self.pose[a] * 0.5 * dt
+            self.pose_vel[a] += rng.normal(0.0, 0.002) * dt.sqrt()
+                - self.pose[a] * 0.5 * dt
                 - self.pose_vel[a] * 1.0 * dt;
             self.pose[a] += self.pose_vel[a] * dt;
         }

@@ -56,10 +56,7 @@ pub fn parse(line: &str) -> Result<Command, String> {
     let parts: Vec<&str> = line.split_whitespace().collect();
     match parts.first().copied() {
         Some("join") => Ok(Command::Join {
-            preset: parts
-                .get(1)
-                .ok_or("missing preset")?
-                .to_string(),
+            preset: parts.get(1).ok_or("missing preset")?.to_string(),
             n: field(&parts, 2, "participant count")?,
             seed: field(&parts, 3, "seed")?,
             secs: match parts.get(4) {
@@ -128,7 +125,9 @@ mod tests {
         assert!(parse("").is_err());
         assert!(parse("launch").unwrap_err().contains("unknown command"));
         assert!(parse("join").unwrap_err().contains("missing preset"));
-        assert!(parse("join facetime x 1").unwrap_err().contains("participant count"));
+        assert!(parse("join facetime x 1")
+            .unwrap_err()
+            .contains("participant count"));
         assert!(parse("leave").unwrap_err().contains("session id"));
         assert!(parse("fault 1 0").unwrap_err().contains("fault kind"));
     }

@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use visionsim_core::trace::{self, TraceEvent};
 use visionsim_core::metrics;
+use visionsim_core::trace::{self, TraceEvent};
 
 use crate::clock::VirtualClock;
 use crate::proto::{self, Command};
@@ -218,11 +218,7 @@ fn spawn_metrics_thread(
 /// follow cursor, keep a bounded tail, and atomically replace the file
 /// with a complete, valid VSTRACE1 image (write temp + rename — a
 /// concurrent `trace_dump --follow` never sees a torn file).
-fn flush_trace(
-    path: &Path,
-    cursor: &mut u64,
-    tail: &mut Vec<TraceEvent>,
-) -> std::io::Result<()> {
+fn flush_trace(path: &Path, cursor: &mut u64, tail: &mut Vec<TraceEvent>) -> std::io::Result<()> {
     let chunk = trace::follow(*cursor);
     *cursor = chunk.cursor;
     if chunk.events.is_empty() && !tail.is_empty() {

@@ -54,9 +54,7 @@ pub fn fault_plan_named(kind: &str, at: SimTime) -> Result<FaultPlan, String> {
     Ok(match kind {
         "flap" => FaultPlan::flap(at, secs(2)),
         "rate-cliff" => FaultPlan::rate_cliff(at, DataRate::from_kbps(300), secs(5)),
-        "delay-spike" => {
-            FaultPlan::delay_spike(at, SimDuration::from_millis(150), secs(5))
-        }
+        "delay-spike" => FaultPlan::delay_spike(at, SimDuration::from_millis(150), secs(5)),
         "burst-loss" => FaultPlan::burst_loss(at, GeConfig::wifi_bursts(), secs(5)),
         "outage" => FaultPlan::server_outage(at, secs(2), secs(3)),
         _ => {
@@ -195,8 +193,7 @@ impl ServiceWorld {
         self.virtual_now_ns = target_ns;
         let mut finished: Vec<u64> = Vec::new();
         for (&id, session) in self.live.iter_mut() {
-            while !session.sim.done()
-                && session.base_ns + session.sim.now().as_nanos() < target_ns
+            while !session.sim.done() && session.base_ns + session.sim.now().as_nanos() < target_ns
             {
                 session.sim.step_tick();
             }
@@ -314,9 +311,18 @@ mod tests {
         world.advance_to(200_000_000);
         world.fault(id, 0, "flap").unwrap();
         world.fault(id, 1, "burst-loss").unwrap();
-        assert!(world.fault(99, 0, "flap").unwrap_err().contains("no live session"));
-        assert!(world.fault(id, 9, "flap").unwrap_err().contains("out of range"));
-        assert!(world.fault(id, 0, "gremlins").unwrap_err().contains("unknown fault"));
+        assert!(world
+            .fault(99, 0, "flap")
+            .unwrap_err()
+            .contains("no live session"));
+        assert!(world
+            .fault(id, 9, "flap")
+            .unwrap_err()
+            .contains("out of range"));
+        assert!(world
+            .fault(id, 0, "gremlins")
+            .unwrap_err()
+            .contains("unknown fault"));
         // The injected faults apply on subsequent ticks without issue.
         world.advance_to(3_000_000_000);
     }
@@ -331,13 +337,19 @@ mod tests {
         assert_eq!(world.live_sessions(), 0);
         assert_eq!(world.completed_sessions(), 2);
         assert!(world.completed().iter().all(|s| s.left_early));
-        assert!(world.join("mixed", 2, 3, 30).unwrap_err().contains("quiescing"));
+        assert!(world
+            .join("mixed", 2, 3, 30)
+            .unwrap_err()
+            .contains("quiescing"));
     }
 
     #[test]
     fn join_rejects_bad_presets() {
         let mut world = ServiceWorld::new();
-        assert!(world.join("nope", 2, 1, 10).unwrap_err().contains("unknown preset"));
+        assert!(world
+            .join("nope", 2, 1, 10)
+            .unwrap_err()
+            .contains("unknown preset"));
         assert!(world.join("facetime", 1, 1, 10).is_err());
         assert!(world.join("mixed", 3, 1, 10).is_err());
         // Rosters past the port plan would overlap the per-sender source

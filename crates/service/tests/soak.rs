@@ -85,7 +85,11 @@ fn soak_seventy_simulated_seconds() {
         if chunk == 40 {
             let summary = world.leave(mixed).unwrap();
             assert!(summary.left_early);
-            assert!(summary.ticks >= 39 * 90, "left after {} ticks", summary.ticks);
+            assert!(
+                summary.ticks >= 39 * 90,
+                "left after {} ticks",
+                summary.ticks
+            );
         }
         samples.push(sample());
     }
@@ -95,7 +99,12 @@ fn soak_seventy_simulated_seconds() {
     assert_eq!(world.live_sessions(), 0, "sessions still live after 70 s");
     assert_eq!(world.completed_sessions(), 2);
     assert!(
-        !world.completed().iter().find(|s| s.id == spatial).unwrap().left_early,
+        !world
+            .completed()
+            .iter()
+            .find(|s| s.id == spatial)
+            .unwrap()
+            .left_early,
         "the 70 s session must run out its clock"
     );
 

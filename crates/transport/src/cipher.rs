@@ -30,12 +30,8 @@ fn block(key: &Key, nonce: &Nonce, counter: u32) -> [u8; 64] {
     state[2] = 0x7962_2d32;
     state[3] = 0x6b20_6574;
     for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes([
-            key[4 * i],
-            key[4 * i + 1],
-            key[4 * i + 2],
-            key[4 * i + 3],
-        ]);
+        state[4 + i] =
+            u32::from_le_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
     }
     state[12] = counter;
     for i in 0..3 {

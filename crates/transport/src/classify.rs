@@ -103,7 +103,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    
+
     use crate::quic::{QuicFrame, QuicPacket, QuicStreamSender};
     use crate::rtp::{RtpPacket, RtpStream};
 
@@ -111,10 +111,7 @@ mod tests {
     fn classifies_rtp_with_payload_type() {
         let mut s = RtpStream::video(PayloadType::H264Video, 99);
         let wire = s.packetize(0.0, vec![0u8; 50], true).to_bytes();
-        assert_eq!(
-            classify(&wire),
-            WireProtocol::Rtp(PayloadType::H264Video)
-        );
+        assert_eq!(classify(&wire), WireProtocol::Rtp(PayloadType::H264Video));
     }
 
     #[test]

@@ -17,9 +17,7 @@ pub fn write_varint(out: &mut Vec<u8>, v: u64) {
     match v {
         0..=0x3F => out.push(v as u8),
         0x40..=0x3FFF => out.extend_from_slice(&(0x4000u16 | v as u16).to_be_bytes()),
-        0x4000..=0x3FFF_FFFF => {
-            out.extend_from_slice(&(0x8000_0000u32 | v as u32).to_be_bytes())
-        }
+        0x4000..=0x3FFF_FFFF => out.extend_from_slice(&(0x8000_0000u32 | v as u32).to_be_bytes()),
         0x4000_0000..=0x3FFF_FFFF_FFFF_FFFF => {
             out.extend_from_slice(&(0xC000_0000_0000_0000u64 | v).to_be_bytes())
         }
@@ -297,7 +295,16 @@ mod tests {
 
     #[test]
     fn varint_round_trips_all_widths() {
-        for v in [0u64, 63, 64, 16_383, 16_384, 0x3FFF_FFFF, 0x4000_0000, 0x3FFF_FFFF_FFFF_FFFF] {
+        for v in [
+            0u64,
+            63,
+            64,
+            16_383,
+            16_384,
+            0x3FFF_FFFF,
+            0x4000_0000,
+            0x3FFF_FFFF_FFFF_FFFF,
+        ] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
             let (got, n) = read_varint(&buf).unwrap();

@@ -223,7 +223,9 @@ mod tests {
         let mut r = rr();
         r.cumulative_lost = 0x00FF_FFFF;
         assert_eq!(
-            ReceiverReportPacket::parse(&r.to_bytes()).unwrap().cumulative_lost,
+            ReceiverReportPacket::parse(&r.to_bytes())
+                .unwrap()
+                .cumulative_lost,
             0x00FF_FFFF
         );
     }

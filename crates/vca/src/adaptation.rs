@@ -67,8 +67,8 @@ impl RateController {
     pub fn on_report(&mut self, report: &ReceiverReport) -> DataRate {
         if report.loss > 0.02 {
             // Multiplicative decrease toward observed goodput.
-            let backed = (report.goodput().as_bps() as f64 * 0.85)
-                .min(self.target.as_bps() as f64 * 0.8);
+            let backed =
+                (report.goodput().as_bps() as f64 * 0.85).min(self.target.as_bps() as f64 * 0.8);
             self.target = DataRate::from_bps_f64(backed);
         } else {
             // Additive increase: probe up by 5% of the ceiling.
@@ -218,8 +218,8 @@ impl CongestionController {
             CtrlState::Decrease => {
                 // Toward what actually arrived, never above a plain
                 // multiplicative cut of the current target.
-                let backed = (sig.arrival.as_bps() as f64 * BETA)
-                    .min(self.target.as_bps() as f64 * BETA);
+                let backed =
+                    (sig.arrival.as_bps() as f64 * BETA).min(self.target.as_bps() as f64 * BETA);
                 self.target = DataRate::from_bps_f64(backed);
                 self.hold_left = HOLD_DWELL;
             }
@@ -650,7 +650,11 @@ mod tests {
             t += visionsim_core::time::SimDuration::from_millis(200);
             c.on_report(t, &sig(0.0, 2_000, d));
         }
-        assert_eq!(c.state(), CtrlState::Decrease, "delay gradient must back off");
+        assert_eq!(
+            c.state(),
+            CtrlState::Decrease,
+            "delay gradient must back off"
+        );
         assert!(c.target() < DataRate::from_mbps(3));
     }
 

@@ -145,7 +145,9 @@ mod tests {
         let mut enc = VideoEncoder::new(webex_config());
         let mut rng = SimRng::seed_from_u64(1);
         let frames = 30 * 30; // 30 s
-        let total: u64 = (0..frames).map(|_| enc.next_frame(&mut rng).as_bytes()).sum();
+        let total: u64 = (0..frames)
+            .map(|_| enc.next_frame(&mut rng).as_bytes())
+            .sum();
         let mbps = total as f64 * 8.0 / 30.0 / 1e6;
         let expected = webex_config().bitrate_at(1.0).as_mbps_f64();
         assert!(
@@ -159,7 +161,9 @@ mod tests {
     fn i_frames_are_larger() {
         let mut enc = VideoEncoder::new(webex_config());
         let mut rng = SimRng::seed_from_u64(2);
-        let sizes: Vec<u64> = (0..120).map(|_| enc.next_frame(&mut rng).as_bytes()).collect();
+        let sizes: Vec<u64> = (0..120)
+            .map(|_| enc.next_frame(&mut rng).as_bytes())
+            .collect();
         let i_mean = (sizes[0] + sizes[60]) as f64 / 2.0;
         let p_mean = sizes
             .iter()

@@ -240,12 +240,16 @@ impl SiteCell {
     }
 
     fn release(&mut self, count: u32) {
-        sanitizer::check(self.attached >= count, "fleet/participant_conservation", || {
-            format!(
-                "site {} releasing {count} of {} attached",
-                self.label, self.attached
-            )
-        });
+        sanitizer::check(
+            self.attached >= count,
+            "fleet/participant_conservation",
+            || {
+                format!(
+                    "site {} releasing {count} of {} attached",
+                    self.label, self.attached
+                )
+            },
+        );
         self.attached = self.attached.saturating_sub(count);
         self.released_participants += count as u64;
     }
@@ -283,14 +287,11 @@ impl SiteCell {
                 local_access.push(self.access_rtt_ms());
             }
         }
-        let lifetime = SimDuration::from_nanos(
-            self.min_lifetime.as_nanos().saturating_add(
-                SimDuration::from_secs_f64(self.rng.exponential(self.mean_extra_life_s)).as_nanos(),
-            ),
-        );
-        let gap = SimDuration::from_secs_f64(
-            self.rng.exponential(self.arrival_gap_mean_s).max(1e-6),
-        );
+        let lifetime = SimDuration::from_nanos(self.min_lifetime.as_nanos().saturating_add(
+            SimDuration::from_secs_f64(self.rng.exponential(self.mean_extra_life_s)).as_nanos(),
+        ));
+        let gap =
+            SimDuration::from_secs_f64(self.rng.exponential(self.arrival_gap_mean_s).max(1e-6));
         let next_arrival = at.saturating_add(gap);
 
         // PR 8 admission: a session slot plus participant headroom for
@@ -340,13 +341,18 @@ impl SiteCell {
         let Some(rec) = self.sessions.remove(&session) else {
             sanitizer::report(
                 "fleet/participant_conservation",
-                format!("site {} departure for unknown session {session}", self.label),
+                format!(
+                    "site {} departure for unknown session {session}",
+                    self.label
+                ),
             );
             return;
         };
-        sanitizer::check(self.active_sessions > 0, "fleet/participant_conservation", || {
-            format!("site {} departure with zero active sessions", self.label)
-        });
+        sanitizer::check(
+            self.active_sessions > 0,
+            "fleet/participant_conservation",
+            || format!("site {} departure with zero active sessions", self.label),
+        );
         self.active_sessions = self.active_sessions.saturating_sub(1);
         self.departed_sessions += 1;
         self.release(rec.local);
@@ -431,7 +437,10 @@ impl SiteCell {
             || {
                 format!(
                     "site {}: attached {} + released {} != admitted {}",
-                    self.label, self.attached, self.released_participants, self.admitted_participants
+                    self.label,
+                    self.attached,
+                    self.released_participants,
+                    self.admitted_participants
                 )
             },
         );
@@ -501,9 +510,8 @@ impl FleetShard {
             // Every site starts its arrival process and its once-a-second
             // occupancy sampler. The first arrival gap comes from the
             // site's own stream, like every later one.
-            let first_gap = SimDuration::from_secs_f64(
-                cell.rng.exponential(cell.arrival_gap_mean_s).max(1e-6),
-            );
+            let first_gap =
+                SimDuration::from_secs_f64(cell.rng.exponential(cell.arrival_gap_mean_s).max(1e-6));
             queue.schedule(
                 SimTime::ZERO.saturating_add(first_gap),
                 FleetEvent::Arrival { site },
@@ -759,7 +767,10 @@ mod tests {
         assert!(out.messages > 0, "remote attaches must cross the backbone");
         let (peak_sessions, peak_participants) = out.peak_concurrency();
         assert!(peak_sessions > 0);
-        assert!(peak_participants >= peak_sessions * 2, "groups are >= 2 users");
+        assert!(
+            peak_participants >= peak_sessions * 2,
+            "groups are >= 2 users"
+        );
         // The regional capacity envelope (64 sessions) must bind at the
         // hot sites, exercising rejection.
         assert!(
@@ -789,7 +800,10 @@ mod tests {
         let local_only = run_fleet(&cfg, 2);
         let p99 = |o: &FleetOutcome| {
             let mut all = Percentiles::from_samples(
-                o.sites.iter().flat_map(|s| s.join_samples.clone()).collect(),
+                o.sites
+                    .iter()
+                    .flat_map(|s| s.join_samples.clone())
+                    .collect(),
             );
             all.percentile(99.0)
         };
@@ -797,7 +811,9 @@ mod tests {
             p99(&remote_heavy) > p99(&local_only),
             "backbone RTTs must be visible in the join-latency tail"
         );
-        assert_eq!(local_only.messages, 0, "no remote members, no backbone traffic");
+        assert_eq!(
+            local_only.messages, 0,
+            "no remote members, no backbone traffic"
+        );
     }
 }
-

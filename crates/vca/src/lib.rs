@@ -31,8 +31,8 @@ pub mod server;
 pub mod session;
 
 pub use adaptation::{PersonaAvailability, RateController};
-pub use fleet::{FleetConfig, FleetOutcome, SiteReport};
 pub use encoder::{VideoEncoder, VideoEncoderConfig};
+pub use fleet::{FleetConfig, FleetOutcome, SiteReport};
 pub use profile::{AppProfile, PersonaType};
 pub use scene::{GazeDynamics, SeatingLayout};
 pub use server::{AssignmentPolicy, ServerAssignment};

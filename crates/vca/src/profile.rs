@@ -182,15 +182,24 @@ mod tests {
             AppProfile::of(Provider::FaceTime).topology(&mixed),
             Topology::P2P
         );
-        assert_eq!(AppProfile::of(Provider::Zoom).topology(&mixed), Topology::P2P);
+        assert_eq!(
+            AppProfile::of(Provider::Zoom).topology(&mixed),
+            Topology::P2P
+        );
         // FaceTime both-AVP does NOT (spatial personas transit the server).
         assert_eq!(
             AppProfile::of(Provider::FaceTime).topology(&both_avp),
             Topology::Sfu
         );
         // Webex and Teams always SFU.
-        assert_eq!(AppProfile::of(Provider::Webex).topology(&mixed), Topology::Sfu);
-        assert_eq!(AppProfile::of(Provider::Teams).topology(&mixed), Topology::Sfu);
+        assert_eq!(
+            AppProfile::of(Provider::Webex).topology(&mixed),
+            Topology::Sfu
+        );
+        assert_eq!(
+            AppProfile::of(Provider::Teams).topology(&mixed),
+            Topology::Sfu
+        );
     }
 
     #[test]

@@ -43,11 +43,7 @@ impl SeatingLayout {
                             i as f32 / (n - 1) as f32
                         };
                         let angle = (-half + 2.0 * half * frac).to_radians();
-                        Vec3::new(
-                            distance_m * angle.sin(),
-                            0.0,
-                            -distance_m * angle.cos(),
-                        )
+                        Vec3::new(distance_m * angle.sin(), 0.0, -distance_m * angle.cos())
                     })
                     .collect()
             }
@@ -164,12 +160,7 @@ impl GazeDynamics {
         self.last_gaze = gaze_dir;
         // Head follows gaze with a slight lag (85% blend): the attended
         // persona centres in view while the rest land in the periphery.
-        let head_dir = Vec3::new(
-            gaze_dir.x * 0.85,
-            gaze_dir.y * 0.85,
-            gaze_dir.z,
-        )
-        .normalized();
+        let head_dir = Vec3::new(gaze_dir.x * 0.85, gaze_dir.y * 0.85, gaze_dir.z).normalized();
         Viewer::looking(Vec3::ZERO, head_dir).with_gaze(gaze_dir)
     }
 

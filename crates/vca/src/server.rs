@@ -471,7 +471,9 @@ impl Reconnector {
             self.phase = ReconnectPhase::Abandoned { at: now };
             return;
         }
-        let delay = self.policy.delay(self.attempts.saturating_sub(1), &mut self.rng);
+        let delay = self
+            .policy
+            .delay(self.attempts.saturating_sub(1), &mut self.rng);
         self.phase = ReconnectPhase::Waiting {
             next_attempt: now + delay,
         };
@@ -1048,7 +1050,9 @@ mod tests {
         };
         let seq = |seed: u64| -> Vec<u64> {
             let mut rng = SimRng::seed_from_u64(seed);
-            (0..10).map(|a| policy.delay(a, &mut rng).as_nanos()).collect()
+            (0..10)
+                .map(|a| policy.delay(a, &mut rng).as_nanos())
+                .collect()
         };
         let a = seq(7);
         // Deterministic in the seed.

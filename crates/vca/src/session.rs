@@ -30,8 +30,8 @@ use crate::server::{
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 use visionsim_core::metrics::{self, Class};
-use visionsim_core::sanitizer;
 use visionsim_core::rng::SimRng;
+use visionsim_core::sanitizer;
 use visionsim_core::time::{SimDuration, SimTime};
 use visionsim_core::trace::{self, TraceKind};
 use visionsim_core::units::DataRate;
@@ -604,10 +604,7 @@ impl SessionSim {
             for (idx, rate) in &cfg.uplink_limits {
                 if *idx == clients.len() {
                     if cfg.congestion_control {
-                        net.set_shaper(
-                            up,
-                            Some(visionsim_net::shaper::ShaperConfig::new(*rate)),
-                        );
+                        net.set_shaper(up, Some(visionsim_net::shaper::ShaperConfig::new(*rate)));
                     } else {
                         *net.netem_mut(up) = Netem::with_rate_limit(*rate);
                     }
@@ -669,10 +666,7 @@ impl SessionSim {
                 let distinct = assignment.distinct_sites();
                 for i in 0..distinct.len() {
                     for j in i + 1..distinct.len() {
-                        let (a, b) = (
-                            site_nodes[distinct[i].label],
-                            site_nodes[distinct[j].label],
-                        );
+                        let (a, b) = (site_nodes[distinct[i].label], site_nodes[distinct[j].label]);
                         let d = latency
                             .one_way(&distinct[i].location(), &distinct[j].location())
                             .mul_f64(0.8);
@@ -691,11 +685,13 @@ impl SessionSim {
             .map(|i| QuicStreamSender::new(sender_dcid(i), 1, SESSION_KEY))
             .collect();
         let audio_rtp: Vec<RtpStream> = (0..n)
-            .map(|i| RtpStream::new(
-                visionsim_transport::rtp::PayloadType::OpusAudio,
-                0x1000 + i as u32,
-                48_000,
-            ))
+            .map(|i| {
+                RtpStream::new(
+                    visionsim_transport::rtp::PayloadType::OpusAudio,
+                    0x1000 + i as u32,
+                    48_000,
+                )
+            })
             .collect();
         let senders: Vec<SenderState> = (0..n)
             .map(|i| match persona_type {
@@ -779,14 +775,14 @@ impl SessionSim {
         // capture instant of each so receivers can measure end-to-end
         // latency on completion, and whether any receiver has decoded it.
         let frame_sent_at: Vec<Vec<(SimTime, bool)>> = vec![Vec::new(); n];
-        let e2e_latency_ms: Vec<visionsim_core::stats::Percentiles> =
-            (0..n).map(|_| visionsim_core::stats::Percentiles::new()).collect();
+        let e2e_latency_ms: Vec<visionsim_core::stats::Percentiles> = (0..n)
+            .map(|_| visionsim_core::stats::Percentiles::new())
+            .collect();
 
         // --- Chaos state ------------------------------------------------
         let fault_plans: Vec<(usize, FaultPlan)> = cfg.fault_plans.clone();
         // Graceful degradation: spatial → 2D fallback per participant.
-        let ladders: Vec<DegradationLadder> =
-            (0..n).map(|_| DegradationLadder::new()).collect();
+        let ladders: Vec<DegradationLadder> = (0..n).map(|_| DegradationLadder::new()).collect();
         let mode_log: Vec<Vec<(SimTime, PersonaMode)>> = vec![Vec::new(); n];
         let quality_log: Vec<Vec<(SimTime, f64)>> = vec![Vec::new(); n];
         // SFU failover: sites currently dead and nodes to stop forwarding
@@ -1220,8 +1216,7 @@ impl SessionSim {
                         // ids stay aligned because a skipped tick assigns
                         // no id.
                         if let Some(ctrl) = &controllers[i] {
-                            let refill =
-                                ctrl.target().as_bps() as f64 / 8.0 * tick.as_secs_f64();
+                            let refill = ctrl.target().as_bps() as f64 / 8.0 * tick.as_secs_f64();
                             pace_budget[i] = (pace_budget[i] + refill).min(refill * 9.0);
                             if pace_budget[i] < 0.0 {
                                 continue;
@@ -1366,11 +1361,9 @@ impl SessionSim {
                             }
                             continue;
                         }
-                        if let Some(rr) =
-                            visionsim_transport::rtcp::ReceiverReportPacket::parse(
-                                &d.packet.payload,
-                            )
-                        {
+                        if let Some(rr) = visionsim_transport::rtcp::ReceiverReportPacket::parse(
+                            &d.packet.payload,
+                        ) {
                             if rr.source_ssrc == r as u32 + 1 {
                                 last_rr_loss[r] = rr.loss();
                                 if let SenderState::Video {
@@ -1415,9 +1408,7 @@ impl SessionSim {
                                             xr.arrival_kbps as u64,
                                         );
                                     }
-                                    if let SenderState::Video { encoder, .. } =
-                                        &mut senders[r]
-                                    {
+                                    if let SenderState::Video { encoder, .. } = &mut senders[r] {
                                         encoder.adapt_to(target);
                                     }
                                 }
@@ -1459,8 +1450,7 @@ impl SessionSim {
                                                 peer.assembler.push(frag)
                                             {
                                                 peer.on_frame_complete(frame_id);
-                                                let Some((sent, decoded)) = frame_sent_at
-                                                    [sender]
+                                                let Some((sent, decoded)) = frame_sent_at[sender]
                                                     .get_mut(frame_id as usize)
                                                 else {
                                                     continue;
@@ -1521,9 +1511,9 @@ impl SessionSim {
                                 // A gap means decode state is broken until
                                 // the next I-frame: ask for one now, at
                                 // most twice a second per sender.
-                                let cooled = peer
-                                    .last_pli_at
-                                    .is_none_or(|at| now.since(at) >= SimDuration::from_millis(500));
+                                let cooled = peer.last_pli_at.is_none_or(|at| {
+                                    now.since(at) >= SimDuration::from_millis(500)
+                                });
                                 if gap_seen && cooled {
                                     peer.last_pli_at = Some(now);
                                     pli_sent[r] += 1;
@@ -1573,8 +1563,7 @@ impl SessionSim {
                     } else {
                         Vec::new()
                     };
-                    let cost =
-                        cost_model.frame(&renders, rx_bytes_since_frame[r], rng);
+                    let cost = cost_model.frame(&renders, rx_bytes_since_frame[r], rng);
                     counters[r].record(now, &cost);
                     rx_bytes_since_frame[r] = 0;
                 }
@@ -1591,8 +1580,7 @@ impl SessionSim {
                             // each sender, before the interval counters
                             // drain below.
                             if cfg.congestion_control {
-                                let interval_s =
-                                    (feedback_every * tick.as_nanos()) as f64 / 1e9;
+                                let interval_s = (feedback_every * tick.as_nanos()) as f64 / 1e9;
                                 let mut reports: Vec<(usize, Vec<u8>, Vec<u8>)> = receivers[r]
                                     .iter_mut()
                                     .map(|(&s, peer)| {
@@ -1633,8 +1621,7 @@ impl SessionSim {
                                 // the same seqs and taps in every run.
                                 reports.sort_unstable_by_key(|&(s, ..)| s);
                                 for (s, rr, xr) in reports {
-                                    let ports =
-                                        PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);
+                                    let ports = PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);
                                     net.send(clients[r], clients[s], ports, rr);
                                     net.send(clients[r], clients[s], ports, xr);
                                 }
@@ -1658,8 +1645,7 @@ impl SessionSim {
                             let ladder_input = match &controllers[r] {
                                 Some(ctrl) => {
                                     let head = ctrl.target().as_bps() as f64
-                                        / DataRate::from_kbps(SPATIAL_FLOOR_KBPS).as_bps()
-                                            as f64;
+                                        / DataRate::from_kbps(SPATIAL_FLOOR_KBPS).as_bps() as f64;
                                     worst.min(head.min(1.0))
                                 }
                                 None => worst,
@@ -1735,8 +1721,7 @@ impl SessionSim {
                             // Sender order, as for the spatial reports.
                             reports.sort_unstable_by_key(|&(s, ..)| s);
                             for (s, payload, xr) in reports {
-                                let ports =
-                                    PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);
+                                let ports = PortPair::new(RTCP_PORT_BASE + r as u16, RTCP_PORT);
                                 net.send(clients[r], clients[s], ports, payload);
                                 if let Some(xr) = xr {
                                     net.send(clients[r], clients[s], ports, xr);
@@ -1781,10 +1766,7 @@ impl SessionSim {
             ..
         } = self;
 
-        let taps: Vec<Vec<TapRecord>> = tap_ids
-            .iter()
-            .map(|&t| net.take_tap_records(t))
-            .collect();
+        let taps: Vec<Vec<TapRecord>> = tap_ids.iter().map(|&t| net.take_tap_records(t)).collect();
         let client_addrs = clients.iter().map(|&c| net.addr(c)).collect();
         let final_quality = senders
             .iter()
@@ -1868,7 +1850,11 @@ mod tests {
         assert_eq!(out.persona_type, PersonaType::Spatial);
         assert_eq!(out.topology, Topology::Sfu);
         let a = CaptureAnalysis::new(out.taps[0].iter(), out.client_addrs[0]);
-        assert!(a.dominant_protocol().is_quic(), "{:?}", a.dominant_protocol());
+        assert!(
+            a.dominant_protocol().is_quic(),
+            "{:?}",
+            a.dominant_protocol()
+        );
         // Spatial persona uplink lands in the sub-Mbps band (paper: 0.67).
         let up = a.uplink_rate().as_mbps_f64();
         assert!((0.3..1.2).contains(&up), "uplink {up} Mbps");
@@ -1912,7 +1898,10 @@ mod tests {
         let teams = run(Provider::Teams);
         assert!(webex > 4.0, "webex {webex}");
         assert!((1.0..2.2).contains(&zoom), "zoom {zoom}");
-        assert!(zoom < teams && teams < webex, "ordering: z {zoom} t {teams} w {webex}");
+        assert!(
+            zoom < teams && teams < webex,
+            "ordering: z {zoom} t {teams} w {webex}"
+        );
     }
 
     #[test]
@@ -2024,10 +2013,7 @@ mod tests {
             .iter()
             .filter(|(at, _)| *at >= SimTime::from_secs(12))
             .collect();
-        let switches = converged
-            .windows(2)
-            .filter(|w| w[0].1 != w[1].1)
-            .count();
+        let switches = converged.windows(2).filter(|w| w[0].1 != w[1].1).count();
         assert!(
             switches <= 1,
             "ladder oscillated after convergence: {switches} switches in 12 s \
@@ -2135,8 +2121,7 @@ mod tests {
             .protocols()
             .into_iter()
             .filter(|(k, p)| {
-                k.ports.dst == RTCP_PORT
-                    && *p == visionsim_transport::classify::WireProtocol::Rtcp
+                k.ports.dst == RTCP_PORT && *p == visionsim_transport::classify::WireProtocol::Rtcp
             })
             .count();
         assert!(rtcp_flows >= 1, "no classified RTCP flow at U2's AP");

@@ -24,20 +24,24 @@ fn main() {
     );
 
     let configs: [(&str, Provider, DeviceKind); 5] = [
-        ("FaceTime spatial (U2: Vision Pro)", Provider::FaceTime, DeviceKind::VisionPro),
-        ("FaceTime 2D (U2: MacBook)", Provider::FaceTime, DeviceKind::MacBook),
+        (
+            "FaceTime spatial (U2: Vision Pro)",
+            Provider::FaceTime,
+            DeviceKind::VisionPro,
+        ),
+        (
+            "FaceTime 2D (U2: MacBook)",
+            Provider::FaceTime,
+            DeviceKind::MacBook,
+        ),
         ("Zoom (U2: MacBook)", Provider::Zoom, DeviceKind::MacBook),
         ("Webex (U2: MacBook)", Provider::Webex, DeviceKind::MacBook),
         ("Teams (U2: MacBook)", Provider::Teams, DeviceKind::MacBook),
     ];
 
     for (label, provider, peer) in configs {
-        let mut cfg = SessionConfig::two_party(
-            provider,
-            (DeviceKind::VisionPro, sf),
-            (peer, nyc),
-            7,
-        );
+        let mut cfg =
+            SessionConfig::two_party(provider, (DeviceKind::VisionPro, sf), (peer, nyc), 7);
         cfg.duration = SimDuration::from_secs(20);
         let out = SessionRunner::new(cfg).run();
         let a = CaptureAnalysis::new(out.taps[0].iter(), out.client_addrs[0]);

@@ -21,7 +21,10 @@ fn main() {
     println!("Hypothesis 1 — direct 3D mesh streaming:");
     let mesh = mesh_streaming::run(6, 2024);
     print!("{mesh}");
-    println!("  ⇒ rejected: the observed stream is ~{:.0}x too small.\n", mesh.gap_factor());
+    println!(
+        "  ⇒ rejected: the observed stream is ~{:.0}x too small.\n",
+        mesh.gap_factor()
+    );
 
     println!("Hypothesis 2 — sender-side pre-rendered 2D video:");
     let latency = display_latency::run(200, 2024);

@@ -15,7 +15,10 @@ fn main() {
     let fig = figure6::run(20, 2024);
     println!("{fig}");
 
-    println!("\nHeadroom against the {:.1} ms frame deadline:", FRAME_DEADLINE.as_millis_f64());
+    println!(
+        "\nHeadroom against the {:.1} ms frame deadline:",
+        FRAME_DEADLINE.as_millis_f64()
+    );
     for row in &fig.rows {
         let headroom = FRAME_DEADLINE.as_millis_f64() - row.gpu_ms.p95;
         let bar_len = (row.gpu_ms.p95 / FRAME_DEADLINE.as_millis_f64() * 40.0) as usize;

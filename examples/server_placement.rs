@@ -14,7 +14,10 @@ fn main() {
     println!("(TCP-ping analogue over the simulated network, 10 probes/pair)...\n");
     let table = table1::run(10, 2024);
     println!("{table}");
-    println!("max σ across the matrix: {:.2} ms (paper: <7 ms)\n", table.max_std());
+    println!(
+        "max σ across the matrix: {:.2} ms (paper: <7 ms)\n",
+        table.max_std()
+    );
 
     println!("Why a single initiator-near server hurts (§4.1):");
     println!("an Eastern-US initiator pins SF/Frankfurt/Tokyo participants to a");

@@ -155,15 +155,16 @@ fn run_session(seed: u64) {
     let out = SessionRunner::new(cfg).run();
     let analysis = CaptureAnalysis::new(out.taps[0].iter(), out.client_addrs[0]);
     println!("FaceTime AVP↔AVP, SF↔NYC, 20 s (seed {seed}):");
-    println!("  persona   : {:?} over {:?}", out.persona_type, analysis.dominant_protocol());
+    println!(
+        "  persona   : {:?} over {:?}",
+        out.persona_type,
+        analysis.dominant_protocol()
+    );
     println!("  uplink    : {}", analysis.uplink_rate());
     println!("  downlink  : {}", analysis.downlink_rate());
     println!("  GPU       : {}", out.counters[0].gpu_boxplot());
     println!("  triangles : {}", out.counters[0].triangles_boxplot());
-    println!(
-        "  available : {:.0}%",
-        out.availability_fraction(0) * 100.0
-    );
+    println!("  available : {:.0}%", out.availability_fraction(0) * 100.0);
 }
 
 fn main() {

@@ -25,8 +25,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use visionsim_core::{metrics, par, trace};
 use visionsim_core::time::{SimDuration, SimTime};
+use visionsim_core::{metrics, par, trace};
 use visionsim_device::device::DeviceKind;
 use visionsim_geo::cities;
 use visionsim_geo::coords::GeoPoint;
@@ -70,7 +70,13 @@ const BATCH: usize = 32;
 fn chain(hops: usize, tapped: bool) -> (Network, NodeId, NodeId) {
     let mut net = Network::new(7);
     let nodes: Vec<NodeId> = (0..=hops)
-        .map(|i| net.add_node(&format!("n{i}"), "gate", GeoPoint::new(37.0, -122.0 + i as f64)))
+        .map(|i| {
+            net.add_node(
+                &format!("n{i}"),
+                "gate",
+                GeoPoint::new(37.0, -122.0 + i as f64),
+            )
+        })
         .collect();
     for w in nodes.windows(2) {
         net.add_duplex(w[0], w[1], LinkConfig::core(SimDuration::from_micros(100)));
@@ -87,7 +93,12 @@ fn chain(hops: usize, tapped: bool) -> (Network, NodeId, NodeId) {
 /// and drain the destination inbox (plus taps when present).
 fn burst(net: &mut Network, src: NodeId, dst: NodeId, payload: &Arc<[u8]>, taps: usize) -> usize {
     for i in 0..BATCH {
-        net.send(src, dst, PortPair::new(5_000, 6_000 + i as u16), payload.clone());
+        net.send(
+            src,
+            dst,
+            PortPair::new(5_000, 6_000 + i as u16),
+            payload.clone(),
+        );
     }
     net.run_until(net.now() + SimDuration::from_millis(10));
     let got = net.poll_delivered(dst).len();

@@ -98,11 +98,7 @@ fn bit_flips_error_or_differ_but_never_panic() {
 fn length_lying_headers_are_capped_not_allocated() {
     // Headers claiming absurd decoded lengths must be rejected up front —
     // a `Vec::with_capacity(claim)` here would be a memory bomb.
-    for claim in [
-        MAX_DECODED_LEN as u64 + 1,
-        u64::MAX / 2,
-        u64::MAX,
-    ] {
+    for claim in [MAX_DECODED_LEN as u64 + 1, u64::MAX / 2, u64::MAX] {
         let mut lying = Vec::new();
         varint::write_u64(&mut lying, claim);
         lying.extend_from_slice(&[0u8; 64]);

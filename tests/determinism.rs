@@ -7,8 +7,10 @@
 //! knobs (`set_threads`, `trace::force`, `metrics::force`) are never raced
 //! by the libtest runner.
 
-use visionsim::experiments::{extensions, figure6, fleet, mesh_streaming, resilience, storms, table1};
 use visionsim::core::{metrics, par, trace};
+use visionsim::experiments::{
+    extensions, figure6, fleet, mesh_streaming, resilience, storms, table1,
+};
 use visionsim::vca::server::resilience_metrics;
 
 /// Render a small-but-representative slice of the suite at `seed`.
@@ -89,10 +91,7 @@ fn metrics_are_identical_across_thread_counts_with_tracing_on() {
                     &text, text0,
                     "{threads} threads: artifacts diverged with tracing on"
                 );
-                assert_eq!(
-                    &snap, snap0,
-                    "{threads} threads: metrics snapshot diverged"
-                );
+                assert_eq!(&snap, snap0, "{threads} threads: metrics snapshot diverged");
             }
         }
     }

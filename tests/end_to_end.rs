@@ -6,6 +6,7 @@
 use visionsim::core::rng::SimRng;
 use visionsim::core::time::{SimDuration, SimTime};
 use visionsim::device::cameras::PersonaCapturePipeline;
+use visionsim::device::device::DeviceKind;
 use visionsim::geo::cities;
 use visionsim::geo::coords::GeoPoint;
 use visionsim::geo::sites::Provider;
@@ -18,7 +19,6 @@ use visionsim::semantic::reconstruct::PersonaRig;
 use visionsim::transport::cipher;
 use visionsim::transport::quic::{QuicPacket, QuicStreamSender};
 use visionsim::vca::session::{SessionConfig, SessionRunner};
-use visionsim::device::device::DeviceKind;
 
 /// Drive a persona stream through a real network hop and reconstruct the
 /// mesh at the far end; verify geometric fidelity.
@@ -52,11 +52,13 @@ fn semantic_pipeline_reconstructs_geometry_across_the_network() {
         let payload = codec.encode(&frame);
         for frag in packetizer.split(&payload) {
             let wire = quic.send(frag.to_bytes());
-            net.send(a, b, PortPair::new(5000, 443), wire).expect("routable");
+            net.send(a, b, PortPair::new(5000, 443), wire)
+                .expect("routable");
         }
-        net.run_until(SimTime::from_nanos(
-            (tick + 1) * SimDuration::FRAME_90FPS.as_nanos(),
-        ) + SimDuration::from_millis(40));
+        net.run_until(
+            SimTime::from_nanos((tick + 1) * SimDuration::FRAME_90FPS.as_nanos())
+                + SimDuration::from_millis(40),
+        );
         for d in net.poll_delivered(b) {
             let pkt = QuicPacket::parse(&d.packet.payload, &key).expect("valid framing");
             let frames = match pkt {

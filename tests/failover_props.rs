@@ -50,8 +50,7 @@ fn candidate_never_selects_dead_or_breaker_open_site() {
         // open. `candidate` half-opens an elapsed timer itself, so an
         // expired entry is no longer excluded.
         let mut open_until: BTreeMap<&'static str, SimTime> = BTreeMap::new();
-        let mut opens_seen: BTreeMap<&'static str, u32> =
-            labels.iter().map(|&l| (l, 0)).collect();
+        let mut opens_seen: BTreeMap<&'static str, u32> = labels.iter().map(|&l| (l, 0)).collect();
         let mut next_probe = SimTime::ZERO;
 
         for step in 0..400u64 {
@@ -220,7 +219,9 @@ fn failover_targets_never_name_a_killed_site_across_seeds() {
 fn backoff_schedule(seed: u64, participant: u64) -> Vec<u64> {
     let policy = BackoffPolicy::default();
     let mut rng = SimRng::seed_from_u64(derive_seed(seed, "reconnect", participant));
-    (0..12).map(|a| policy.delay(a, &mut rng).as_nanos()).collect()
+    (0..12)
+        .map(|a| policy.delay(a, &mut rng).as_nanos())
+        .collect()
 }
 
 /// Backoff jitter must come from `derive_seed(seed, "reconnect", p)` and

@@ -55,10 +55,7 @@ fn starved_uplink_is_survivable() {
 #[test]
 fn mutual_starvation_takes_both_personas_down() {
     let mut cfg = spatial_cfg(2);
-    cfg.uplink_limits = vec![
-        (0, DataRate::from_kbps(100)),
-        (1, DataRate::from_kbps(100)),
-    ];
+    cfg.uplink_limits = vec![(0, DataRate::from_kbps(100)), (1, DataRate::from_kbps(100))];
     let out = SessionRunner::new(cfg).run();
     assert!(
         out.availability_fraction(0) < 0.5,
@@ -126,12 +123,8 @@ fn configuration_matrix_never_panics() {
             DeviceKind::IPad,
             DeviceKind::IPhone,
         ] {
-            let mut cfg = SessionConfig::two_party(
-                provider,
-                (DeviceKind::VisionPro, sf),
-                (peer, chi),
-                5,
-            );
+            let mut cfg =
+                SessionConfig::two_party(provider, (DeviceKind::VisionPro, sf), (peer, chi), 5);
             cfg.duration = SimDuration::from_secs(2);
             let out = SessionRunner::new(cfg).run();
             assert!(!out.taps[0].is_empty(), "{provider}/{peer}: empty capture");
@@ -193,10 +186,18 @@ fn sfu_failover_moves_the_session_and_recovers() {
         ),
     )];
     let out = SessionRunner::new(cfg).run();
-    assert_eq!(out.failovers.len(), 1, "expected one failover: {:?}", out.failovers);
+    assert_eq!(
+        out.failovers.len(),
+        1,
+        "expected one failover: {:?}",
+        out.failovers
+    );
     let (at, ref new_site) = out.failovers[0];
     // Completion no earlier than detect + reconnect after injection.
-    assert!(at >= SimTime::from_millis(5_500), "failover completed early: {at:?}");
+    assert!(
+        at >= SimTime::from_millis(5_500),
+        "failover completed early: {at:?}"
+    );
     // The replacement differs from the site the session started on.
     let original = out.assignment.as_ref().unwrap().attachments[0].label;
     assert_ne!(new_site, original, "failed over to the dead site");

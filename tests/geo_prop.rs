@@ -15,7 +15,10 @@ fn case_rng(label: &str, i: u64) -> SimRng {
 }
 
 fn point(rng: &mut SimRng) -> GeoPoint {
-    GeoPoint::new(rng.uniform_range(-90.0, 90.0), rng.uniform_range(-180.0, 180.0))
+    GeoPoint::new(
+        rng.uniform_range(-90.0, 90.0),
+        rng.uniform_range(-180.0, 180.0),
+    )
 }
 
 /// Distance is a metric: non-negative, symmetric, zero iff same point
@@ -74,8 +77,10 @@ fn path_latency_bounds() {
         assert_eq!(p1.inflation, p2.inflation);
         assert!((p1.base_rtt_ms - p2.base_rtt_ms).abs() < 1e-9);
         let d = a.distance_km(&b);
-        let floor = 2.0 * d * m.inflation_min / 200_000.0 * 1_000.0 + m.access_overhead_ms + overhead;
-        let ceil = 2.0 * d * m.inflation_max / 200_000.0 * 1_000.0 + m.access_overhead_ms + overhead;
+        let floor =
+            2.0 * d * m.inflation_min / 200_000.0 * 1_000.0 + m.access_overhead_ms + overhead;
+        let ceil =
+            2.0 * d * m.inflation_max / 200_000.0 * 1_000.0 + m.access_overhead_ms + overhead;
         assert!(p1.base_rtt_ms >= floor - 1e-6);
         assert!(p1.base_rtt_ms <= ceil + 1e-6);
     }

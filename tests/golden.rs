@@ -36,8 +36,8 @@ fn artifacts() -> [(&'static str, String); 3] {
 
 /// Checksums recorded from the pre-refactor (`Vec<u8>` payload) datapath.
 const GOLDEN: [(&str, u64); 3] = [
-    ("figure4", 0xf06c9073775c5dce),   // 601 bytes
-    ("figure6", 0xe49c3db79e103424),   // 876 bytes
+    ("figure4", 0xf06c9073775c5dce),    // 601 bytes
+    ("figure6", 0xe49c3db79e103424),    // 876 bytes
     ("resilience", 0x1c0614d4851436e3), // 2845 bytes
 ];
 

@@ -80,7 +80,10 @@ fn decode_truncation_errors_cleanly() {
         let mut rng = case_rng("decode_truncate", i);
         let enc = encode_mesh(&arb_mesh(&mut rng), &MeshCodecConfig::default());
         for cut in 0..enc.len() {
-            assert!(decode_mesh(&enc[..cut]).is_err(), "cut {cut} decoded (case {i})");
+            assert!(
+                decode_mesh(&enc[..cut]).is_err(),
+                "cut {cut} decoded (case {i})"
+            );
         }
     }
 }
@@ -99,7 +102,10 @@ fn decode_bit_flips_never_panic() {
             damaged[pos] ^= 1 << rng.uniform_u64(0, 7);
             if let Ok(d) = decode_mesh(&damaged) {
                 assert!(
-                    d.triangles.iter().flatten().all(|&v| (v as usize) < d.vertex_count()),
+                    d.triangles
+                        .iter()
+                        .flatten()
+                        .all(|&v| (v as usize) < d.vertex_count()),
                     "bit flip produced out-of-range indices (case {i})"
                 );
             }
@@ -121,7 +127,10 @@ fn decode_length_lying_header_errors() {
         let (_, a) = visionsim::compress::varint::read_u64(&enc).expect("own header");
         let (_, b) = visionsim::compress::varint::read_u64(&enc[a..]).expect("own header");
         lying.extend_from_slice(&enc[a + b..]);
-        assert!(decode_mesh(&lying).is_err(), "lying header accepted (case {i})");
+        assert!(
+            decode_mesh(&lying).is_err(),
+            "lying header accepted (case {i})"
+        );
     }
 }
 

@@ -161,7 +161,13 @@ fn shared_payloads_conserve_bytes_over_lossy_jittered_paths() {
         let seed = rng.next_u64();
         let mut net = Network::new(seed);
         let nodes: Vec<_> = (0..=hops)
-            .map(|h| net.add_node(&format!("n{h}"), "t", GeoPoint::new(37.0, -122.0 + h as f64)))
+            .map(|h| {
+                net.add_node(
+                    &format!("n{h}"),
+                    "t",
+                    GeoPoint::new(37.0, -122.0 + h as f64),
+                )
+            })
             .collect();
         for w in nodes.windows(2) {
             net.add_duplex(w[0], w[1], LinkConfig::core(SimDuration::from_millis(5)));

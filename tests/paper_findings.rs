@@ -22,7 +22,10 @@ fn finding_initiator_near_server_costs_80ms_cross_country() {
     let ft_e = t.col(Provider::FaceTime, "E").unwrap();
     let ft_w = t.col(Provider::FaceTime, "W").unwrap();
     let worst = t.mean_ms(0, ft_e).max(t.mean_ms(2, ft_w));
-    assert!((55.0..95.0).contains(&worst), "worst cross-country {worst} ms");
+    assert!(
+        (55.0..95.0).contains(&worst),
+        "worst cross-country {worst} ms"
+    );
 }
 
 /// "Only FaceTime offers a truly immersive telepresence experience with
@@ -104,12 +107,8 @@ fn finding_p2p_exception_for_spatial() {
     let sf = cities::by_name("San Francisco, CA").unwrap();
     let nyc = cities::by_name("New York, NY").unwrap();
     let topology = |provider, peer| {
-        let mut cfg = SessionConfig::two_party(
-            provider,
-            (DeviceKind::VisionPro, sf),
-            (peer, nyc),
-            37,
-        );
+        let mut cfg =
+            SessionConfig::two_party(provider, (DeviceKind::VisionPro, sf), (peer, nyc), 37);
         cfg.duration = SimDuration::from_secs(3);
         SessionRunner::new(cfg).run().topology
     };

@@ -6,7 +6,9 @@ use visionsim::core::rng::SimRng;
 use visionsim::mesh::geometry::Vec3;
 use visionsim::render::camera::Viewer;
 use visionsim::render::cost::CostModel;
-use visionsim::render::visibility::{LodClass, PersonaInstance, VisibilityFlags, VisibilityPipeline};
+use visionsim::render::visibility::{
+    LodClass, PersonaInstance, VisibilityFlags, VisibilityPipeline,
+};
 
 const CASES: u64 = 256;
 
@@ -51,7 +53,8 @@ fn flags_are_monotone() {
         let viewer = Viewer::looking(Vec3::ZERO, forward).with_gaze(gaze);
         let persona = [PersonaInstance::paper_ladder(pos)];
         let none = VisibilityPipeline::new(VisibilityFlags::none()).evaluate(&viewer, &persona);
-        let all = VisibilityPipeline::new(VisibilityFlags::vision_pro()).evaluate(&viewer, &persona);
+        let all =
+            VisibilityPipeline::new(VisibilityFlags::vision_pro()).evaluate(&viewer, &persona);
         assert!(all[0].triangles <= none[0].triangles);
         assert_eq!(none[0].class, LodClass::Full);
     }

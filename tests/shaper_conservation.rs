@@ -39,7 +39,12 @@ fn check_links(net: &mut Network, now: SimTime, links: &[LinkId], seed: u64) {
         let (admitted, dropped, queued, limit) = {
             let sh = net.shaper_mut(lid).expect("link is shaped");
             let queued = sh.queued_bytes(now);
-            (sh.admitted_bytes, sh.dropped_bytes, queued, sh.limit_bytes())
+            (
+                sh.admitted_bytes,
+                sh.dropped_bytes,
+                queued,
+                sh.limit_bytes(),
+            )
         };
         // Serializer-level queue drops never reach the shaper; everything
         // else was admitted or dropped by the shaper's finite queue.
@@ -128,8 +133,14 @@ fn run_scenario(seed: u64) {
     net.run_until(end);
     check_links(&mut net, end, &shaped_links, seed);
     let s = net.link_stats(shaped);
-    assert_eq!(s.in_flight_bytes, 0, "seed {seed}: bytes stranded in flight");
-    let queued = net.shaper_mut(shaped).expect("uplink is shaped").queued_bytes(end);
+    assert_eq!(
+        s.in_flight_bytes, 0,
+        "seed {seed}: bytes stranded in flight"
+    );
+    let queued = net
+        .shaper_mut(shaped)
+        .expect("uplink is shaped")
+        .queued_bytes(end);
     assert_eq!(queued, 0, "seed {seed}: bytes stranded in the shaper queue");
     // The scenario is calibrated to overload: the property is vacuous if
     // nothing ever dropped.
