@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== format =="
+# The whole workspace is rustfmt-clean; perfbench/ is a separate
+# workspace and is not checked here.
+cargo fmt --all -- --check
+
 echo "== build (release) =="
 cargo build --release --workspace
 

@@ -2,11 +2,16 @@
 //!
 //! * `event_queue/hold` — pop the earliest event, then schedule one at the
 //!   popped time plus a seeded delay, holding the queue at a steady
-//!   [`PENDING`] events. The depth is `video_sfu`'s mean pending depth
-//!   (its maximum is about 3,400), and the 0.03–40 ms delays span a
-//!   serialization slot on a fast link up to a long WAN path, so the key
-//!   order the heap sees resembles the packet datapath's. One element is
-//!   one hold: a pop plus a schedule.
+//!   [`PENDING`] events. It times the plain path only (`schedule`, and a
+//!   `pop` of a plain entry): its random delays have no per-source order a
+//!   FIFO lane could use, and the plain path is what `vca::fleet`
+//!   schedules on. One element is one hold: a pop plus a schedule.
+//!
+//! [`PENDING`] no longer describes the packet datapath's heap. It was
+//! `video_sfu`'s mean count of pending link exits while each of them sat
+//! in the heap; each link is now a FIFO lane, so that heap holds about 19
+//! entries, one per busy link. The 0.03–40 ms delays span a serialization
+//! slot on a fast link up to a long WAN path.
 
 use visionsim_bench::{criterion_group, criterion_main, Criterion, Throughput};
 use visionsim_core::event::EventQueue;

@@ -22,4 +22,4 @@ pub mod range;
 pub mod rans;
 pub mod varint;
 
-pub use lzma_like::{compress, decompress};
+pub use lzma_like::{compress, compress_into, decompress};

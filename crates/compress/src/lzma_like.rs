@@ -51,12 +51,20 @@ fn literal_context(prev: u8) -> usize {
 /// Compress `data`. The empty input encodes to a 1-byte stream.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    varint::write_u64(&mut out, data.len() as u64);
+    compress_into(data, &mut out);
+    out
+}
+
+/// Compress `data`, appending the stream to `out`: a caller that frames
+/// the stream (a tag byte in front, say) gets it without another copy.
+pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
+    varint::write_u64(out, data.len() as u64);
     if data.is_empty() {
-        return out;
+        return;
     }
     let tokens = lz77::tokenize(data);
-    let mut enc = RangeEncoder::new();
+    // The coder appends to `out` itself and hands it back on `finish`.
+    let mut enc = RangeEncoder::appending_to(std::mem::take(out));
     let mut models = Models::new();
     let mut prev_byte: u8 = 0;
     let mut pos = 0usize;
@@ -83,8 +91,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
             }
         }
     }
-    out.extend_from_slice(&enc.finish());
-    out
+    *out = enc.finish();
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -167,6 +174,16 @@ mod tests {
         round_trip(b"x");
         round_trip(b"ab");
         round_trip(b"hello, world");
+    }
+
+    #[test]
+    fn compress_into_appends_the_stream_after_what_out_holds() {
+        for data in [&b""[..], b"x", &b"spatial persona ".repeat(40)] {
+            let mut out = vec![0xA5, 0x5A];
+            compress_into(data, &mut out);
+            assert_eq!(out[..2], [0xA5, 0x5A]);
+            assert_eq!(out[2..], compress(data)[..]);
+        }
     }
 
     #[test]

@@ -82,12 +82,18 @@ impl Default for RangeEncoder {
 impl RangeEncoder {
     /// A fresh encoder.
     pub fn new() -> Self {
+        Self::appending_to(Vec::new())
+    }
+
+    /// A fresh encoder whose bytes follow those already in `out`;
+    /// [`finish`](Self::finish) returns `out` with them appended.
+    pub(crate) fn appending_to(out: Vec<u8>) -> Self {
         RangeEncoder {
             low: 0,
             range: u32::MAX,
             cache: 0,
             cache_size: 1,
-            out: Vec::new(),
+            out,
         }
     }
 
@@ -190,7 +196,8 @@ impl RangeEncoder {
         (self.low, self.range) = (low, range);
     }
 
-    /// Flush and return the encoded bytes.
+    /// Flush and return the encoded bytes (after any the encoder was
+    /// created to append to).
     pub fn finish(mut self) -> Vec<u8> {
         let mut low = self.low;
         for _ in 0..5 {

@@ -20,7 +20,11 @@
 //!   per-event clone of the link list;
 //! * in-flight packets live in a slab (`flights` + LIFO free list) and an
 //!   [`EventQueue`] event's payload is just the `u32` slot index, so a heap
-//!   entry is 32 bytes and a sift never moves a packet.
+//!   entry is 32 bytes and a sift never moves a packet;
+//! * each link is a FIFO lane of the queue
+//!   ([`EventQueue::schedule_fifo`]): a link's exits wait in order behind
+//!   one heap entry, so the heap holds one entry per busy link rather than
+//!   one per packet in flight.
 //!
 //! Forwarding a warmed-up packet one hop performs no heap allocation (the
 //! `alloc_gate` integration test pins this with a counting allocator, and
@@ -29,12 +33,24 @@
 //! # One event per packet-hop
 //!
 //! Every admitted packet schedules one queue event, at the instant it
-//! leaves the link it is crossing; the event's payload is its flight
-//! slot. Same-instant exits pop in schedule order, which is the
-//! per-packet order. `run_until` pops one due exit at a time and
-//! processes it before popping the next. The root `batch_equiv` test
-//! checks the result against a reference model that shares no admission,
-//! exit or queueing code with [`Network`].
+//! leaves the link it is crossing, on that link's lane; the event's
+//! payload is its flight slot. A link almost always releases packets in
+//! the order it admitted them, and an exit that would overtake one
+//! already pending on its link enters the heap as a plain event, so the
+//! lanes never change the pop order. Same-instant exits pop in schedule
+//! order, which is the per-packet order. `run_until` pops one due exit at
+//! a time and processes it before popping the next. The root
+//! `batch_equiv` test checks the result against a reference model that
+//! shares no admission, exit or queueing code with [`Network`].
+//!
+//! # Metrics
+//!
+//! The network-wide counters (`net/link_packets_sent`, `net/link_bytes_sent`,
+//! `net/link_bytes_exited`, `net/packets_dropped`) and gauges
+//! (`net/in_flight_bytes`, `net/queue_depth`) are derived from the links'
+//! [`crate::link::LinkStats`], the drop count and the queue length, and
+//! published as deltas at the end of every [`Network::run_until`] and when
+//! the network drops, so no packet-hop touches a process-wide atomic.
 
 use crate::link::{LinkConfig, LinkId, LinkState};
 use crate::packet::{Packet, PortPair};
@@ -57,11 +73,12 @@ use visionsim_geo::geodb::{GeoDb, NetAddr};
 pub const PER_HOP_ALLOC_BUDGET: usize = 1;
 
 /// Cached handles into the metrics registry, aggregated across every
-/// [`Network`] instance in the process. Counter sites mirror the
-/// [`crate::link::LinkStats`] bookkeeping exactly, so the process-wide
-/// totals satisfy the same conservation identity the sanitizer checks:
-/// `link_bytes_sent == link_bytes_exited` once all traffic has drained
-/// (`net/in_flight_bytes` holds the residual).
+/// [`Network`] instance in the process. Each network publishes deltas of
+/// its [`NetTotals`], which sum the [`crate::link::LinkStats`]
+/// bookkeeping, so the process-wide totals satisfy the same conservation
+/// identity the sanitizer checks: `link_bytes_sent == link_bytes_exited`
+/// once all traffic has drained (`net/in_flight_bytes` holds the
+/// residual).
 ///
 /// Everything here is [`Class::Sim`]: pure functions of the seeds, updated
 /// via commutative atomic adds, so the totals are identical at any worker
@@ -72,8 +89,7 @@ struct NetMetrics {
     link_bytes_exited: metrics::Counter,
     packets_dropped: metrics::Counter,
     in_flight_bytes: metrics::Gauge,
-    /// Pending link exits: up by one per scheduled exit, down by the
-    /// exits each `run_until` call moved, once per call.
+    /// Pending link exits as of each network's last publication.
     queue_depth: metrics::Gauge,
     /// `run_until` calls that moved at least one link exit.
     batch_drains: metrics::Counter,
@@ -89,14 +105,25 @@ fn net_metrics() -> &'static NetMetrics {
         link_bytes_sent: metrics::counter("net/link_bytes_sent", Class::Sim),
         link_bytes_exited: metrics::counter("net/link_bytes_exited", Class::Sim),
         packets_dropped: metrics::counter("net/packets_dropped", Class::Sim),
-        // Scheduled-minus-drained event depth; deltas commute, so the
-        // gauge stays deterministic across thread counts (a `set` of the
-        // local queue length would not — last writer would win).
+        // Networks add deltas of their own levels; deltas commute, so the
+        // gauges stay deterministic across thread counts (a `set` of one
+        // network's level would not — last writer would win).
         in_flight_bytes: metrics::gauge("net/in_flight_bytes", Class::Sim),
         queue_depth: metrics::gauge("net/queue_depth", Class::Sim),
         batch_drains: metrics::counter("net/batch_drains", Class::Sim),
         batch_size: metrics::histogram("net/batch_size", Class::Sim),
     })
+}
+
+/// One network's contribution to the [`NetMetrics`] counters and gauges.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct NetTotals {
+    packets_sent: u64,
+    bytes_sent: u64,
+    bytes_exited: u64,
+    in_flight_bytes: u64,
+    dropped: u64,
+    queue_depth: u64,
 }
 
 /// Identifier of a node.
@@ -188,8 +215,8 @@ pub struct Network {
     links: Vec<LinkState>,
     /// Outgoing link ids per node.
     adjacency: Vec<Vec<LinkId>>,
-    /// One pending link exit per in-flight packet; the payload is its
-    /// flight slot.
+    /// One pending link exit per in-flight packet, on the lane of the
+    /// link it is crossing; the payload is its flight slot.
     queue: EventQueue<u32>,
     route_cache: RouteCache,
     /// Interned routes, referenced by index from flights and the caches.
@@ -209,6 +236,8 @@ pub struct Network {
     rng: SimRng,
     next_seq: u64,
     dropped: u64,
+    /// The totals last added to the process-wide net metrics.
+    published: NetTotals,
 }
 
 impl Network {
@@ -229,6 +258,7 @@ impl Network {
             rng: SimRng::seed_from_u64(seed),
             next_seq: 0,
             dropped: 0,
+            published: NetTotals::default(),
         }
     }
 
@@ -614,7 +644,7 @@ impl Network {
         if link.is_passthrough() {
             let exit = now + link.config.delay + link.config.netem.extra_delay;
             self.count_sent(lid, size.as_bytes());
-            self.schedule_exit(exit, slot);
+            self.schedule_exit(lid, exit, slot);
             return true;
         }
         self.admit_impaired(now, slot, size, lid)
@@ -632,7 +662,7 @@ impl Network {
             Some(delay) => {
                 let exit = serialized + link.config.delay + delay;
                 self.count_sent(lid, size.as_bytes());
-                self.schedule_exit(exit, slot);
+                self.schedule_exit(lid, exit, slot);
                 true
             }
             None => {
@@ -653,14 +683,6 @@ impl Network {
         stats.bytes += bytes;
         stats.in_flight += 1;
         stats.in_flight_bytes += bytes;
-        // One capture-state load gates the whole block: the registry
-        // lookup and per-counter checks are off the disabled path.
-        if metrics::enabled() {
-            let metrics = net_metrics();
-            metrics.link_packets_sent.inc();
-            metrics.link_bytes_sent.add(bytes);
-            metrics.in_flight_bytes.add(bytes as i64);
-        }
     }
 
     /// Count a dropped flight network-wide, release its slot, and trace
@@ -669,7 +691,6 @@ impl Network {
     /// their size; netem drops trace zero.
     fn drop_flight(&mut self, kind: TraceKind, now: SimTime, lid: LinkId, slot: u32, detail: u64) {
         self.dropped += 1;
-        net_metrics().packets_dropped.inc();
         let flight = self.free_flight(slot);
         if trace::enabled() {
             trace::record(
@@ -683,14 +704,11 @@ impl Network {
         }
     }
 
-    /// Schedule the exit of the flight in `slot` from the link it is
-    /// crossing.
+    /// Schedule the exit of the flight in `slot` from link `lid`, on the
+    /// link's lane.
     #[inline]
-    fn schedule_exit(&mut self, at: SimTime, slot: u32) {
-        self.queue.schedule(at, slot);
-        if metrics::enabled() {
-            net_metrics().queue_depth.add(1);
-        }
+    fn schedule_exit(&mut self, lid: LinkId, at: SimTime, slot: u32) {
+        self.queue.schedule_fifo(lid.0, at, slot);
     }
 
     /// Advance the simulation to `until`, processing all traffic events.
@@ -704,11 +722,13 @@ impl Network {
             self.process_exit(ev.at, ev.payload);
             exits += 1;
         }
-        if exits > 0 && metrics::enabled() {
-            let metrics = net_metrics();
-            metrics.batch_drains.inc();
-            metrics.batch_size.observe(exits);
-            metrics.queue_depth.add(-(exits as i64));
+        if metrics::enabled() {
+            if exits > 0 {
+                let metrics = net_metrics();
+                metrics.batch_drains.inc();
+                metrics.batch_size.observe(exits);
+            }
+            self.publish_metrics();
         }
         // Advance the clock even if idle: a bare clock move.
         if self.queue.now() < until {
@@ -792,11 +812,6 @@ impl Network {
         link.stats.exited_bytes += bytes;
         link.stats.in_flight -= 1;
         link.stats.in_flight_bytes -= bytes;
-        if metrics::enabled() {
-            let m = net_metrics();
-            m.link_bytes_exited.add(bytes);
-            m.in_flight_bytes.add(-(bytes as i64));
-        }
     }
 
     /// Move the flight in `slot` into `node`'s inbox at `at`, releasing
@@ -828,6 +843,43 @@ impl Network {
         });
     }
 
+    /// This network's current [`NetTotals`].
+    fn totals(&self) -> NetTotals {
+        let mut t = NetTotals {
+            dropped: self.dropped,
+            queue_depth: self.queue.len() as u64,
+            ..NetTotals::default()
+        };
+        for link in &self.links {
+            let s = &link.stats;
+            t.packets_sent += s.sent;
+            t.bytes_sent += s.bytes;
+            t.bytes_exited += s.exited_bytes;
+            t.in_flight_bytes += s.in_flight_bytes;
+        }
+        t
+    }
+
+    /// Add what changed since the last publication to the process-wide
+    /// net metrics. A network that has carried nothing publishes nothing,
+    /// so it registers no metric either.
+    fn publish_metrics(&mut self) {
+        let now = self.totals();
+        let was = std::mem::replace(&mut self.published, now);
+        if now == was {
+            return;
+        }
+        let m = net_metrics();
+        m.link_packets_sent.add(now.packets_sent - was.packets_sent);
+        m.link_bytes_sent.add(now.bytes_sent - was.bytes_sent);
+        m.link_bytes_exited.add(now.bytes_exited - was.bytes_exited);
+        m.packets_dropped.add(now.dropped - was.dropped);
+        m.in_flight_bytes
+            .add(now.in_flight_bytes as i64 - was.in_flight_bytes as i64);
+        m.queue_depth
+            .add(now.queue_depth as i64 - was.queue_depth as i64);
+    }
+
     /// Drain the inbox of `node`.
     pub fn poll_delivered(&mut self, node: NodeId) -> Vec<Delivered> {
         self.nodes[node.0].inbox.drain(..).collect()
@@ -836,6 +888,16 @@ impl Network {
     /// Number of packets waiting in `node`'s inbox.
     pub fn inbox_len(&self, node: NodeId) -> usize {
         self.nodes[node.0].inbox.len()
+    }
+}
+
+/// Publishes what the network did since its last `run_until`: sends and
+/// drops after the last drain, and the traffic still in flight.
+impl Drop for Network {
+    fn drop(&mut self) {
+        if metrics::enabled() {
+            self.publish_metrics();
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! the next keyframe) — quantifying why a production system would not
 //! choose it for this workload.
 
-use visionsim_compress::{compress, decompress};
+use visionsim_compress::{compress_into, decompress};
 use visionsim_core::units::DataRate;
 use visionsim_sensor::keypoints::KeypointFrame;
 
@@ -131,7 +131,7 @@ impl SemanticCodec {
         let payload = match self.config.mode {
             CodecMode::Absolute => {
                 let mut out = vec![TAG_ABSOLUTE];
-                out.extend_from_slice(&compress(&frame.to_bytes()));
+                compress_into(&frame.to_bytes(), &mut out);
                 out
             }
             CodecMode::Delta {
@@ -154,7 +154,7 @@ impl SemanticCodec {
                 }
                 self.enc_ref = Some(q);
                 let mut out = vec![if keyframe { TAG_DELTA_KEY } else { TAG_DELTA }];
-                out.extend_from_slice(&compress(&raw));
+                compress_into(&raw, &mut out);
                 out
             }
         };

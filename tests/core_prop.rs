@@ -123,10 +123,32 @@ impl QueueModel {
     }
 }
 
-/// Schedule `payload` at `at` on both the queue and its model.
-fn schedule_both(q: &mut EventQueue<u64>, m: &mut QueueModel, at: SimTime, payload: u64) {
-    q.schedule(at, payload);
+/// Schedule `payload` at `at` on both the queue, through FIFO `lane`
+/// when there is one, and its model, which has no lanes: a lane must not
+/// change when an event pops.
+fn schedule_both(
+    q: &mut EventQueue<u64>,
+    m: &mut QueueModel,
+    lane: Option<usize>,
+    at: SimTime,
+    payload: u64,
+) {
+    match lane {
+        Some(lane) => q.schedule_fifo(lane, at, payload),
+        None => q.schedule(at, payload),
+    }
     m.schedule(at, payload);
+}
+
+/// Lanes the oracle schedules on; few, so each fills, drains and refills.
+const ORACLE_LANES: usize = 4;
+
+/// A FIFO lane for two thirds of the events, else the plain path.
+fn lane(rng: &mut SimRng) -> Option<usize> {
+    match rng.uniform_u64(0, 2) {
+        0 => None,
+        _ => Some(rng.uniform_u64(0, ORACLE_LANES as u64 - 1) as usize),
+    }
 }
 
 /// An instant at or after `now`: mostly a few microseconds ahead, so
@@ -143,20 +165,29 @@ fn instant(rng: &mut SimRng, now: SimTime) -> SimTime {
 }
 
 /// The event queue matches its `BTreeMap` reference model: interleaved
-/// `schedule` (same-instant bursts, `at == now`, far-future and end-of-time
-/// events), `pop`, loops of `pop_due` (horizons below, at and above the
-/// next event and at the end of time, with handlers rescheduling at their
-/// own instant, which must pop after every event already pending there),
-/// `peek_time`, `advance_to` and `len`, with every popped `(at, seq,
-/// payload)` compared. Payloads are unique and unordered with respect to
-/// `seq`, so pop order among same-instant events must be the FIFO `seq`
-/// order, not an order of payloads.
+/// `schedule` and `schedule_fifo` (same-instant bursts, `at == now`,
+/// far-future and end-of-time events), `pop`, loops of `pop_due` (horizons
+/// below, at and above the next event and at the end of time, with
+/// handlers rescheduling at their own instant, which must pop after every
+/// event already pending there), `peek_time`, `advance_to` and `len`, with
+/// every popped `(at, seq, payload)` compared. Payloads are unique and
+/// unordered with respect to `seq`, so pop order among same-instant events
+/// must be the FIFO `seq` order, not an order of payloads.
+///
+/// Two thirds of the events go through one of [`ORACLE_LANES`] FIFO lanes.
+/// Most of those follow the last instant scheduled on their lane, as a
+/// link's exits do (same-instant bursts included), and the rest land at a
+/// random instant, often earlier than the lane's last event, which must
+/// skip the lane. A `pop_due` loop to the end of time empties every lane,
+/// and later events refill them.
 #[test]
 fn event_queue_matches_the_reference_model() {
     for i in 0..CASES {
         let mut rng = case_rng("event_queue_oracle", i);
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut m = QueueModel::default();
+        // The last instant scheduled on each lane, pending or not.
+        let mut lane_last = [SimTime::ZERO; ORACLE_LANES];
         let mut scheduled = 0u64;
         // An odd multiplier is a bijection on u64: unique, scrambled payloads.
         let mut payload = || {
@@ -166,14 +197,26 @@ fn event_queue_matches_the_reference_model() {
         for _ in 0..rng.uniform_u64(50, 800) {
             match rng.uniform_u64(0, 9) {
                 0..=3 => {
-                    let at = instant(&mut rng, m.now);
+                    let lane = lane(&mut rng);
+                    let mut at = instant(&mut rng, m.now);
+                    if let Some(l) = lane.filter(|_| rng.chance(0.6)) {
+                        // In order behind the lane's last instant.
+                        at = lane_last[l]
+                            .max(m.now)
+                            .saturating_add(SimDuration::from_nanos(
+                                rng.uniform_u64(0, 1) * rng.uniform_u64(0, 5_000),
+                            ));
+                    }
                     let burst = if rng.chance(0.3) {
                         rng.uniform_u64(2, 12)
                     } else {
                         1
                     };
                     for _ in 0..burst {
-                        schedule_both(&mut q, &mut m, at, payload());
+                        schedule_both(&mut q, &mut m, lane, at, payload());
+                    }
+                    if let Some(l) = lane {
+                        lane_last[l] = at;
                     }
                 }
                 4 => {
@@ -200,7 +243,11 @@ fn event_queue_matches_the_reference_model() {
                         let Some((at, _, _)) = want else { break };
                         if rng.chance(0.25) {
                             // A handler rescheduling at its own instant.
-                            schedule_both(&mut q, &mut m, at, payload());
+                            let lane = lane(&mut rng);
+                            schedule_both(&mut q, &mut m, lane, at, payload());
+                            if let Some(l) = lane {
+                                lane_last[l] = at;
+                            }
                         }
                     }
                 }

@@ -134,3 +134,81 @@ fn storm_metrics_count_every_reconnect_the_drills_report() {
     metrics::force(None);
     metrics::reset();
 }
+
+/// The network publishes its counters and gauges as deltas of its own
+/// link stats, drop count and queue length: after a `run_until` they
+/// match the network's state, and what it did after its last drain is
+/// published when it drops.
+#[test]
+fn net_metrics_match_the_link_stats_after_a_drain_and_at_drop() {
+    use visionsim::core::time::{SimDuration, SimTime};
+    use visionsim::geo::coords::GeoPoint;
+    use visionsim::net::link::{LinkConfig, LinkId, LinkStats};
+    use visionsim::net::network::Network;
+    use visionsim::net::packet::PortPair;
+
+    let _guard = par::override_guard();
+    metrics::force(Some(true));
+    metrics::reset();
+
+    let mut net = Network::new(7);
+    let a = net.add_node("a", "t", GeoPoint::new(37.77, -122.42));
+    let r = net.add_node("r", "t", GeoPoint::new(41.88, -87.63));
+    let b = net.add_node("b", "t", GeoPoint::new(40.71, -74.01));
+    net.add_duplex(a, r, LinkConfig::core(SimDuration::from_millis(10)));
+    net.add_duplex(r, b, LinkConfig::core(SimDuration::from_millis(5)));
+    net.netem_mut(LinkId(0)).loss = 0.2;
+    net.netem_mut(LinkId(0)).jitter = SimDuration::from_millis(2);
+    let send = |net: &mut Network, n: usize| {
+        for k in 0..n {
+            net.send(a, b, PortPair::new(1, 2), vec![k as u8; 100 + k]);
+        }
+    };
+    // What each published metric should read: the four links' stats, the
+    // drop count, and one pending exit per packet in flight.
+    let expected = |net: &Network| {
+        let stats: Vec<_> = (0..4).map(|i| net.link_stats(LinkId(i))).collect();
+        let sum = |f: fn(&LinkStats) -> u64| stats.iter().map(f).sum::<u64>();
+        (
+            sum(|s| s.sent),
+            sum(|s| s.bytes),
+            sum(|s| s.exited_bytes),
+            net.total_dropped(),
+            sum(|s| s.in_flight_bytes) as i64,
+            sum(|s| s.in_flight) as i64,
+        )
+    };
+    let published = || {
+        let c = |name| metrics::counter_value(name).unwrap_or(0);
+        let g = |name| metrics::gauge_value(name).unwrap_or(0);
+        (
+            c("net/link_packets_sent"),
+            c("net/link_bytes_sent"),
+            c("net/link_bytes_exited"),
+            c("net/packets_dropped"),
+            g("net/in_flight_bytes"),
+            g("net/queue_depth"),
+        )
+    };
+
+    send(&mut net, 60);
+    // Part way: some packets have crossed the first link, some are on it.
+    net.run_until(SimTime::from_millis(11));
+    let mid = expected(&net);
+    assert!(
+        mid.2 > 0 && mid.5 > 0,
+        "the drain should stop mid-flight: {mid:?}"
+    );
+    assert!(mid.3 > 0, "20 % loss never fired");
+    assert_eq!(published(), mid, "after run_until");
+
+    // Sends after the last drain reach the registry when the network drops.
+    send(&mut net, 40);
+    let last = expected(&net);
+    assert_ne!(last, mid);
+    drop(net);
+    assert_eq!(published(), last, "at drop");
+
+    metrics::force(None);
+    metrics::reset();
+}
