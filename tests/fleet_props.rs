@@ -14,6 +14,10 @@
 //! 3. **Engine edges** — zero lookahead is rejected, an idle engine runs
 //!    no round, and a panicking shard unwinds to the caller with its own
 //!    payload.
+//! 4. **Pinned bytes** — the rendered fleet hashes to recorded FNV-1a 64
+//!    checksums, for the smoke fleet and for smoke fleets whose sessions
+//!    live shorter than a backbone round trip, so late attach
+//!    acknowledgements meet sessions that already departed.
 //!
 //! Tests that force the sanitizer or the thread count take
 //! `par::override_guard`, so those process-global overrides are never
@@ -28,14 +32,19 @@ use visionsim::experiments::fleet::{run_with, Fleet};
 use visionsim::experiments::harness::fnv1a64;
 use visionsim::vca::fleet::FleetConfig;
 
+/// Render a fleet configuration with the artifact's formatting.
+fn render(cfg: &FleetConfig, shards: usize) -> String {
+    let fleet = Fleet {
+        outcome: run_with(cfg, shards),
+        floors: (0, 0),
+    };
+    format!("{fleet}")
+}
+
 /// Render the smoke-scale fleet artifact at a given shard count and
 /// digest the bytes.
 fn digest(seed: u64, shards: usize) -> u64 {
-    let fleet = Fleet {
-        outcome: run_with(&FleetConfig::smoke(seed), shards),
-        floors: (0, 0),
-    };
-    fnv1a64(format!("{fleet}").as_bytes())
+    fnv1a64(render(&FleetConfig::smoke(seed), shards).as_bytes())
 }
 
 #[test]
@@ -78,6 +87,70 @@ fn causality_and_conservation_hold_under_the_sanitizer() {
         violations, 0,
         "sanitizer recorded causality/conservation violations: {detail:?}"
     );
+}
+
+/// The configurations under checksum: the smoke fleet at two seeds, then
+/// smoke fleets at three seeds whose lifetimes (1–5 ms floor, 40–400 ms
+/// mean) undercut the backbone round trip and whose rosters are mostly
+/// remote. There, most attach acknowledgements reach a home site after
+/// their session departed, the compensating `Detach` runs, and departed
+/// sessions' table slots are taken by new ones before their late
+/// acknowledgements land.
+fn pinned_configs() -> Vec<(String, FleetConfig)> {
+    let mut configs: Vec<(String, FleetConfig)> = [2024, 61]
+        .into_iter()
+        .map(|seed| (format!("smoke/{seed}"), FleetConfig::smoke(seed)))
+        .collect();
+    for seed in [1u64, 2, 3] {
+        for (min_ms, mean_ms) in [(1u64, 40u64), (2, 120), (5, 400)] {
+            let mut cfg = FleetConfig::smoke(seed);
+            cfg.min_lifetime = SimDuration::from_millis(min_ms);
+            cfg.mean_lifetime = SimDuration::from_millis(mean_ms);
+            cfg.remote_prob = 0.9;
+            configs.push((format!("short/{seed}/{min_ms}-{mean_ms}ms"), cfg));
+        }
+    }
+    configs
+}
+
+/// FNV-1a 64 of each rendered configuration, recorded before the
+/// per-site session table became a generational slab.
+///
+/// To re-record after an *intentional* output change, run with
+/// `GOLDEN_PRINT=1` and paste the printed table:
+///
+/// ```sh
+/// GOLDEN_PRINT=1 cargo test --test fleet_props -- --nocapture
+/// ```
+const FLEET_GOLDEN: [(&str, u64); 11] = [
+    ("smoke/2024", 0xc24913c702b82579),      // 2165 bytes
+    ("smoke/61", 0x24faf2c458974def),        // 2165 bytes
+    ("short/1/1-40ms", 0x98334b375e00a735),  // 2130 bytes
+    ("short/1/2-120ms", 0xc368f97a024da2b0), // 2130 bytes
+    ("short/1/5-400ms", 0x5676711ed98484ac), // 2138 bytes
+    ("short/2/1-40ms", 0x8dddf775e2ce33a1),  // 2129 bytes
+    ("short/2/2-120ms", 0xb1eb7864422d9d1d), // 2130 bytes
+    ("short/2/5-400ms", 0x95bcc7f2b8ffbd0d), // 2142 bytes
+    ("short/3/1-40ms", 0x5ba1fc69dec4acba),  // 2130 bytes
+    ("short/3/2-120ms", 0x3af113d0b48e7df7), // 2130 bytes
+    ("short/3/5-400ms", 0x27729e0f07b3aeb1), // 2140 bytes
+];
+
+#[test]
+fn fleet_bytes_match_golden_checksums() {
+    let print = std::env::var_os("GOLDEN_PRINT").is_some();
+    let configs = pinned_configs();
+    assert_eq!(configs.len(), FLEET_GOLDEN.len());
+    for ((name, cfg), (gname, golden)) in configs.iter().zip(FLEET_GOLDEN) {
+        let text = render(cfg, 4);
+        let got = fnv1a64(text.as_bytes());
+        if print {
+            println!("    (\"{name}\", 0x{got:016x}), // {} bytes", text.len());
+            continue;
+        }
+        assert_eq!(name, gname);
+        assert_eq!(got, golden, "{name}: rendered fleet bytes changed");
+    }
 }
 
 /// Toy world: sites pass a token around a ring with a fixed one-way
