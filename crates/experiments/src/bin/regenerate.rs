@@ -88,9 +88,19 @@ fn main() -> ExitCode {
 
     // Track the whole-run wall-clock trajectory in BENCH.json. Wall
     // class: no per_sec, so the ci.sh throughput gate ignores it;
-    // single-artifact, resumed, and failed runs record nothing.
+    // single-artifact, resumed, and failed runs record nothing, and so
+    // does a run into another artifact directory unless
+    // VISIONSIM_BENCH_JSON names the file.
     if ok && !resume && only.is_none() {
-        harness::record_wall_bench("regenerate/wall", total);
+        let bench_json = std::env::var_os("VISIONSIM_BENCH_JSON");
+        match harness::wall_bench_path(&cfg.dir, bench_json.as_deref()) {
+            Some(path) => harness::record_wall_bench(&path, "regenerate/wall", total),
+            None => println!(
+                "regenerate/wall not recorded: artifacts went to {}; \
+                 set VISIONSIM_BENCH_JSON to record it",
+                cfg.dir.display()
+            ),
+        }
     }
     println!("=== done in {total:.1}s ===");
 

@@ -24,6 +24,7 @@
 //! quarantine + resume path end-to-end.
 
 use crate::*;
+use std::ffi::OsStr;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -210,12 +211,36 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Where `regenerate` writes artifacts unless `VISIONSIM_ARTIFACT_DIR`
+/// says otherwise.
+const DEFAULT_ARTIFACT_DIR: &str = "artifacts";
+
+/// The `BENCH.json` at the root of the workspace this was built from.
+fn workspace_bench_json() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json")
+}
+
 /// Where `BENCH.json` lives: `$VISIONSIM_BENCH_JSON`, else the file at
 /// the workspace root.
 pub fn bench_json_path() -> PathBuf {
     match std::env::var_os("VISIONSIM_BENCH_JSON") {
         Some(p) => PathBuf::from(p),
-        None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json"),
+        None => workspace_bench_json(),
+    }
+}
+
+/// Where a full `regenerate` run that wrote its artifacts to
+/// `artifact_dir` records its wall time, given `$VISIONSIM_BENCH_JSON`
+/// as `bench_json`: the named file when it is set, else the workspace's
+/// `BENCH.json` for a run into the default `artifacts`. A run whose
+/// artifacts went elsewhere (a scratch directory, a CI temp dir) records
+/// nothing unless `bench_json` names the file, so it never rewrites the
+/// checkout's committed timings.
+pub fn wall_bench_path(artifact_dir: &Path, bench_json: Option<&OsStr>) -> Option<PathBuf> {
+    match bench_json {
+        Some(p) => Some(PathBuf::from(p)),
+        None if artifact_dir == Path::new(DEFAULT_ARTIFACT_DIR) => Some(workspace_bench_json()),
+        None => None,
     }
 }
 
@@ -268,20 +293,20 @@ pub fn merge_bench_json(path: &Path, entries: &[(String, String)]) -> Result<(),
     })
 }
 
-/// Merge one wall-clock timing entry into [`bench_json_path`]. The entry
+/// Merge one wall-clock timing entry into the `BENCH.json` at `path`
+/// (see [`wall_bench_path`]). The entry
 /// carries **no** `per_sec` field, which is what keeps it out of ci.sh's
 /// throughput regression gate — wall time of the whole run is a
 /// trajectory to watch, not a gated invariant.
 ///
 /// Failure is downgraded to a stderr warning: timings are a byproduct
 /// and must never fail a regeneration.
-pub fn record_wall_bench(name: &str, secs: f64) {
-    let path = bench_json_path();
+pub fn record_wall_bench(path: &Path, name: &str, secs: f64) {
     let ns = secs * 1e9;
     let object = format!(
         "{{\"min_ns\": {ns:.1}, \"mean_ns\": {ns:.1}, \"max_ns\": {ns:.1}, \"unit\": \"wall\"}}"
     );
-    if let Err(e) = merge_bench_json(&path, &[(name.to_string(), object)]) {
+    if let Err(e) = merge_bench_json(path, &[(name.to_string(), object)]) {
         eprintln!(
             "warning: could not record wall time in {}: {e}",
             path.display()
@@ -444,7 +469,7 @@ impl HarnessConfig {
             resume: false,
             dir: std::env::var("VISIONSIM_ARTIFACT_DIR")
                 .map(PathBuf::from)
-                .unwrap_or_else(|_| PathBuf::from("artifacts")),
+                .unwrap_or_else(|_| PathBuf::from(DEFAULT_ARTIFACT_DIR)),
             echo: true,
             only: None,
         }
@@ -682,6 +707,29 @@ mod tests {
         };
         let parsed = Manifest::from_json(&m.to_json()).expect("own json");
         assert_eq!(parsed, m);
+    }
+
+    #[test]
+    fn wall_time_is_recorded_only_where_the_run_was_told_to() {
+        let named = OsStr::new("/scratch/bench.json");
+        let default_dir = Path::new(DEFAULT_ARTIFACT_DIR);
+        let elsewhere = Path::new("/tmp/arts");
+        // A run into the default directory records in the workspace's
+        // BENCH.json, or in the named file.
+        assert_eq!(
+            wall_bench_path(default_dir, None),
+            Some(workspace_bench_json())
+        );
+        assert_eq!(
+            wall_bench_path(default_dir, Some(named)),
+            Some(PathBuf::from(named))
+        );
+        // A redirected run records only where it is told to.
+        assert_eq!(wall_bench_path(elsewhere, None), None);
+        assert_eq!(
+            wall_bench_path(elsewhere, Some(named)),
+            Some(PathBuf::from(named))
+        );
     }
 
     #[test]

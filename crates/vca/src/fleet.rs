@@ -24,6 +24,13 @@
 //! Each shard's queue holds 24-byte `Copy` events, and
 //! [`ShardWorld::advance`] pops one due event at a time
 //! ([`EventQueue::pop_due`]) and handles it before the next pop.
+//!
+//! Per-session bookkeeping is O(1) and allocates nothing once a site's
+//! containers reach their high-water marks: a site keeps its live
+//! sessions in a generational slab (`SessionSlab`), a session's roster
+//! is stored inline (at most `MAX_GROUP` users), and a departure that
+//! falls after the end of the run is never scheduled, since the engine
+//! would never pop it.
 
 use std::collections::BTreeMap;
 
@@ -139,13 +146,92 @@ enum FleetEvent {
     Msg { src: u32, dst: u32, msg: FleetMsg },
 }
 
+/// Largest roster a session draws; rosters hold 2 to `MAX_GROUP` users.
+const MAX_GROUP: usize = 8;
+
+/// One remote roster group: (site, count, admission verdict if known).
+type RemoteGroup = (u32, u32, Option<bool>);
+
 /// A live session's bookkeeping at its home site.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct SessionRec {
     arrived_at: SimTime,
     local: u32,
-    /// Remote roster groups: (site, count, admission verdict if known).
-    remote: Vec<(u32, u32, Option<bool>)>,
+    /// Remote roster groups, inline: the first `n_remote` entries are
+    /// live. Every roster member but the initiator may be remote.
+    remote: [RemoteGroup; MAX_GROUP - 1],
+    n_remote: u8,
+}
+
+impl SessionRec {
+    fn remote(&self) -> &[RemoteGroup] {
+        &self.remote[..self.n_remote as usize]
+    }
+
+    fn remote_mut(&mut self) -> &mut [RemoteGroup] {
+        &mut self.remote[..self.n_remote as usize]
+    }
+
+    /// Count one more remote member at `dst`, opening its group if new.
+    fn add_remote(&mut self, dst: u32) {
+        match self.remote_mut().iter_mut().find(|(s, _, _)| *s == dst) {
+            Some((_, c, _)) => *c += 1,
+            None => {
+                self.remote[self.n_remote as usize] = (dst, 1, None);
+                self.n_remote += 1;
+            }
+        }
+    }
+}
+
+/// A site's live sessions, keyed by session id with O(1) `insert`,
+/// `get_mut` and `remove`. Slots live in a `Vec` and are reused through
+/// a free list, so the slab holds no more slots than the site's peak of
+/// live sessions (at most `capacity.max_sessions`).
+///
+/// A session id packs its slot (low 32 bits) with the slot's generation
+/// (high 32 bits), which `remove` bumps. A late `AttachAck` still names
+/// its departed session's id after a new session took the slot over;
+/// the stale generation makes it miss, so the ack never touches the new
+/// session and the compensating `Detach` still runs.
+#[derive(Debug, Default)]
+struct SessionSlab {
+    /// Per slot: its current generation and the session it holds.
+    slots: Vec<(u32, Option<SessionRec>)>,
+    /// Vacant slots, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl SessionSlab {
+    fn insert(&mut self, rec: SessionRec) -> u64 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            (self.slots.len() - 1) as u32
+        });
+        let (gen, held) = &mut self.slots[slot as usize];
+        *held = Some(rec);
+        (*gen as u64) << 32 | slot as u64
+    }
+
+    /// The slot `id` names, if its generation is still `id`'s.
+    fn slot_mut(&mut self, id: u64) -> Option<&mut (u32, Option<SessionRec>)> {
+        self.slots
+            .get_mut(id as u32 as usize)
+            .filter(|(gen, _)| *gen == (id >> 32) as u32)
+    }
+
+    /// The live session `id` names, if its slot still holds it.
+    fn get_mut(&mut self, id: u64) -> Option<&mut SessionRec> {
+        self.slot_mut(id)?.1.as_mut()
+    }
+
+    fn remove(&mut self, id: u64) -> Option<SessionRec> {
+        let (gen, held) = self.slot_mut(id)?;
+        let rec = held.take()?;
+        *gen = gen.wrapping_add(1);
+        self.free.push(id as u32);
+        Some(rec)
+    }
 }
 
 /// One SFU site: RNG stream, occupancy, counters, join-latency record.
@@ -164,8 +250,7 @@ struct SiteCell {
 
     active_sessions: u32,
     attached: u32,
-    next_session: u64,
-    sessions: BTreeMap<u64, SessionRec>,
+    sessions: SessionSlab,
     join_ms: Percentiles,
 
     arrivals: u64,
@@ -204,8 +289,7 @@ impl SiteCell {
             end: SimTime::from_nanos(cfg.duration.as_nanos()),
             active_sessions: 0,
             attached: 0,
-            next_session: 0,
-            sessions: BTreeMap::new(),
+            sessions: SessionSlab::default(),
             join_ms: Percentiles::new(),
             arrivals: 0,
             admitted_sessions: 0,
@@ -267,10 +351,15 @@ impl SiteCell {
 
         // Draw the whole roster before the admission verdict so the RNG
         // stream is consumed identically on accept and reject.
-        let group = 2 + self.rng.index(7) as u32; // 2..=8 users
-        let mut local = 1u32; // the initiator is always local
-        let mut local_access = vec![self.access_rtt_ms()];
-        let mut remote: Vec<(u32, u32, Option<bool>)> = Vec::new();
+        let group = 2 + self.rng.index(MAX_GROUP - 1) as u32; // 2..=8 users
+        let mut rec = SessionRec {
+            arrived_at: at,
+            local: 1, // the initiator is always local
+            remote: [(0, 0, None); MAX_GROUP - 1],
+            n_remote: 0,
+        };
+        let mut local_access = [0.0; MAX_GROUP];
+        local_access[0] = self.access_rtt_ms();
         for _ in 1..group {
             if self.rng.chance(self.remote_prob) {
                 // Any other site, uniformly.
@@ -278,15 +367,13 @@ impl SiteCell {
                 if dst >= self.site {
                     dst += 1;
                 }
-                match remote.iter_mut().find(|(s, _, _)| *s == dst) {
-                    Some((_, c, _)) => *c += 1,
-                    None => remote.push((dst, 1, None)),
-                }
+                rec.add_remote(dst);
             } else {
-                local += 1;
-                local_access.push(self.access_rtt_ms());
+                local_access[rec.local as usize] = self.access_rtt_ms();
+                rec.local += 1;
             }
         }
+        let local = rec.local;
         let lifetime = SimDuration::from_nanos(self.min_lifetime.as_nanos().saturating_add(
             SimDuration::from_secs_f64(self.rng.exponential(self.mean_extra_life_s)).as_nanos(),
         ));
@@ -310,24 +397,15 @@ impl SiteCell {
         }
         self.active_sessions += 1;
         self.attach_local(local);
-        for ms in local_access {
+        for &ms in &local_access[..local as usize] {
             self.join_ms.push(ms);
         }
 
-        self.next_session += 1;
-        let session = (self.site as u64) << 40 | self.next_session;
-        for &(dst, count, _) in &remote {
+        let session = self.sessions.insert(rec);
+        for &(dst, count, _) in rec.remote() {
             self.egress
                 .send(at, dst, matrix, FleetMsg::Attach { session, count }, out);
         }
-        self.sessions.insert(
-            session,
-            SessionRec {
-                arrived_at: at,
-                local,
-                remote,
-            },
-        );
         (next_arrival, Some((session, at.saturating_add(lifetime))))
     }
 
@@ -338,7 +416,7 @@ impl SiteCell {
         matrix: &LinkMatrix,
         out: &mut Vec<Envelope<FleetMsg>>,
     ) {
-        let Some(rec) = self.sessions.remove(&session) else {
+        let Some(rec) = self.sessions.remove(session) else {
             sanitizer::report(
                 "fleet/participant_conservation",
                 format!(
@@ -356,7 +434,7 @@ impl SiteCell {
         self.active_sessions = self.active_sessions.saturating_sub(1);
         self.departed_sessions += 1;
         self.release(rec.local);
-        for (dst, count, verdict) in rec.remote {
+        for &(dst, count, verdict) in rec.remote() {
             // Unadmitted (or still-pending) remote groups hold no slots
             // at the remote site; a late AttachAck for a departed session
             // triggers the compensating Detach below instead.
@@ -399,10 +477,10 @@ impl SiteCell {
                 session,
                 count,
                 admitted,
-            } => match self.sessions.get_mut(&session) {
+            } => match self.sessions.get_mut(session) {
                 Some(rec) => {
                     if let Some(group) = rec
-                        .remote
+                        .remote_mut()
                         .iter_mut()
                         .find(|(s, c, v)| *s == src && *c == count && v.is_none())
                     {
@@ -539,9 +617,14 @@ impl FleetShard {
                     self.queue
                         .schedule(next_arrival, FleetEvent::Arrival { site });
                 }
+                // Like an arrival after `end`, a departure after it would
+                // never pop: leaving it out keeps the heap shallower and
+                // changes no order among the events that do pop.
                 if let Some((session, dep_at)) = departure {
-                    self.queue
-                        .schedule(dep_at, FleetEvent::Departure { site, session });
+                    if dep_at <= self.end {
+                        self.queue
+                            .schedule(dep_at, FleetEvent::Departure { site, session });
+                    }
                 }
             }
             FleetEvent::Departure { site, session } => {

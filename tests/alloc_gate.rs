@@ -34,6 +34,7 @@ use visionsim_geo::sites::Provider;
 use visionsim_net::link::LinkConfig;
 use visionsim_net::network::{Network, NodeId, PER_HOP_ALLOC_BUDGET};
 use visionsim_net::packet::PortPair;
+use visionsim_vca::fleet::{run_fleet, FleetConfig};
 use visionsim_vca::session::{ParticipantSpec, SessionConfig, SessionSim};
 
 /// Counts every heap allocation made by the process.
@@ -261,4 +262,45 @@ fn a_2d_sfu_call_allocates_less_than_once_per_tap_record() {
         "stepping the call allocated {stepping} times for {records} tap records; \
          a per-delivery copy is back in the 2D media path"
     );
+}
+
+/// A fleet run's flat allowance: shard worlds, the link matrix, the
+/// engine's mailboxes, per-site reports, and the doubling growth of every
+/// container a site reuses (event heaps, session slabs, join-latency and
+/// occupancy samples), which is logarithmic in what they hold. About
+/// twice what the smoke fleet measures (471 at seed 2024, 8 shards).
+const FLEET_SETUP_ALLOCS: usize = 1_000;
+
+/// Arrivals per allowed allocation beyond the flat allowance. Session
+/// bookkeeping reuses slab slots and keeps rosters inline, so no arrival,
+/// departure or backbone message allocates; one allocation per arrival
+/// (the smoke fleet sees 3,232) breaks the budget several times over.
+const FLEET_ARRIVALS_PER_ALLOC: usize = 16;
+
+#[test]
+fn a_fleet_run_allocates_a_flat_setup_plus_a_small_budget_per_arrival() {
+    let _guard = par::override_guard();
+    // The smoke fleet, and the benchmark's fleet: paper scale at a fifth
+    // of its arrival rates and capacities (about 80k arrivals).
+    let mut big = FleetConfig::paper_scale(2024);
+    big.base_arrival_hz /= 5.0;
+    big.capacity.max_sessions /= 5;
+    big.capacity.max_participants /= 5;
+    for (name, cfg) in [("smoke", FleetConfig::smoke(2024)), ("fifth-scale", big)] {
+        let before = allocations();
+        let out = run_fleet(&cfg, 8);
+        let allocs = allocations() - before;
+        let arrivals = out.sites.iter().map(|s| s.arrivals).sum::<u64>() as usize;
+        let budget = FLEET_SETUP_ALLOCS + arrivals / FLEET_ARRIVALS_PER_ALLOC;
+        eprintln!("{name} fleet: {allocs} allocations for {arrivals} arrivals (budget {budget})");
+        assert!(
+            arrivals > 1_000,
+            "the {name} fleet saw only {arrivals} arrivals"
+        );
+        assert!(
+            allocs <= budget,
+            "a {name} fleet run allocated {allocs} times for {arrivals} arrivals \
+             (budget {budget}); session bookkeeping allocates per session again"
+        );
+    }
 }

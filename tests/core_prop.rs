@@ -43,6 +43,47 @@ fn percentiles_monotone() {
     }
 }
 
+/// Percentiles sort their samples unstably; under `total_cmp` two values
+/// tie only when their bits are equal, so the sorted samples must match a
+/// stable sort bit for bit, whatever mix of repeats, signed zeros,
+/// infinities and NaN payloads `from_samples` hands in.
+#[test]
+fn percentiles_sort_is_bit_identical_to_a_stable_sort() {
+    let special = [
+        0.0,
+        -0.0,
+        1.5,
+        -1.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE / 4.0,
+        f64::from_bits(0x7ff8_0000_0000_0000),
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_0000_0000),
+        f64::from_bits(0xfff0_0000_dead_beef),
+    ];
+    for i in 0..CASES {
+        let mut rng = case_rng("percentiles_sort_bits", i);
+        let n = rng.uniform_u64(1, 300) as usize;
+        let samples: Vec<f64> = (0..n)
+            .map(|_| {
+                if rng.chance(0.5) {
+                    special[rng.index(special.len())]
+                } else {
+                    rng.uniform_range(-4.0, 4.0).round()
+                }
+            })
+            .collect();
+        let mut stable = samples.clone();
+        stable.sort_by(f64::total_cmp);
+        let mut p = Percentiles::from_samples(samples);
+        p.median();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(p.samples()), bits(&stable), "case {i}");
+    }
+}
+
 /// Welford streaming stats agree with the two-pass computation.
 #[test]
 fn streaming_stats_match_two_pass() {
