@@ -184,6 +184,27 @@ done
 test "$PINNED" -eq 17 || { echo "expected 17 committed artifacts, found $PINNED" >&2; exit 1; }
 rm -rf "$ARTDIR"
 
+echo "== semantic decode check at full scale, optimized build =="
+# An optimized build decodes keypoint frames only while the sanitizer
+# records: the decode's one reader is the observe-only semantic/decode
+# check. Run the two artifacts that carry the spatial calls with the
+# sanitizer on, so every frame a receiver completes is decoded, and fail
+# on any violation (regenerate still exits 0 when it reports one) or on
+# any byte that differs from the committed artifact.
+SANDIR=$(mktemp -d)
+for artifact in figure6 extensions; do
+  SAN_OUT=$(VISIONSIM_SANITIZE=1 VISIONSIM_ARTIFACT_DIR="$SANDIR" \
+    ./target/release/regenerate 2024 --only "$artifact")
+  if grep -q '^sanitizer:' <<< "$SAN_OUT"; then
+    echo "$artifact: sanitizer violations with the sanitizer on:" >&2
+    grep -A 20 '^sanitizer:' <<< "$SAN_OUT" >&2
+    exit 1
+  fi
+  cmp "artifacts/$artifact.txt" "$SANDIR/$artifact.txt" \
+    || { echo "$artifact differs from the committed artifact with the sanitizer on" >&2; exit 1; }
+done
+rm -rf "$SANDIR"
+
 echo "== flight recorder smoke: trace + metrics sidecars and dump =="
 TRACEDIR=$(mktemp -d)
 # One fast artifact that drives real packets (Table 1 probes the network),

@@ -11,6 +11,8 @@
 //! * [`BoxplotSummary`] — the five-number-plus-mean summary the figures draw.
 
 use crate::sanitizer;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 /// Streaming mean/variance via Welford's algorithm, plus min/max.
@@ -274,6 +276,59 @@ impl Percentiles {
     /// Immutable view of the raw samples (unsorted order not guaranteed).
     pub fn samples(&self) -> &[f64] {
         &self.samples
+    }
+
+    /// Consume the set, returning its samples in ascending
+    /// [`f64::total_cmp`] order without copying them.
+    pub fn into_sorted(mut self) -> Vec<f64> {
+        self.ensure_sorted();
+        self.samples
+    }
+
+    /// Build from runs that are each in ascending [`f64::total_cmp`]
+    /// order, as [`Percentiles::into_sorted`] returns them. A heap of the
+    /// runs' heads merges them into one buffer of their total length,
+    /// instead of concatenating them and sorting again. The result holds
+    /// the same bits as that sort, because `total_cmp` calls two values
+    /// equal only when their bits are.
+    pub fn from_sorted_runs<'a>(runs: impl IntoIterator<Item = &'a [f64]>) -> Self {
+        let runs: Vec<&[f64]> = runs.into_iter().collect();
+        debug_assert!(runs
+            .iter()
+            .all(|r| r.is_sorted_by(|a, b| a.total_cmp(b).is_le())));
+        let mut samples = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+        // Each run's next sample as (order key, run, index in run).
+        let mut heads: BinaryHeap<Reverse<(u64, usize, usize)>> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(run, r)| r.first().map(|&x| Reverse((total_order_key(x), run, 0))))
+            .collect();
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((_, run, at)) = *head;
+            samples.push(runs[run][at]);
+            match runs[run].get(at + 1) {
+                Some(&x) => *head = Reverse((total_order_key(x), run, at + 1)),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        Percentiles {
+            samples,
+            sorted: true,
+        }
+    }
+}
+
+/// `x`'s bits mapped so that unsigned integer order is
+/// [`f64::total_cmp`] order: a negative value flips every bit, any other
+/// value sets the sign bit.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 

@@ -89,8 +89,8 @@ fn main() -> ExitCode {
     // Track the whole-run wall-clock trajectory in BENCH.json. Wall
     // class: no per_sec, so the ci.sh throughput gate ignores it;
     // single-artifact, resumed, and failed runs record nothing, and so
-    // does a run into another artifact directory unless
-    // VISIONSIM_BENCH_JSON names the file.
+    // does a run into any directory but this workspace's own `artifacts`
+    // unless VISIONSIM_BENCH_JSON names the file.
     if ok && !resume && only.is_none() {
         let bench_json = std::env::var_os("VISIONSIM_BENCH_JSON");
         match harness::wall_bench_path(&cfg.dir, bench_json.as_deref()) {

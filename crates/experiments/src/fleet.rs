@@ -115,12 +115,8 @@ impl fmt::Display for Fleet {
                 self.floors.0, self.floors.1
             )?;
         }
-        let mut fleet_join = Percentiles::from_samples(
-            out.sites
-                .iter()
-                .flat_map(|s| s.join_samples.iter().copied())
-                .collect(),
-        );
+        let mut fleet_join =
+            Percentiles::from_sorted_runs(out.sites.iter().map(|s| &s.join_samples[..]));
         if !fleet_join.is_empty() {
             writeln!(
                 f,

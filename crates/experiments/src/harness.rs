@@ -215,9 +215,14 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// says otherwise.
 const DEFAULT_ARTIFACT_DIR: &str = "artifacts";
 
+/// The root of the workspace this was built from.
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// The `BENCH.json` at the root of the workspace this was built from.
 fn workspace_bench_json() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json")
+    workspace_root().join("BENCH.json")
 }
 
 /// Where `BENCH.json` lives: `$VISIONSIM_BENCH_JSON`, else the file at
@@ -231,17 +236,30 @@ pub fn bench_json_path() -> PathBuf {
 
 /// Where a full `regenerate` run that wrote its artifacts to
 /// `artifact_dir` records its wall time, given `$VISIONSIM_BENCH_JSON`
-/// as `bench_json`: the named file when it is set, else the workspace's
-/// `BENCH.json` for a run into the default `artifacts`. A run whose
-/// artifacts went elsewhere (a scratch directory, a CI temp dir) records
-/// nothing unless `bench_json` names the file, so it never rewrites the
-/// checkout's committed timings.
+/// as `bench_json`: the named file when it is set, else the `BENCH.json`
+/// of the workspace this was built from, but only for a run into that
+/// workspace's own `artifacts`. A run whose artifacts went anywhere else
+/// (a scratch directory, a CI temp dir, an `artifacts` directory under
+/// another working directory) records nothing unless `bench_json` names
+/// the file, so it never rewrites the checkout's committed timings.
 pub fn wall_bench_path(artifact_dir: &Path, bench_json: Option<&OsStr>) -> Option<PathBuf> {
-    match bench_json {
-        Some(p) => Some(PathBuf::from(p)),
-        None if artifact_dir == Path::new(DEFAULT_ARTIFACT_DIR) => Some(workspace_bench_json()),
-        None => None,
+    wall_bench_path_in(&workspace_root(), artifact_dir, bench_json)
+}
+
+/// [`wall_bench_path`] for the workspace rooted at `workspace`. Both
+/// directories are compared canonicalized, so a relative `artifact_dir`
+/// resolves against the working directory, and a directory that does
+/// not exist matches nothing.
+fn wall_bench_path_in(
+    workspace: &Path,
+    artifact_dir: &Path,
+    bench_json: Option<&OsStr>,
+) -> Option<PathBuf> {
+    if let Some(p) = bench_json {
+        return Some(PathBuf::from(p));
     }
+    let own = fs::canonicalize(workspace.join(DEFAULT_ARTIFACT_DIR)).ok()?;
+    (fs::canonicalize(artifact_dir).ok()? == own).then(|| workspace.join("BENCH.json"))
 }
 
 /// Merge `entries`, each a benchmark name and its JSON object, into the
@@ -711,25 +729,50 @@ mod tests {
 
     #[test]
     fn wall_time_is_recorded_only_where_the_run_was_told_to() {
+        let root = std::env::temp_dir().join(format!("visionsim-wall-{}", std::process::id()));
+        let workspace = root.join("checkout");
+        let own = workspace.join(DEFAULT_ARTIFACT_DIR);
+        let foreign = root.join("elsewhere").join(DEFAULT_ARTIFACT_DIR);
+        fs::create_dir_all(&own).unwrap();
+        fs::create_dir_all(&foreign).unwrap();
+        fs::create_dir_all(workspace.join("src")).unwrap();
+        let bench = Some(workspace.join("BENCH.json"));
         let named = OsStr::new("/scratch/bench.json");
-        let default_dir = Path::new(DEFAULT_ARTIFACT_DIR);
-        let elsewhere = Path::new("/tmp/arts");
-        // A run into the default directory records in the workspace's
-        // BENCH.json, or in the named file.
+
+        // A run into the workspace's own artifacts records in its
+        // BENCH.json, however the directory is spelled, or in the named
+        // file.
+        assert_eq!(wall_bench_path_in(&workspace, &own, None), bench);
+        let dotted = workspace.join("src/../artifacts/.");
+        assert_eq!(wall_bench_path_in(&workspace, &dotted, None), bench);
         assert_eq!(
-            wall_bench_path(default_dir, None),
+            wall_bench_path_in(&workspace, &own, Some(named)),
+            Some(PathBuf::from(named))
+        );
+        // Any other directory, even one named `artifacts`, records only
+        // where it is told to, and so does one that does not exist.
+        for dir in [foreign.as_path(), &root, &root.join("missing")] {
+            assert_eq!(wall_bench_path_in(&workspace, dir, None), None, "{dir:?}");
+            assert_eq!(
+                wall_bench_path_in(&workspace, dir, Some(named)),
+                Some(PathBuf::from(named))
+            );
+        }
+        // A workspace without an artifacts directory matches nothing.
+        fs::remove_dir(&own).unwrap();
+        assert_eq!(wall_bench_path_in(&workspace, &own, None), None);
+        fs::remove_dir_all(&root).unwrap();
+
+        // This build's own workspace: its committed `artifacts` records in
+        // its BENCH.json, and a relative `artifacts` resolves against the
+        // working directory (the crate's, under `cargo test`), not the
+        // workspace root.
+        let checkout = workspace_root().join(DEFAULT_ARTIFACT_DIR);
+        assert_eq!(
+            wall_bench_path(&checkout, None),
             Some(workspace_bench_json())
         );
-        assert_eq!(
-            wall_bench_path(default_dir, Some(named)),
-            Some(PathBuf::from(named))
-        );
-        // A redirected run records only where it is told to.
-        assert_eq!(wall_bench_path(elsewhere, None), None);
-        assert_eq!(
-            wall_bench_path(elsewhere, Some(named)),
-            Some(PathBuf::from(named))
-        );
+        assert_eq!(wall_bench_path(Path::new(DEFAULT_ARTIFACT_DIR), None), None);
     }
 
     #[test]

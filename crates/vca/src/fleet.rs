@@ -559,7 +559,7 @@ impl SiteCell {
             peak_participants: self.peak_participants,
             join_p50_ms,
             join_p99_ms,
-            join_samples: self.join_ms.samples().to_vec(),
+            join_samples: self.join_ms.into_sorted(),
             samples: self.samples,
         }
     }
@@ -692,7 +692,8 @@ pub struct SiteReport {
     pub peak_participants: u32,
     pub join_p50_ms: f64,
     pub join_p99_ms: f64,
-    /// Raw per-participant join latencies (ms), for fleet-wide percentiles.
+    /// Per-participant join latencies (ms) in ascending order, for
+    /// fleet-wide percentiles.
     pub join_samples: Vec<f64>,
     /// Once-a-second occupancy: (second, active sessions, participants).
     pub samples: Vec<(u64, u32, u32)>,

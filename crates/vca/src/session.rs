@@ -28,7 +28,7 @@ use crate::server::{
     SiteDirectory,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use visionsim_core::metrics::{self, Class};
 use visionsim_core::rng::SimRng;
 use visionsim_core::sanitizer;
@@ -54,7 +54,7 @@ use visionsim_semantic::packetize::{Fragment, FrameAssembler, Packetizer};
 use visionsim_sensor::capture::RgbdCapture;
 use visionsim_sensor::motion::MotionConfig;
 use visionsim_transport::cipher;
-use visionsim_transport::quic::QuicStreamSender;
+use visionsim_transport::quic::{QuicFrame, QuicPacket, QuicStreamSender};
 use visionsim_transport::rtp::{RtpHeader, RtpStream, RTP_HEADER_LEN};
 
 /// Cached handles into the metrics registry for the session layer. All
@@ -210,8 +210,10 @@ pub struct SessionOutcome {
     pub availability: Vec<Vec<(SimTime, PersonaState)>>,
     /// Encoded semantic frame sizes observed at senders (spatial only).
     pub semantic_frame_sizes: Vec<usize>,
-    /// Semantic decode calls the session made: one per frame that at least
-    /// one receiver completed, however many receivers completed it.
+    /// Semantic frames decoded once for the whole call: one per frame that
+    /// at least one receiver completed, however many receivers completed
+    /// it. The decode itself runs only while the sanitizer records; the
+    /// count is the same either way.
     pub semantic_decodes: u64,
     /// End-to-end semantic-frame latency samples per receiving
     /// participant, milliseconds: capture tick → frame fully reassembled
@@ -405,6 +407,74 @@ impl ReceiverPeer {
     }
 }
 
+/// One sender's fan-out payloads that a receiver has already opened, and
+/// the fragments each one carries.
+///
+/// The SFU relays one shared `Arc<[u8]>` to every other participant, so
+/// each receiver would otherwise decrypt and parse the same bytes. An
+/// entry holds a clone of its payload, which keeps the allocation alive:
+/// while the entry lives, `Arc::ptr_eq` means the same immutable bytes,
+/// and opening them is a pure function of those bytes and the one
+/// `SESSION_KEY`. An entry goes as soon as the memo holds the payload's
+/// last reference, since no later delivery can then match it; a fixed
+/// ring would instead keep spent payloads alive until it wraps.
+#[derive(Default)]
+struct OpenedPayloads {
+    entries: Vec<(Arc<[u8]>, Vec<Fragment>)>,
+}
+
+impl OpenedPayloads {
+    /// The fragments `payload` carries, opened at most once per payload.
+    fn open(&mut self, payload: &Arc<[u8]>) -> Vec<Fragment> {
+        self.entries.retain(|(held, _)| Arc::strong_count(held) > 1);
+        if let Some(i) = self
+            .entries
+            .iter()
+            .position(|(held, _)| Arc::ptr_eq(held, payload))
+        {
+            // The memo and this delivery hold the only references: this is
+            // the payload's last receiver, so it takes the fragments.
+            if Arc::strong_count(payload) == 2 {
+                return self.entries.swap_remove(i).1;
+            }
+            return self.entries[i].1.clone();
+        }
+        let fragments = open_fragments(payload);
+        if Arc::strong_count(payload) > 1 {
+            self.entries.push((payload.clone(), fragments.clone()));
+        }
+        fragments
+    }
+}
+
+/// Decrypt a spatial media payload and parse the semantic fragments its
+/// stream frames carry; a payload that fails to parse carries none.
+fn open_fragments(payload: &[u8]) -> Vec<Fragment> {
+    let Some(packet) = QuicPacket::parse(payload, &SESSION_KEY) else {
+        return Vec::new();
+    };
+    let (QuicPacket::Short { frames, .. } | QuicPacket::Long { frames, .. }) = packet;
+    frames
+        .into_iter()
+        .filter_map(|frame| match frame {
+            QuicFrame::Stream { data, .. } => Fragment::parse(&data),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Decode a completed semantic frame through its sender's codec, and
+/// report a failed decode as a `semantic/decode` violation.
+fn check_decode(state: &mut SenderState, sender: usize, frame_id: u64, payload: &[u8]) {
+    let SenderState::Spatial { codec, .. } = state else {
+        unreachable!("semantic frame from a 2D sender")
+    };
+    let decode = codec.decode(payload);
+    sanitizer::check(decode.is_ok(), "semantic/decode", || {
+        format!("frame {frame_id} of sender {sender}: {decode:?}")
+    });
+}
+
 /// The session engine.
 pub struct SessionRunner {
     config: SessionConfig,
@@ -523,6 +593,8 @@ pub struct SessionSim {
     audio_rtp: Vec<RtpStream>,
     senders: Vec<SenderState>,
     receivers: Vec<HashMap<usize, ReceiverPeer>>,
+    /// Per sender: fan-out payloads already opened by some receiver.
+    opened: Vec<OpenedPayloads>,
     persona_positions: Vec<visionsim_mesh::geometry::Vec3>,
     seat_drift: Vec<visionsim_mesh::geometry::Vec3>,
     pipeline: VisibilityPipeline,
@@ -726,6 +798,7 @@ impl SessionSim {
                     .collect()
             })
             .collect();
+        let opened: Vec<OpenedPayloads> = (0..n).map(|_| OpenedPayloads::default()).collect();
 
         // Rendering state per participant (spatial sessions, AVP devices).
         // Seating with natural irregularity: nobody sits on an exact arc.
@@ -868,6 +941,7 @@ impl SessionSim {
             audio_rtp,
             senders,
             receivers,
+            opened,
             persona_positions,
             seat_drift,
             pipeline,
@@ -961,6 +1035,7 @@ impl SessionSim {
             audio_rtp,
             senders,
             receivers,
+            opened,
             persona_positions,
             seat_drift,
             pipeline,
@@ -1427,69 +1502,35 @@ impl SessionSim {
                     }
                     match persona_type {
                         PersonaType::Spatial => {
-                            if let Some(quic_pkt) = visionsim_transport::quic::QuicPacket::parse(
-                                &d.packet.payload,
-                                &SESSION_KEY,
-                            ) {
-                                let frames = match quic_pkt {
-                                    visionsim_transport::quic::QuicPacket::Short {
-                                        frames, ..
-                                    } => frames,
-                                    visionsim_transport::quic::QuicPacket::Long {
-                                        frames, ..
-                                    } => frames,
+                            for frag in opened[sender].open(&d.packet.payload) {
+                                let Some((frame_id, payload)) = peer.assembler.push(frag) else {
+                                    continue;
                                 };
-                                for f in frames {
-                                    if let visionsim_transport::quic::QuicFrame::Stream {
-                                        data,
-                                        ..
-                                    } = f
-                                    {
-                                        if let Some(frag) = Fragment::parse(&data) {
-                                            if let Some((frame_id, payload)) =
-                                                peer.assembler.push(frag)
-                                            {
-                                                peer.on_frame_complete(frame_id);
-                                                let Some((sent, decoded)) = frame_sent_at[sender]
-                                                    .get_mut(frame_id as usize)
-                                                else {
-                                                    continue;
-                                                };
-                                                e2e_latency_ms[r]
-                                                    .push(d.at.since(*sent).as_millis_f64());
-                                                // One decode per frame, not per receiver:
-                                                // the first to complete it decodes through
-                                                // the sender's own codec. Exact, because an
-                                                // absolute-mode decode is a pure function of
-                                                // the payload and touches no codec state;
-                                                // sessions only build
-                                                // `SemanticConfig::default()`, which is
-                                                // absolute; and the network never alters a
-                                                // payload, so every receiver reassembles
-                                                // the sender's exact bytes.
-                                                if *decoded {
-                                                    continue;
-                                                }
-                                                *decoded = true;
-                                                let SenderState::Spatial { codec, .. } =
-                                                    &mut senders[sender]
-                                                else {
-                                                    unreachable!("semantic frame from a 2D sender")
-                                                };
-                                                let decode = codec.decode(&payload);
-                                                sanitizer::check(
-                                                    decode.is_ok(),
-                                                    "semantic/decode",
-                                                    || {
-                                                        format!(
-                                                            "frame {frame_id} of sender \
-                                                             {sender}: {decode:?}"
-                                                        )
-                                                    },
-                                                );
-                                            }
-                                        }
-                                    }
+                                peer.on_frame_complete(frame_id);
+                                let Some((sent, decoded)) =
+                                    frame_sent_at[sender].get_mut(frame_id as usize)
+                                else {
+                                    continue;
+                                };
+                                e2e_latency_ms[r].push(d.at.since(*sent).as_millis_f64());
+                                // The first receiver to complete a frame marks
+                                // it decoded; `semantic_decodes` counts those
+                                // marks. The decode itself feeds only the
+                                // observe-only `semantic/decode` check, so it
+                                // runs only while the sanitizer records. One
+                                // decode per frame, through the sender's own
+                                // codec, is exact: an absolute-mode decode is
+                                // a pure function of the payload and touches
+                                // no codec state, sessions only build
+                                // `SemanticConfig::default()` (absolute), and
+                                // the network never alters a payload, so every
+                                // receiver reassembles the sender's bytes.
+                                if *decoded {
+                                    continue;
+                                }
+                                *decoded = true;
+                                if sanitizer::enabled() {
+                                    check_decode(&mut senders[sender], sender, frame_id, &payload);
                                 }
                             }
                         }
@@ -2138,6 +2179,42 @@ mod tests {
             .map(|r| r.wire_size.as_bytes())
             .sum();
         assert!(rtcp_bytes * 50 < media_bytes, "RTCP overhead too large");
+    }
+
+    #[test]
+    fn a_fanned_out_payload_is_opened_once_and_forgotten_after_its_last_receiver() {
+        let mut quic = QuicStreamSender::new(sender_dcid(1), 1, SESSION_KEY);
+        let frames = Packetizer::new().split(&[7u8; 900]);
+        let wire = quic.send(frames[0].to_bytes());
+        let mut memo = OpenedPayloads::default();
+
+        // The SFU's three relayed copies share one allocation. Each
+        // receiver gets the fragment a fresh parse gives; the first one's
+        // parse is remembered, and the last one takes it.
+        let copies = [wire.clone(), wire.clone(), wire.clone()];
+        drop(wire);
+        for (i, copy) in copies.into_iter().enumerate() {
+            assert_eq!(memo.open(&copy), frames, "receiver {i}");
+            assert_eq!(memo.entries.len(), usize::from(i < 2), "after receiver {i}");
+        }
+
+        // A payload with one receiver is never remembered.
+        let solo = quic.send(frames[0].to_bytes());
+        assert_eq!(memo.open(&solo), open_fragments(&solo));
+        assert!(memo.entries.is_empty());
+
+        // A copy lost on the way never reaches the memo; the entry goes
+        // at the next open once the memo holds the last reference.
+        let shared = quic.send(frames[0].to_bytes());
+        let lost = shared.clone();
+        memo.open(&shared);
+        drop((shared, lost));
+        assert_eq!(memo.entries.len(), 1);
+        memo.open(&solo);
+        assert!(memo.entries.is_empty());
+
+        // Bytes that do not open carry no fragments.
+        assert!(open_fragments(&[0u8; 40]).is_empty());
     }
 
     #[test]

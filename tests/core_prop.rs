@@ -43,12 +43,9 @@ fn percentiles_monotone() {
     }
 }
 
-/// Percentiles sort their samples unstably; under `total_cmp` two values
-/// tie only when their bits are equal, so the sorted samples must match a
-/// stable sort bit for bit, whatever mix of repeats, signed zeros,
-/// infinities and NaN payloads `from_samples` hands in.
-#[test]
-fn percentiles_sort_is_bit_identical_to_a_stable_sort() {
+/// Samples mixing repeats, signed zeros, infinities and NaN payloads:
+/// values that only a bit-exact sort order tells apart.
+fn awkward_samples(rng: &mut SimRng, max_len: u64) -> Vec<f64> {
     let special = [
         0.0,
         -0.0,
@@ -63,24 +60,61 @@ fn percentiles_sort_is_bit_identical_to_a_stable_sort() {
         f64::from_bits(0xfff8_0000_0000_0000),
         f64::from_bits(0xfff0_0000_dead_beef),
     ];
+    let n = rng.uniform_u64(1, max_len) as usize;
+    (0..n)
+        .map(|_| {
+            if rng.chance(0.5) {
+                special[rng.index(special.len())]
+            } else {
+                rng.uniform_range(-4.0, 4.0).round()
+            }
+        })
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Percentiles sort their samples unstably; under `total_cmp` two values
+/// tie only when their bits are equal, so the sorted samples must match a
+/// stable sort bit for bit, whatever mix of repeats, signed zeros,
+/// infinities and NaN payloads `from_samples` hands in.
+#[test]
+fn percentiles_sort_is_bit_identical_to_a_stable_sort() {
     for i in 0..CASES {
         let mut rng = case_rng("percentiles_sort_bits", i);
-        let n = rng.uniform_u64(1, 300) as usize;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| {
-                if rng.chance(0.5) {
-                    special[rng.index(special.len())]
-                } else {
-                    rng.uniform_range(-4.0, 4.0).round()
-                }
-            })
-            .collect();
+        let samples = awkward_samples(&mut rng, 300);
         let mut stable = samples.clone();
         stable.sort_by(f64::total_cmp);
         let mut p = Percentiles::from_samples(samples);
         p.median();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(p.samples()), bits(&stable), "case {i}");
+    }
+}
+
+/// Merging sorted runs (how the fleet joins its sites' join latencies)
+/// leaves the same bits as sorting the runs' concatenation, for any
+/// number of runs, empty runs included.
+#[test]
+fn merged_sorted_runs_are_bit_identical_to_one_sort() {
+    for i in 0..CASES {
+        let mut rng = case_rng("percentiles_merge_runs", i);
+        let runs: Vec<Vec<f64>> = (0..rng.uniform_u64(0, 17))
+            .map(|_| {
+                let mut run = awkward_samples(&mut rng, 60);
+                run.truncate(rng.uniform_u64(0, run.len() as u64) as usize);
+                Percentiles::from_samples(run).into_sorted()
+            })
+            .collect();
+        let mut stable = runs.concat();
+        stable.sort_by(f64::total_cmp);
+        let mut merged = Percentiles::from_sorted_runs(runs.iter().map(Vec::as_slice));
+        assert_eq!(bits(merged.samples()), bits(&stable), "case {i}");
+        // A merged set is already sorted: asking for a percentile leaves
+        // its samples as they are.
+        merged.median();
+        assert_eq!(bits(merged.samples()), bits(&stable), "case {i}");
     }
 }
 

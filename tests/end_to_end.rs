@@ -3,7 +3,9 @@
 //! end-to-end without the session engine, and the session engine's
 //! global invariants.
 
+use visionsim::core::par;
 use visionsim::core::rng::SimRng;
+use visionsim::core::sanitizer;
 use visionsim::core::time::{SimDuration, SimTime};
 use visionsim::device::cameras::PersonaCapturePipeline;
 use visionsim::device::device::DeviceKind;
@@ -118,6 +120,49 @@ fn sessions_are_deterministic_in_the_seed() {
     assert_eq!(a.2, b.2, "render statistics differ");
     let c = run(5678);
     assert_ne!(a.1, c.1, "different seeds produced identical streams");
+}
+
+/// The sanitizer only observes. A spatial call stepped with it off, which
+/// skips the semantic decode, matches the same call stepped with it on,
+/// which decodes every frame a receiver completes, and none of those
+/// decodes fails.
+#[test]
+fn spatial_calls_match_with_the_sanitizer_off_and_on() {
+    let _guard = par::override_guard();
+    let run = |n: usize, on: bool| {
+        sanitizer::force(Some(on));
+        let mut cfg = SessionConfig::facetime_avp(n, &cities::us_vantages(), 2024);
+        cfg.duration = SimDuration::from_secs(2);
+        let out = SessionRunner::new(cfg).run();
+        let e2e: Vec<Vec<u64>> = out
+            .e2e_latency_ms
+            .iter()
+            .map(|p| p.samples().iter().map(|x| x.to_bits()).collect())
+            .collect();
+        (
+            format!("{:?}", out.taps),
+            e2e,
+            out.availability,
+            out.mode_log,
+            out.semantic_frame_sizes,
+            out.semantic_decodes,
+        )
+    };
+    sanitizer::reset();
+    let runs: Vec<_> = [3, 8].map(|n| (n, run(n, false), run(n, true))).into();
+    let violations = sanitizer::take();
+    sanitizer::force(None);
+    sanitizer::reset();
+    for (n, off, on) in &runs {
+        assert!(off.0 == on.0, "roster {n}: taps differ");
+        assert_eq!(off.1, on.1, "roster {n}: e2e latency samples differ");
+        assert_eq!(off.2, on.2, "roster {n}: availability logs differ");
+        assert_eq!(off.3, on.3, "roster {n}: mode logs differ");
+        assert_eq!(off.4, on.4, "roster {n}: semantic frame sizes differ");
+        assert_eq!(off.5, on.5, "roster {n}: semantic decodes differ");
+        assert!(on.5 > 0, "roster {n}: no frame was decoded");
+    }
+    assert!(violations.is_empty(), "violations: {violations:?}");
 }
 
 /// Same-instant RTCP receiver reports leave in sender order, so a 2D call
